@@ -1,7 +1,9 @@
 """Fleet-scale benchmarks: epoch engine, hardware substrate, parallelism.
 
 Three axes of the fleet hot loop are measured and recorded in
-``BENCH_fleet.json`` at the repository root:
+``.benchmarks/BENCH_fleet.json`` (gitignored, so a test run never
+rewrites a tracked file; the tracked root ``BENCH_fleet.json`` is
+frozen history):
 
 * **engine** — the vectorized monitoring pass (:class:`MetricMatrix`)
   against the scalar per-VM reference loop (PR 1's benchmark);
@@ -19,9 +21,10 @@ Three axes of the fleet hot loop are measured and recorded in
   shared-memory segments (:mod:`repro.fleet.shm`) with only a tiny
   descriptor on the pool pipe.  The recorded
   ``process_1w_overhead_pct`` is the single-worker tax over the serial
-  loop and ``dispatch_roundtrip_seconds`` the measured no-payload pool
-  round trip — the transport's actual share of that tax (~1 ms/epoch;
-  the decision arrays never touch the pipe).  On a 1-core runner the
+  loop and ``dispatch_roundtrip_seconds`` a real no-payload round trip
+  through the worker pool's pipe (a ready-probe submitted to each pool
+  and awaited, min over 10) — the transport's share of that tax per
+  epoch, since the decision arrays never touch the pipe.  On a 1-core runner the
   parent and worker share the core, so every per-epoch dispatch also
   pays a cache-eviction penalty that has nothing to do with the
   transport (worker epochs timed back to back match the serial loop);
@@ -80,12 +83,13 @@ from repro.fleet import (
     synthesize_datacenter,
 )
 from repro.fleet.benchutil import run_metadata
+from repro.fleet.executor import _worker_ready
 from repro.fleet.shm import leaked_segments
 from repro.metrics.counters import N_COUNTERS
 from repro.metrics.store import HostCounterStore
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_PATH = REPO_ROOT / "BENCH_fleet.json"
+BENCH_PATH = REPO_ROOT / ".benchmarks" / "BENCH_fleet.json"
 
 #: The columnar hot-loop options every executor comparison times.
 _COLUMNAR = RunOptions(analyze=False, report="columnar")
@@ -102,7 +106,7 @@ MIN_SUBSTRATE_SPEEDUP = 5.0
 
 
 def _merge_bench_record(key: str, record: Dict) -> None:
-    """Merge one benchmark section into ``BENCH_fleet.json``.
+    """Merge one benchmark section into ``.benchmarks/BENCH_fleet.json``.
 
     Every record is stamped with
     :func:`repro.fleet.benchutil.run_metadata` on the way in — the same
@@ -118,6 +122,7 @@ def _merge_bench_record(key: str, record: Dict) -> None:
     if "benchmark" in data:  # legacy flat engine-only record
         data = {"fleet_epoch_engine": data}
     data[key] = {**record, "run_metadata": run_metadata(REPO_ROOT)}
+    BENCH_PATH.parent.mkdir(exist_ok=True)
     BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
@@ -199,7 +204,7 @@ def _prepare_fleet(
     )
     fleet.bootstrap()
     for _ in range(warmup_epochs):
-        fleet.run_epoch(analyze=True)
+        fleet.run_epoch()
     return fleet
 
 
@@ -265,7 +270,7 @@ def _time_fleet_epoch(fleet, reps: int) -> float:
     best = float("inf")
     for _ in range(reps):
         start = time.perf_counter()
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -297,8 +302,8 @@ def _run_substrate_comparison(
     batch = _prepare_fleet(num_vms, num_shards, substrate="batch")
     # Same epoch count so far -> the substrates must agree on decisions.
     assert _decision_fingerprint(
-        baseline.run_epoch(analyze=False)
-    ) == _decision_fingerprint(batch.run_epoch(analyze=False)), (
+        baseline.run_epoch(RunOptions(analyze=False))
+    ) == _decision_fingerprint(batch.run_epoch(RunOptions(analyze=False))), (
         "scalar and batch substrates must produce identical warning decisions"
     )
     scalar_s = _time_fleet_epoch(baseline, scalar_reps)
@@ -403,15 +408,17 @@ def _run_process_comparison(
             [serial, single, multi], reps
         )
         # The pure dispatch latency (submit -> worker wake -> tiny
-        # result): the transport's share of the single-worker overhead.
-        # The remainder of ``single_s - serial_s`` on a 1-core runner is
-        # the two processes evicting each other's caches on the shared
-        # core every epoch — see the module docstring.
+        # result through the pool pipe): the transport's share of the
+        # single-worker overhead.  The remainder of ``single_s -
+        # serial_s`` on a 1-core runner is the two processes evicting
+        # each other's caches on the shared core every epoch — see the
+        # module docstring.
         dispatch_s = float("inf")
-        strategy = single._shard_strategy()
+        pools = single._shard_strategy()._pools
         for _ in range(10):
             start = time.perf_counter()
-            strategy.worker_pids()
+            for future in [pool.submit(_worker_ready) for pool in pools]:
+                future.result()
             dispatch_s = min(dispatch_s, time.perf_counter() - start)
     finally:
         multi.shutdown()
@@ -538,7 +545,7 @@ def _time_epochs(fleet, epochs: int) -> float:
     """
     start = time.perf_counter()
     for _ in range(epochs):
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
     return time.perf_counter() - start
 
 
@@ -736,7 +743,7 @@ def test_fleet_simulation_smoke():
     start = time.perf_counter()
     epochs = 8
     for _ in range(epochs):
-        fleet.run_epoch(analyze=True)
+        fleet.run_epoch()
     elapsed = time.perf_counter() - start
     assert fleet.detections(), "the injected episode must be detected"
     rate = fleet.total_vms() * epochs / elapsed
@@ -744,7 +751,7 @@ def test_fleet_simulation_smoke():
 
 
 # ----------------------------------------------------------------------
-# Full scale, records BENCH_fleet.json
+# Full scale, records .benchmarks/BENCH_fleet.json
 # ----------------------------------------------------------------------
 def test_fleet_scale_1000_vms():
     """The batched epoch engine is >= 5x the scalar loop at 1000 VMs."""
@@ -1121,7 +1128,7 @@ def test_fleet_telemetry_2000_vms(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Hierarchical fleets + campaign runner (the 100k-VM scale tier)
+# Regional fleets + campaign runner (the 100k-VM scale tier)
 # ----------------------------------------------------------------------
 def _run_campaign_cell_bench(
     spec, tag: str
@@ -1129,8 +1136,8 @@ def _run_campaign_cell_bench(
     """Run one campaign cell into a temp directory and summarise it.
 
     The cell's npz is schema-validated before the record is returned,
-    so a benchmark number never lands in ``BENCH_fleet.json`` without
-    its columnar evidence having parsed.
+    so a benchmark number never lands in the bench record without its
+    columnar evidence having parsed.
     """
     import tempfile
 
@@ -1147,7 +1154,7 @@ def _run_campaign_cell_bench(
 def test_fleet_campaign_smoke(tmp_path):
     """A tiny 2x2 campaign grid runs end to end: manifest and per-cell
     npz written, schema-validated, resume a no-op.  The CI
-    ``FLEET_SMOKE_CAMPAIGN=1`` leg runs the cells on hierarchical
+    ``FLEET_SMOKE_CAMPAIGN=1`` leg runs the cells on regional
     process-executor fleets (regions riding the shared-memory
     transport, checked for /dev/shm leaks); otherwise the regions run
     serial."""
@@ -1273,7 +1280,7 @@ def test_fleet_snapshot_smoke(tmp_path):
     ``/dev/shm`` clean); otherwise a cheap serial roundtrip.
     ``FLEET_SMOKE_CKPT`` redirects the checkpoint file so the workflow
     can schema-validate it after the run."""
-    from repro.fleet import resume_fleet, validate_checkpoint_file
+    from repro.fleet import Fleet, validate_checkpoint_file
 
     snapshot_leg = os.environ.get("FLEET_SMOKE_SNAPSHOT") == "1"
     executor = "process" if snapshot_leg else "serial"
@@ -1312,7 +1319,7 @@ def test_fleet_snapshot_smoke(tmp_path):
 
     meta = validate_checkpoint_file(ckpt_path, deep=True)
     t0 = time.perf_counter()
-    resumed = resume_fleet(ckpt_path, executor=executor, max_workers=workers)
+    resumed = Fleet.resume(ckpt_path, executor=executor, max_workers=workers)
     resume_s = time.perf_counter() - t0
     try:
         got += [
@@ -1352,7 +1359,7 @@ def test_fleet_snapshot_2000_vms(tmp_path):
     the real price of periodically checkpointing a long-lived service
     (``snapshot_overhead_pct`` = one snapshot as a fraction of one epoch;
     a service checkpointing every N epochs pays 1/N of that)."""
-    from repro.fleet import resume_fleet, validate_checkpoint_file
+    from repro.fleet import Fleet, validate_checkpoint_file
 
     fleet = _prepare_fleet(2000, num_shards=4, executor="process", max_workers=4)
     ckpt_path = tmp_path / "fleet2k.ckpt"
@@ -1372,7 +1379,7 @@ def test_fleet_snapshot_2000_vms(tmp_path):
         fleet.shutdown()
     meta = validate_checkpoint_file(ckpt_path, deep=True)
     start = time.perf_counter()
-    resumed = resume_fleet(ckpt_path)
+    resumed = Fleet.resume(ckpt_path)
     resume_s = time.perf_counter() - start
     try:
         assert resumed.executor == "process"
@@ -1575,10 +1582,10 @@ def test_fleet_region_scale_100k():
     """One 100k-VM campaign cell — 10 regions x 10k VMs, each region on
     its own shared-memory process worker — completes on one machine;
     throughput recorded as ``fleet_region_100k``.  The 1M tier is the
-    documented stretch: same construction with ``num_regions=100`` (or
-    ``RegionalFleet.run_summaries(shutdown_regions=True)`` to keep only
-    one region's workers resident), not asserted here because a
-    single-core CI runner would spend hours on it."""
+    documented stretch: one fleet per partition of the scenario, run
+    one after another, with their ``FleetRunSummary`` objects merged —
+    not asserted here because a single-core CI runner would spend hours
+    on it."""
     from repro.fleet import CampaignSpec
 
     spec = CampaignSpec(

@@ -93,7 +93,7 @@ def main() -> None:
     fleet.bootstrap()
 
     for epoch in range(EPOCHS):
-        report = fleet.run_epoch(analyze=True)
+        report = fleet.run_epoch()
         confirmed = report.confirmed_interference()
         if confirmed:
             names = ", ".join(f"{s}/{v}" for s, v in confirmed)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Run a fleet as a long-lived service: stream, dashboard, checkpoints.
 
-The service loop is the whole PR-8 surface in one place:
+The service loop drives the whole fleet run surface in one place:
 
 * the fleet advances through the **epoch-streaming iterator**
   (``FleetDashboard.watch`` wraps ``fleet.stream`` and times every
@@ -45,6 +45,7 @@ from pathlib import Path
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
     Checkpoint,
+    Fleet,
     FleetDashboard,
     FleetRunSummary,
     InterferenceEpisode,
@@ -52,7 +53,6 @@ from repro.fleet import (
     TelemetryConfig,
     build_fleet,
     churn_timeline,
-    resume_fleet,
     synthesize_datacenter,
 )
 
@@ -171,7 +171,7 @@ def main() -> None:
         checkpoint = Checkpoint.load(args.checkpoint_path)
         # Without an explicit override the checkpoint's own telemetry
         # config (and carried counter totals) revive with the fleet.
-        fleet = resume_fleet(checkpoint, telemetry=_telemetry_config(args))
+        fleet = Fleet.resume(checkpoint, telemetry=_telemetry_config(args))
         carried = checkpoint.state().get("summary")
         summary = carried if carried is not None else FleetRunSummary()
         print(

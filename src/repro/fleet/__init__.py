@@ -11,18 +11,16 @@ engine, and a :class:`DatacenterScenario` synthesises thousands of VMs
 with mixed CloudSuite-like workloads and scheduled interference
 episodes.
 
-Past the single-fleet tier, :class:`RegionalFleet` groups shards into
-regions (a fleet of fleets, bit-identical to the flat fleet at any
-region/worker split) and :mod:`repro.fleet.campaign` sweeps parameter
-grids of such fleets, one schema-validated columnar result file per
-cell.
+A fleet may partition its shards into :class:`Region` records — named,
+contiguous shard groups with their own worker budgets, bit-identical to
+the flat fleet — and :mod:`repro.fleet.campaign` sweeps parameter grids
+of such fleets, one schema-validated columnar result file per cell.
 
-Long-lived service operation goes through one unified surface: both
-fleet kinds implement the :class:`FleetRuntime` protocol — epoch
-streaming (``stream``), buffered/summarised runs (``run``) configured by
-typed :class:`RunOptions`, and versioned :class:`Checkpoint`
-snapshot/resume (``snapshot()`` / ``Fleet.resume()`` /
-:func:`resume_fleet`) with a bit-identical continuation guarantee.  A
+Long-lived service operation goes through one run surface on
+:class:`Fleet`: epoch streaming (``stream``), buffered/summarised runs
+(``run``, ``run_summaries``) configured by typed :class:`RunOptions`,
+and versioned :class:`Checkpoint` snapshot/resume (``snapshot()`` /
+``Fleet.resume()``) with a bit-identical continuation guarantee.  A
 :class:`FleetDashboard` renders live per-shard/per-region telemetry off
 the stream (see ``examples/run_service.py``).
 
@@ -35,7 +33,7 @@ rotating JSONL event log — without changing a single decision.
 
 ``benchmarks/test_fleet_scale.py`` measures the batched epoch engine
 against the scalar per-VM reference loop on these fleets and records
-the speedup in ``BENCH_fleet.json``.
+the speedup in the untracked ``.benchmarks/BENCH_fleet.json``.
 """
 
 from repro.fleet.campaign import (
@@ -61,10 +59,15 @@ from repro.fleet.executor import (
     ThreadShardExecutor,
 )
 from repro.fleet.faults import FaultPlan, WorkerFault
-from repro.fleet.fleet import Fleet, FleetEpochReport, FleetRunSummary, FleetShard
+from repro.fleet.fleet import (
+    Fleet,
+    FleetEpochReport,
+    FleetRunSummary,
+    FleetShard,
+    Region,
+    RunOptions,
+)
 from repro.fleet.lifecycle import AdmissionPolicy, LifecycleEngine, LifecycleStats
-from repro.fleet.region import Region, RegionalFleet, resume_fleet
-from repro.fleet.runtime import FleetRuntime, RunOptions
 from repro.fleet.scenario import (
     DatacenterScenario,
     InterferenceEpisode,
@@ -107,7 +110,6 @@ __all__ = [
     "FaultPolicy",
     "Fleet",
     "FleetDashboard",
-    "FleetRuntime",
     "RunOptions",
     "FleetEpochReport",
     "FleetRunSummary",
@@ -122,7 +124,6 @@ __all__ = [
     "COUNTER_NAMES",
     "ProcessShardExecutor",
     "Region",
-    "RegionalFleet",
     "SPAN_KINDS",
     "SerialShardExecutor",
     "TelemetryConfig",
@@ -138,7 +139,6 @@ __all__ = [
     "build_regional_fleet",
     "partition_regions",
     "resolve_telemetry",
-    "resume_fleet",
     "run_cell",
     "synthesize_datacenter",
     "validate_cell_npz",

@@ -25,9 +25,8 @@ the missing or corrupt cells (``CampaignRunner.run(resume=True)``).
 Cells are deterministic functions of (spec, cell parameters): the same
 campaign produces byte-identical decision columns whatever the cell
 scheduling — only the recorded wall-times differ.  Cell fleets are
-hierarchical (:class:`~repro.fleet.region.RegionalFleet`), so one cell
-scales to the 100k-VM tier by riding N regions × the shared-memory
-process-executor path.
+partitioned into regions (:class:`~repro.fleet.fleet.Region`), each
+with its own share of process workers on the shared-memory path.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ from repro.core.config import DeepDiveConfig
 from repro.fleet.checkpoint import Checkpoint, CheckpointError
 from repro.fleet.executor import WARNING_ACTIONS
 from repro.fleet.lifecycle import AdmissionPolicy
-from repro.fleet.region import resume_fleet
-from repro.fleet.runtime import RunOptions
+from repro.fleet.fleet import Fleet, RunOptions
 from repro.fleet.scenario import (
     DatacenterScenario,
     InterferenceEpisode,
@@ -384,7 +382,7 @@ def _load_cell_checkpoint(
             array = extra.get(name)
             if not isinstance(array, np.ndarray) or array.shape[0] != k:
                 raise CheckpointError(f"checkpoint array {name} is inconsistent")
-        fleet = resume_fleet(checkpoint, telemetry=telemetry)
+        fleet = Fleet.resume(checkpoint, telemetry=telemetry)
         return fleet, extra
     except (CheckpointError, KeyError, pickle.UnpicklingError):
         ckpt_path.unlink(missing_ok=True)
@@ -402,8 +400,8 @@ def run_cell(
 ) -> Dict[str, object]:
     """Run one cell end to end and persist its npz + summary.
 
-    The cell fleet is hierarchical (``spec.num_regions`` regions over
-    ``spec.executor``); every epoch is collected columnar, so the
+    The cell fleet is partitioned into ``spec.num_regions`` regions
+    over ``spec.executor``; every epoch is collected columnar, so the
     per-epoch aggregates come straight off the decision arrays without
     materialising per-VM observation objects.  Returns the summary
     dict (also written to ``<cell_id>.summary.json``).

@@ -44,7 +44,10 @@ CHECKPOINT_MAGIC = b"REPRO-FLEET-CKPT"
 #: Current checkpoint format version (bump on incompatible change).
 CHECKPOINT_VERSION = 1
 
-#: Fleet kinds a checkpoint can hold.
+#: Checkpoint kinds :meth:`~repro.fleet.fleet.Fleet.resume` reads.
+#: Every snapshot is written as ``"fleet"`` (with ``meta.regions`` set
+#: for a partitioned fleet); ``"regional"`` is the same layout as
+#: written by the earlier two-class runtime, and requires regions.
 CHECKPOINT_KINDS = ("fleet", "regional")
 
 #: Keys every checkpoint payload dict carries.
@@ -146,9 +149,11 @@ def _check_meta(meta: Mapping[str, object]) -> List[str]:
                 )
 
     regions = meta.get("regions")
-    if kind == "regional":
+    if kind == "regional" and regions is None:
+        problems.append("regions: a regional checkpoint needs a region list")
+    elif regions is not None:
         if not isinstance(regions, list) or not regions:
-            problems.append("regions: a regional checkpoint needs a region list")
+            problems.append("regions: expected null or a non-empty region list")
         else:
             covered: List[str] = []
             for i, entry in enumerate(regions):
@@ -179,8 +184,6 @@ def _check_meta(meta: Mapping[str, object]) -> List[str]:
                     "regions: concatenated region shard_ids do not reproduce "
                     "the checkpoint's shard order"
                 )
-    elif regions is not None:
-        problems.append("regions: must be null for a flat fleet checkpoint")
     return problems
 
 
@@ -197,10 +200,8 @@ def validate_checkpoint_meta(meta: Mapping[str, object]) -> None:
 class Checkpoint:
     """One resumable fleet state: validated metadata + pickled payload.
 
-    Produced by ``Fleet.snapshot()`` / ``RegionalFleet.snapshot()``;
-    consumed by their ``resume()`` classmethods (or
-    :func:`~repro.fleet.region.resume_fleet`, which dispatches on
-    :attr:`kind`).  The payload stays opaque bytes until
+    Produced by ``Fleet.snapshot()`` and consumed by
+    ``Fleet.resume()``.  The payload stays opaque bytes until
     :meth:`state` unpickles it — every call builds a *fresh* object
     graph, so two resumes from one checkpoint never alias state.
     """

@@ -1,7 +1,7 @@
 """Live ops dashboard for a streaming fleet service.
 
 The dashboard is a pure *consumer* of the
-:class:`~repro.fleet.runtime.FleetRuntime` stream: it folds each epoch
+:meth:`~repro.fleet.fleet.Fleet.stream` epoch stream: it folds each epoch
 report into rolling operator telemetry — per-shard and per-region
 throughput, churn and admission counters, detections, drain status and
 health alerts — and renders either an auto-refreshing terminal view
@@ -20,7 +20,7 @@ import time
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional
 
-from repro.fleet.runtime import FleetReport, FleetRuntime, RunOptions
+from repro.fleet.fleet import Fleet, FleetReport, RunOptions
 
 
 def _shard_numbers(shard_report: object) -> Dict[str, int]:
@@ -50,8 +50,8 @@ class FleetDashboard:
     Parameters
     ----------
     fleet:
-        Any :class:`~repro.fleet.runtime.FleetRuntime` — flat or
-        regional; a regional fleet additionally gets per-region rows.
+        The :class:`~repro.fleet.fleet.Fleet` to watch; a fleet with
+        regions additionally gets per-region rows.
     slo_epoch_seconds:
         Epoch wall-time SLO; epochs above it raise a health alert and
         are counted in ``slo_violations``.
@@ -65,7 +65,7 @@ class FleetDashboard:
 
     def __init__(
         self,
-        fleet: FleetRuntime,
+        fleet: Fleet,
         *,
         slo_epoch_seconds: Optional[float] = None,
         rejection_alert_fraction: float = 0.25,
@@ -83,11 +83,10 @@ class FleetDashboard:
         self.total_confirmed = 0
         self._epoch_seconds: Deque[float] = deque(maxlen=window)
         self._last_shards: Dict[str, Dict[str, int]] = {}
-        #: region id -> shard ids, when the fleet is hierarchical.
-        fleets = getattr(fleet, "fleets", None)
+        #: region id -> shard ids, when the fleet has regions.
         self._regions: Optional[Dict[str, List[str]]] = (
-            {rid: list(inner.shards) for rid, inner in fleets.items()}
-            if fleets
+            {region.region_id: list(region.shard_ids) for region in fleet.regions}
+            if fleet.regions is not None
             else None
         )
 
@@ -130,7 +129,7 @@ class FleetDashboard:
         serving, sleeping.  Fleets without telemetry keep the consumer
         wall clock.
         """
-        registry = getattr(self.fleet, "telemetry", None)
+        registry = self.fleet.telemetry
         stream = self.fleet.stream(epochs, options)
         while True:
             seq_before = registry.epoch_span_seq if registry is not None else 0
@@ -158,17 +157,10 @@ class FleetDashboard:
         return totals
 
     def _worker_health(self) -> List[Dict[str, object]]:
-        """The fleet's per-worker health rows (empty when unsupported).
-
-        Served via duck typing so the dashboard keeps working against
-        any :class:`~repro.fleet.runtime.FleetRuntime`, supervised or
-        not — and against a fleet too broken to answer.
-        """
-        health = getattr(self.fleet, "worker_health", None)
-        if not callable(health):
-            return []
+        """The fleet's per-worker health rows (empty for a fleet too
+        broken to answer)."""
         try:
-            return list(health())
+            return list(self.fleet.worker_health())
         except RuntimeError:
             return []
 
@@ -384,7 +376,7 @@ class FleetDashboard:
         Returns a comment-only document when the fleet carries no
         telemetry — a scrape endpoint stays servable either way.
         """
-        registry = getattr(self.fleet, "telemetry", None)
+        registry = self.fleet.telemetry
         if registry is None:
             return "# telemetry disabled\n"
         try:

@@ -100,7 +100,7 @@ def apply_stress_schedule(
             continue
         # host_of() reads the shared placement cache directly; all_vms()
         # would copy the whole per-VM dict once per schedule entry per
-        # epoch — a real cost once the region layer multiplies shards.
+        # epoch — a real cost on many-shard fleets.
         host_name = shard.cluster.host_of(stress.vm_name)
         if host_name is None:
             continue
@@ -603,8 +603,9 @@ def _worker_snapshot() -> bytes:
 class ProcessShardExecutor:
     """Shard groups dispatched to dedicated state-owning worker processes.
 
-    ``max_workers`` groups are formed round-robin over shard insertion
-    order; each group gets its own single-worker
+    ``groups`` are the worker shard groups (the fleet forms them
+    round-robin over shard insertion order, within each region); each
+    group gets its own single-worker
     :class:`ProcessPoolExecutor` whose initializer installs the group's
     pickled shards (and schedule subset) as resident worker state.  Every
     epoch, the parent submits one task per group and merges the columnar
@@ -635,7 +636,7 @@ class ProcessShardExecutor:
         self,
         shards: Mapping[str, "FleetShard"],
         schedule: Sequence["ScheduledStress"],
-        max_workers: int,
+        groups: Sequence[Sequence[str]],
         start_method: str = "spawn",
         lifecycle: Optional["LifecycleEngine"] = None,
         fault_policy: Optional[FaultPolicy] = None,
@@ -648,10 +649,7 @@ class ProcessShardExecutor:
         self._telemetry = telemetry
         self._shard_order = list(shards)
         self._start_method = start_method
-        workers = max(1, min(max_workers, len(self._shard_order)))
-        self._groups: List[List[str]] = [[] for _ in range(workers)]
-        for i, shard_id in enumerate(self._shard_order):
-            self._groups[i % workers].append(shard_id)
+        self._groups: List[List[str]] = [list(group) for group in groups]
         self._pools: Optional[List[ProcessPoolExecutor]] = None
         #: One shared-memory reader per pool (parallel to ``_pools``).
         self._readers: Optional[List[ShmBlockReader]] = None
@@ -1222,7 +1220,7 @@ class ProcessShardExecutor:
                 "mid-flight)"
                 + self._dead_shard_clause()
                 + "; the run cannot be checkpointed — resume from the "
-                "last checkpoint instead (repro.fleet.resume_fleet)"
+                "last checkpoint instead (Fleet.resume)"
             )
         if self._pools is None:
             if self._ever_started:
@@ -1293,7 +1291,7 @@ def make_shard_executor(
     kind: str,
     shards: Mapping[str, "FleetShard"],
     schedule: Sequence["ScheduledStress"],
-    max_workers: int,
+    groups: Sequence[Sequence[str]],
     lifecycle: Optional["LifecycleEngine"] = None,
     fault_policy: Optional[FaultPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
@@ -1301,26 +1299,27 @@ def make_shard_executor(
 ) -> Union[SerialShardExecutor, ThreadShardExecutor, ProcessShardExecutor]:
     """Instantiate the strategy for ``kind`` (see :data:`EXECUTOR_KINDS`).
 
-    ``fault_policy``/``fault_plan`` only apply to the process executor
-    (the only strategy with workers to supervise or kill);
-    ``telemetry`` threads the owning fleet's registry into whichever
-    strategy runs the shards.
+    ``groups`` are the fleet's worker shard groups: one process worker
+    each, or that many pool threads.  ``fault_policy``/``fault_plan``
+    only apply to the process executor (the only strategy with workers
+    to supervise or kill); ``telemetry`` threads the owning fleet's
+    registry into whichever strategy runs the shards.
     """
     if kind == "process":
         return ProcessShardExecutor(
             shards,
             schedule,
-            max_workers=max_workers,
+            groups,
             lifecycle=lifecycle,
             fault_policy=fault_policy,
             fault_plan=fault_plan,
             telemetry=telemetry,
         )
-    if kind == "thread" and max_workers > 1 and len(shards) > 1:
+    if kind == "thread" and len(groups) > 1:
         return ThreadShardExecutor(
             shards,
             schedule,
-            max_workers=max_workers,
+            max_workers=len(groups),
             lifecycle=lifecycle,
             telemetry=telemetry,
         )

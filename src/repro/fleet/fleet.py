@@ -17,6 +17,23 @@ results.  Results merge in shard insertion order and each shard's
 evolution is independent of execution order, so a fleet run is
 bit-identical for any strategy and worker count — pinned by
 ``tests/integration/test_parallel_fleet.py``.
+
+Optional :class:`Region` records partition the shards into contiguous
+named groups with their own worker budgets.  Regions are bookkeeping
+only — they shape the process worker groups, the ``region`` label of
+worker-health rows and per-region summaries — so a regional fleet is
+bit-identical to the flat one (``tests/property/test_region_equivalence.py``).
+
+One run surface serves every topology: :meth:`Fleet.stream` is the
+primitive (one report per epoch, nothing buffered), configured by a
+typed :class:`RunOptions`, and ``run`` / ``run_epoch`` /
+``run_summaries`` are built on it.  The ``"auto"`` report mode encodes
+the hot-loop heuristic as data: streamed epochs travel columnar under
+the process executor except the final one, which is a full report;
+buffered runs and other executors resolve to full reports.  Columnar
+reports from a process fleet are shared-memory views valid for two
+further columnar epochs — exactly why ``"auto"`` never hands them to a
+buffering caller.
 """
 
 from __future__ import annotations
@@ -24,10 +41,11 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -39,11 +57,7 @@ from typing import (
 from repro.core.config import DeepDiveConfig
 from repro.core.deepdive import DeepDive, EpochReport
 from repro.core.events import InterferenceDetectedEvent, MigrationEvent
-from repro.fleet.checkpoint import (
-    CHECKPOINT_VERSION,
-    Checkpoint,
-    CheckpointError,
-)
+from repro.fleet.checkpoint import CHECKPOINT_VERSION, Checkpoint
 from repro.fleet.executor import (
     EXECUTOR_KINDS,
     ColumnarFleetReport,
@@ -52,16 +66,136 @@ from repro.fleet.executor import (
 )
 from repro.fleet.faults import FaultPlan
 from repro.fleet.lifecycle import LifecycleEngine, LifecycleStats
-from repro.fleet.runtime import FleetRuntimeBase
 from repro.fleet.supervisor import FaultPolicy
 from repro.fleet.telemetry import (
+    C_EPOCHS,
     C_SNAPSHOTS,
+    C_VM_EPOCHS,
     TelemetryConfig,
     TelemetryRegistry,
     resolve_telemetry,
 )
 from repro.virt.cluster import Cluster
 from repro.virt.sandbox import SandboxEnvironment
+
+#: Report modes accepted by :class:`RunOptions`.
+REPORT_MODES = ("full", "columnar", "auto")
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """Typed per-run configuration of :meth:`Fleet.stream` and friends.
+
+    Instances are immutable and reusable across calls.
+
+    Parameters
+    ----------
+    analyze:
+        Whether warning suspicions may invoke the analyzer.
+    report:
+        ``"full"`` — per-VM :class:`FleetEpochReport` every epoch;
+        ``"columnar"`` — flat decision arrays
+        (:class:`~repro.fleet.executor.ColumnarFleetReport`, the process
+        executor's native exchange format); ``"auto"`` (default) — the
+        right one per epoch: streamed epochs under the process executor
+        travel columnar except the last (which is full), everything else
+        resolves to full.
+    keep_reports:
+        Only read by :meth:`Fleet.run`: ``True`` buffers one report per
+        epoch, ``False`` folds the stream into a constant-memory
+        :class:`FleetRunSummary`.
+    """
+
+    analyze: bool = True
+    report: str = "auto"
+    keep_reports: bool = True
+
+    def __post_init__(self) -> None:
+        if self.report not in REPORT_MODES:
+            raise ValueError(
+                f"unknown report mode {self.report!r}; choose from {REPORT_MODES}"
+            )
+
+
+def _check_options(options: Optional[RunOptions]) -> RunOptions:
+    if options is None:
+        return RunOptions()
+    if not isinstance(options, RunOptions):
+        raise TypeError(
+            f"options must be a RunOptions, got {type(options).__name__}"
+        )
+    return options
+
+
+#: Region id of a flat fleet's single implicit region.
+FLAT_REGION_ID = "fleet"
+
+
+@dataclass(frozen=True)
+class Region:
+    """One named, contiguous shard group of a :class:`Fleet`.
+
+    ``max_workers`` is the region's process worker budget (``None``
+    defers to the fleet's ``max_workers``); budgets add across regions,
+    because worker groups never span a region boundary.
+    """
+
+    region_id: str
+    shard_ids: Tuple[str, ...]
+    max_workers: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "shard_ids", tuple(self.shard_ids))
+        if not self.region_id:
+            raise ValueError("region_id must be non-empty")
+        if not self.shard_ids:
+            raise ValueError(f"region {self.region_id!r} needs at least one shard")
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ValueError(
+                f"region {self.region_id!r}: max_workers must be at least 1"
+            )
+
+
+def _check_regions(
+    regions: Sequence[Region], shard_order: Sequence[str]
+) -> Tuple[Region, ...]:
+    """Validate a partition: unique ids, every shard in exactly one
+    region, regions contiguous in shard order."""
+    regions = tuple(regions)
+    if not regions:
+        raise ValueError("a regional fleet needs at least one region")
+    known = set(shard_order)
+    owner: Dict[str, str] = {}
+    region_ids = set()
+    for region in regions:
+        if region.region_id in region_ids:
+            raise ValueError(f"duplicate region id {region.region_id!r}")
+        region_ids.add(region.region_id)
+        for shard_id in region.shard_ids:
+            if shard_id not in known:
+                raise ValueError(
+                    f"region {region.region_id!r} names unknown shard {shard_id!r}"
+                )
+            if shard_id in owner:
+                raise ValueError(
+                    f"shard {shard_id!r} appears in regions "
+                    f"{owner[shard_id]!r} and {region.region_id!r}"
+                )
+            owner[shard_id] = region.region_id
+    unowned = [sid for sid in shard_order if sid not in owner]
+    if unowned:
+        raise ValueError(f"shards {unowned} belong to no region")
+    start = 0
+    for region in regions:
+        end = start + len(region.shard_ids)
+        if list(region.shard_ids) != list(shard_order[start:end]):
+            raise ValueError(
+                f"region {region.region_id!r} is not contiguous in shard "
+                "order: concatenating the regions must reproduce the "
+                "fleet's shard order"
+            )
+        start = end
+    return regions
 
 
 class FleetShard:
@@ -214,8 +348,8 @@ class FleetEpochReport:
 
         Counted in one pass over the per-shard observations — unlike
         ``len(confirmed_interference())`` no (shard, VM) tuple list is
-        materialised, which matters on the summary hot loop where the
-        region layer multiplies shard counts.
+        materialised, which matters on the summary hot loop of a
+        many-shard fleet.
         """
         return sum(
             1
@@ -232,6 +366,11 @@ class FleetEpochReport:
                 key = observation.warning.action.value
                 histogram[key] = histogram.get(key, 0) + 1
         return histogram
+
+
+#: A fleet-wide epoch report of either kind (both expose the same
+#: aggregate API, so summaries and dashboards consume them alike).
+FleetReport = Union[FleetEpochReport, ColumnarFleetReport]
 
 
 @dataclass
@@ -307,9 +446,9 @@ class FleetRunSummary:
         """Roll up per-region (or per-partition) summaries into one.
 
         The summaries must cover the *same* epochs of disjoint shard
-        sets — exactly what each region of a
-        :class:`~repro.fleet.region.RegionalFleet` produces when its
-        shards are run region by region.  Counters add, histograms
+        sets — exactly what :meth:`Fleet.run_summaries` returns per
+        region, or what independently run partitions of one scenario
+        produce.  Counters add, histograms
         merge, and the final reports (all from the same last epoch)
         concatenate their shard reports in the order the summaries are
         given — so merging regions in region insertion order reproduces
@@ -365,15 +504,14 @@ class FleetRunSummary:
         return out
 
 
-class Fleet(FleetRuntimeBase):
+class Fleet:
     """Many shards, one epoch clock, one interference schedule.
 
-    Implements the :class:`~repro.fleet.runtime.FleetRuntime` surface:
-    :meth:`~repro.fleet.runtime.FleetRuntimeBase.stream` /
-    :meth:`~repro.fleet.runtime.FleetRuntimeBase.run` /
-    :meth:`~repro.fleet.runtime.FleetRuntimeBase.run_epoch` configured
-    by a typed :class:`~repro.fleet.runtime.RunOptions`, plus
-    :meth:`snapshot` / :meth:`resume` for checkpointed long-lived runs.
+    The one fleet runtime: :meth:`stream` / :meth:`run` /
+    :meth:`run_epoch` / :meth:`run_summaries` configured by a typed
+    :class:`RunOptions`, :meth:`snapshot` / :meth:`resume` for
+    checkpointed long-lived runs, and operator statistics wherever the
+    shard state lives.
 
     Parameters
     ----------
@@ -384,18 +522,19 @@ class Fleet(FleetRuntimeBase):
     max_workers:
         Worker count for the thread/process strategies; ``None`` or 1
         keeps the serial loop (with an explicit ``executor`` the default
-        is ``os.cpu_count()``).  Shards share no state, so results are
+        is ``os.cpu_count()``).  With ``regions`` it is the default
+        *per-region* budget.  Shards share no state, so results are
         identical for any worker count (the merge order is always shard
         insertion order).
     executor:
         Shard execution strategy: ``"serial"``, ``"thread"`` or
         ``"process"`` (see :mod:`repro.fleet.executor`).  The default
-        infers ``"thread"`` when ``max_workers > 1`` (the pre-existing
-        behaviour) and ``"serial"`` otherwise.  With ``"process"``, the
-        worker processes own the shard state for the whole run: the
-        fleet's own shard objects are the start-of-run template, and
-        mid-run mutations of them (or of ``schedule``) do not reach the
-        workers — fleet statistics are fetched from the workers instead.
+        infers ``"thread"`` when ``max_workers > 1`` and ``"serial"``
+        otherwise.  With ``"process"``, the worker processes own the
+        shard state for the whole run: the fleet's own shard objects are
+        the start-of-run template, and mid-run mutations of them (or of
+        ``schedule``) do not reach the workers — fleet statistics are
+        fetched from the workers instead.
     lifecycle:
         Optional :class:`~repro.fleet.lifecycle.LifecycleEngine` whose
         timeline (VM churn, host maintenance, load phases) is applied
@@ -403,15 +542,27 @@ class Fleet(FleetRuntimeBase):
         lives.  The timeline is validated against the fleet topology at
         construction; an event referencing an unknown shard or host
         raises :class:`ValueError` immediately.
+    fault_policy, fault_plan:
+        Worker supervision and injected faults for the process
+        executor.  Fault-plan worker indices are fleet-global, numbered
+        region by region.
     telemetry:
         Observability for the run: a
         :class:`~repro.fleet.telemetry.TelemetryConfig` builds a fresh
         :class:`~repro.fleet.telemetry.TelemetryRegistry`, an existing
-        registry is shared (regional fleets hand one bus to every inner
-        fleet), and ``None`` defers to the ``REPRO_FLEET_PROFILE``
-        environment switch (off by default).  Telemetry never changes
-        decisions — runs are bit-identical with it off, on, or sampled
+        registry is shared, and ``None`` defers to the
+        ``REPRO_FLEET_PROFILE`` environment switch (off by default).
+        Telemetry never changes decisions — runs are bit-identical with
+        it off, on, or sampled
         (``tests/property/test_telemetry_equivalence.py``).
+    regions:
+        Optional partition of the shards into :class:`Region` records
+        (unique ids, every shard in exactly one region, regions
+        contiguous in shard order).  Process worker groups are formed
+        round-robin *within* each region at its budget, worker-health
+        rows carry a ``region`` label, and checkpoints record the
+        partition.  ``None`` is the flat fleet: one implicit region of
+        every shard at ``max_workers``.
     """
 
     def __init__(
@@ -424,6 +575,7 @@ class Fleet(FleetRuntimeBase):
         fault_policy: Optional["FaultPolicy"] = None,
         fault_plan: Optional["FaultPlan"] = None,
         telemetry: Union[TelemetryConfig, TelemetryRegistry, None] = None,
+        regions: Optional[Sequence[Region]] = None,
     ) -> None:
         if not shards:
             raise ValueError("a fleet needs at least one shard")
@@ -452,6 +604,12 @@ class Fleet(FleetRuntimeBase):
             if shard.shard_id in self.shards:
                 raise ValueError(f"duplicate shard id {shard.shard_id!r}")
             self.shards[shard.shard_id] = shard
+        #: The shard partition, or ``None`` for a flat fleet.
+        self.regions: Optional[Tuple[Region, ...]] = (
+            _check_regions(regions, list(self.shards))
+            if regions is not None
+            else None
+        )
         self.schedule: List[ScheduledStress] = list(schedule or [])
         self.lifecycle = lifecycle
         if lifecycle is not None:
@@ -484,6 +642,23 @@ class Fleet(FleetRuntimeBase):
     def shard(self, shard_id: str) -> FleetShard:
         return self.shards[shard_id]
 
+    def _partition(self) -> Tuple[Region, ...]:
+        """The regions, or the flat fleet's single implicit region."""
+        if self.regions is not None:
+            return self.regions
+        return (Region(FLAT_REGION_ID, tuple(self.shards)),)
+
+    def _worker_groups(self) -> List[List[str]]:
+        """Worker shard groups, numbered region by region: each region
+        is split round-robin into ``min(budget, shards)`` groups, its
+        budget being the region's ``max_workers``, else the fleet's."""
+        groups: List[List[str]] = []
+        for region in self._partition():
+            budget = region.max_workers or self.max_workers or 1
+            count = min(budget, len(region.shard_ids))
+            groups.extend(list(region.shard_ids[i::count]) for i in range(count))
+        return groups
+
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
@@ -504,7 +679,7 @@ class Fleet(FleetRuntimeBase):
                 self.executor,
                 self.shards,
                 self.schedule,
-                max_workers=self.max_workers or 1,
+                groups=self._worker_groups(),
                 lifecycle=self.lifecycle,
                 fault_policy=self.fault_policy,
                 fault_plan=self.fault_plan,
@@ -567,6 +742,126 @@ class Fleet(FleetRuntimeBase):
             )
         self.current_epoch += 1
         return out
+
+    def stream(
+        self, epochs: int, options: Optional[RunOptions] = None
+    ) -> Iterator[FleetReport]:
+        """Advance the fleet epoch by epoch, yielding each report.
+
+        The single primitive every other run entry point builds on:
+        nothing is buffered, so a stream consumes constant memory for
+        any run length — fold reports into running aggregates (a
+        :class:`FleetRunSummary`, a dashboard) as they arrive.  With
+        ``report="auto"`` (default) epochs under the process executor
+        travel as columnar shared-memory views (valid for two further
+        columnar epochs — consume promptly or copy) and the final epoch
+        materialises a full report; other executors stream full reports
+        throughout.
+
+        The stream is lazy: epochs run as the iterator is advanced, and
+        abandoning it mid-run simply stops the clock — the fleet can
+        stream again, snapshot, or shut down afterwards.  With telemetry
+        on, each epoch is wrapped in an ``epoch`` span and the epoch /
+        VM-epoch counters are bumped here.
+        """
+        if epochs < 0:
+            raise ValueError("epochs must be non-negative")
+        options = _check_options(options)
+
+        def _generate() -> Iterator[FleetReport]:
+            for i in range(epochs):
+                mode = options.report
+                if mode == "auto":
+                    columnar = self.executor == "process" and i < epochs - 1
+                    mode = "columnar" if columnar else "full"
+                telemetry = self.telemetry
+                if telemetry is None:
+                    yield self._step_epoch(analyze=options.analyze, report=mode)
+                    continue
+                with telemetry.span("epoch", self.current_epoch):
+                    report = self._step_epoch(
+                        analyze=options.analyze, report=mode
+                    )
+                telemetry.inc(C_EPOCHS)
+                telemetry.inc(C_VM_EPOCHS, report.observations())
+                yield report
+
+        return _generate()
+
+    def run_epoch(self, options: Optional[RunOptions] = None) -> FleetReport:
+        """Advance the whole fleet by one epoch (``stream(1)``).
+
+        A single ``"auto"`` epoch is its own final epoch, so it resolves
+        to a full report.
+        """
+        stream = self.stream(1, options)
+        try:
+            return next(stream)
+        finally:
+            stream.close()
+
+    def run(
+        self, epochs: int, options: Optional[RunOptions] = None
+    ) -> Union[List[FleetReport], FleetRunSummary]:
+        """Run several epochs off one stream.
+
+        With ``options.keep_reports=True`` (default) the stream is
+        buffered into one report per epoch (``"auto"`` then resolves to
+        full reports — columnar shared-memory views must not outlive
+        their validity window in a buffer).  With ``keep_reports=False``
+        the stream folds into a constant-memory :class:`FleetRunSummary`;
+        under the process executor ``"auto"`` then keeps the columnar
+        hot loop — columnar intermediates, one full final epoch.
+        """
+        options = _check_options(options)
+        if options.keep_reports:
+            if options.report == "auto":
+                options = replace(options, report="full")
+            return list(self.stream(epochs, options))
+        summary = FleetRunSummary()
+        for report in self.stream(epochs, options):
+            summary.accumulate(report)
+        return summary
+
+    def run_summaries(
+        self, epochs: int, options: Optional[RunOptions] = None
+    ) -> Dict[str, FleetRunSummary]:
+        """One constant-memory summary per region (region id -> summary).
+
+        The fleet runs in lockstep and each epoch's shard reports are
+        folded into their region's summary, so
+        ``FleetRunSummary.merge(result.values())`` reproduces
+        ``run(epochs, RunOptions(keep_reports=False))`` bit for bit.  A
+        flat fleet returns its single implicit region
+        (:data:`FLAT_REGION_ID`).
+        """
+        options = replace(_check_options(options), keep_reports=False)
+        members = {
+            region.region_id: set(region.shard_ids) for region in self._partition()
+        }
+        out = {region_id: FleetRunSummary() for region_id in members}
+        for report in self.stream(epochs, options):
+            for region_id, shard_ids in members.items():
+                out[region_id].accumulate(
+                    type(report)(
+                        epoch=report.epoch,
+                        shard_reports={
+                            sid: shard_report
+                            for sid, shard_report in report.shard_reports.items()
+                            if sid in shard_ids
+                        },
+                        missing_shards=tuple(
+                            sid for sid in report.missing_shards if sid in shard_ids
+                        ),
+                    )
+                )
+        return out
+
+    def __enter__(self) -> "Fleet":
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback) -> None:
+        self.shutdown()
 
     # ------------------------------------------------------------------
     # Checkpoint / resume
@@ -680,7 +975,7 @@ class Fleet(FleetRuntimeBase):
             "has_summary": summary is not None,
             "has_extra": extra is not None,
             "has_telemetry": self.telemetry is not None,
-            "regions": None,
+            "regions": self._regions_meta(shards),
             "missing_shards": list(missing_shards),
             "created_unix": time.time(),
         }
@@ -691,6 +986,27 @@ class Fleet(FleetRuntimeBase):
         if path is not None:
             checkpoint.save(path)
         return checkpoint
+
+    def _regions_meta(
+        self, shards: Mapping[str, FleetShard]
+    ) -> Optional[List[Dict[str, object]]]:
+        """The checkpoint's region partition over the snapshotted shards
+        (a degraded snapshot drops quarantined shards, and regions left
+        empty)."""
+        if self.regions is None:
+            return None
+        entries = []
+        for region in self.regions:
+            shard_ids = [sid for sid in region.shard_ids if sid in shards]
+            if shard_ids:
+                entries.append(
+                    {
+                        "region_id": region.region_id,
+                        "shard_ids": shard_ids,
+                        "max_workers": region.max_workers,
+                    }
+                )
+        return entries
 
     @classmethod
     def resume(
@@ -713,15 +1029,15 @@ class Fleet(FleetRuntimeBase):
         configuration; either way the checkpoint's carried counter and
         span totals fold into the resumed registry, so exported
         counters continue monotonically.
+
+        The region partition (ids, shard grouping, per-region budgets)
+        comes back from ``meta.regions``.  Checkpoints of kind
+        ``"regional"``, written by the earlier two-class runtime, share
+        the payload layout and resume here too.
         """
         checkpoint = (
             source if isinstance(source, Checkpoint) else Checkpoint.load(source)
         )
-        if checkpoint.kind != "fleet":
-            raise CheckpointError(
-                f"checkpoint holds a {checkpoint.kind!r} fleet; resume it "
-                "with RegionalFleet.resume (or repro.fleet.resume_fleet)"
-            )
         state = checkpoint.state()
         lifecycle = _rebuild_lifecycle(state)
         missing = tuple(checkpoint.meta.get("missing_shards") or ())
@@ -735,6 +1051,7 @@ class Fleet(FleetRuntimeBase):
         telemetry_state = state.get("telemetry")
         if telemetry is None and telemetry_state is not None:
             telemetry = telemetry_state[0]
+        regions = checkpoint.meta.get("regions")
         fleet = cls(
             state["shards"],
             schedule=state["schedule"],
@@ -746,6 +1063,14 @@ class Fleet(FleetRuntimeBase):
             ),
             lifecycle=lifecycle,
             telemetry=telemetry,
+            regions=(
+                [
+                    Region(e["region_id"], e["shard_ids"], e["max_workers"])
+                    for e in regions
+                ]
+                if regions
+                else None
+            ),
         )
         if fleet.telemetry is not None and telemetry_state is not None:
             fleet.telemetry.load_state(telemetry_state[1])
@@ -861,8 +1186,7 @@ class Fleet(FleetRuntimeBase):
             )
             # Count per shard instead of via self.detections()/
             # self.migrations(): those build one fleet-wide list of
-            # (shard, event) tuples just to be len()'d, which a regional
-            # fleet would pay per region per snapshot.
+            # (shard, event) tuples just to be len()'d.
             detections = sum(
                 len(s.detections()) for s in self.shards.values()
             )
@@ -871,7 +1195,7 @@ class Fleet(FleetRuntimeBase):
             )
             vms = self.total_vms()
             hosts = self.total_hosts()
-        return {
+        out = {
             "shards": float(len(self.shards)),
             "hosts": float(hosts),
             "vms": float(vms),
@@ -882,6 +1206,9 @@ class Fleet(FleetRuntimeBase):
             "profiling_seconds": float(profiling_seconds),
             "repository_bytes": float(repository_bytes),
         }
+        if self.regions is not None:
+            out["regions"] = float(len(self.regions))
+        return out
 
     def lifecycle_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-shard lifecycle counters (arrivals, departures, drains...).
@@ -915,13 +1242,23 @@ class Fleet(FleetRuntimeBase):
         """Per-worker health rows (pid, restarts, heartbeat age, ...).
 
         Populated for a started process fleet; serial/thread fleets (and
-        process fleets before their first epoch) report no workers.
+        process fleets before their first epoch) report no workers.  A
+        regional fleet labels each row with its worker's ``region``
+        (worker groups never span regions).
         """
-        strategy = self._strategy
-        health = getattr(strategy, "worker_health", None)
-        if callable(health):
-            return health()
-        return []
+        health = getattr(self._strategy, "worker_health", None)
+        if not callable(health):
+            return []
+        rows = health()
+        if self.regions is not None:
+            region_of = {
+                sid: region.region_id
+                for region in self.regions
+                for sid in region.shard_ids
+            }
+            for row in rows:
+                row["region"] = region_of[row["shards"][0]]
+        return rows
 
     @property
     def quarantined_shards(self) -> Tuple[str, ...]:

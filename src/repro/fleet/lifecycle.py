@@ -395,11 +395,11 @@ class LifecycleEngine:
         """An engine owning only ``shard_ids``'s events *and* their
         accumulated per-shard state.
 
-        Process workers and regions take their engines through here.
+        Process workers take their engines through here.
         The subset carries the parent's mutable state for its shards —
         captured baseline loads, phase/flash factors, rejected tenants,
         counters — so an engine rebuilt mid-run (resuming from a
-        checkpoint, re-partitioning into regions) continues exactly
+        checkpoint, regrouping workers) continues exactly
         where the parent stood; subsetting a fresh engine copies empty
         state, preserving the original start-of-run behaviour.  The
         opt-in :attr:`decisions` log stays behind (see the class
@@ -461,7 +461,7 @@ class LifecycleEngine:
 
         Per-shard overwrite semantics: shards present in ``state``
         replace this engine's entries, shards absent keep theirs — so
-        disjoint worker/region snapshots can be loaded one after
+        disjoint worker snapshots can be loaded one after
         another to reassemble a fleet-wide engine.
         """
         for sid, loads in state.get("base_loads", {}).items():
@@ -481,9 +481,9 @@ class LifecycleEngine:
     ) -> Dict[str, Dict[str, object]]:
         """Union disjoint per-shard :meth:`state_dict` snapshots.
 
-        Worker groups and regions each own a disjoint shard set, so
-        their snapshots merge by plain per-shard key union — the
-        reassembly step of a process/regional fleet checkpoint.
+        Worker groups each own a disjoint shard set, so their
+        snapshots merge by plain per-shard key union — the reassembly
+        step of a process fleet checkpoint.
         """
         merged: Dict[str, Dict[str, object]] = {}
         for state in states:

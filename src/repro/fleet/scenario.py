@@ -21,9 +21,8 @@ import numpy as np
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet.faults import FaultPlan
-from repro.fleet.fleet import Fleet, FleetShard, ScheduledStress
+from repro.fleet.fleet import Fleet, FleetShard, Region, ScheduledStress
 from repro.fleet.lifecycle import AdmissionPolicy, LifecycleEngine
-from repro.fleet.region import Region, RegionalFleet
 from repro.fleet.supervisor import FaultPolicy
 from repro.fleet.telemetry import TelemetryConfig, TelemetryRegistry
 from repro.fleet.timeline import ARRIVAL_WORKLOADS, FleetTimeline
@@ -298,9 +297,8 @@ def _materialise(
 
     Shared by :func:`build_fleet` and :func:`build_regional_fleet`:
     both draw from the same single seeded generator in the same order,
-    so the flat and hierarchical constructions produce byte-identical
-    shard states — the precondition for the region layer's
-    bit-identity guarantee.
+    so the flat and regional constructions produce byte-identical shard
+    states — the precondition for regional == flat bit-identity.
     """
     config = config or DeepDiveConfig()
     rng = np.random.default_rng(scenario.seed)
@@ -411,27 +409,22 @@ def partition_regions(
 ) -> List[Region]:
     """Contiguously partition shards into balanced regions.
 
-    Contiguity is the load-bearing property: concatenating the regions
-    in order reproduces the flat shard order, so the regional fleet's
-    region-insertion-order merge is bit-identical to the flat fleet's
-    shard-insertion-order merge.  The first ``len(shards) %
-    num_regions`` regions hold one extra shard.
+    Contiguity is required by :class:`~repro.fleet.fleet.Fleet`:
+    concatenating the regions in order reproduces the flat shard order.
+    The first ``len(shards) % num_regions`` regions hold one extra
+    shard.
     """
     if num_regions < 1:
         raise ValueError("num_regions must be positive")
-    shards = list(shards)
-    num_regions = min(num_regions, len(shards))
-    base, extra = divmod(len(shards), num_regions)
+    shard_ids = [shard.shard_id for shard in shards]
+    num_regions = min(num_regions, len(shard_ids))
+    base, extra = divmod(len(shard_ids), num_regions)
     regions: List[Region] = []
     start = 0
     for r in range(num_regions):
         size = base + (1 if r < extra else 0)
         regions.append(
-            Region(
-                region_id=f"region{r}",
-                shards=shards[start : start + size],
-                max_workers=region_workers,
-            )
+            Region(f"region{r}", shard_ids[start : start + size], region_workers)
         )
         start += size
     return regions
@@ -450,19 +443,19 @@ def build_regional_fleet(
     history_limit: Optional[int] = 64,
     history_mode: str = "lazy",
     fault_policy: Optional["FaultPolicy"] = None,
-    fault_plans: Optional[Dict[str, "FaultPlan"]] = None,
+    fault_plan: Optional["FaultPlan"] = None,
     telemetry: Union["TelemetryConfig", "TelemetryRegistry", None] = None,
-) -> RegionalFleet:
-    """Materialise a scenario into a hierarchical :class:`RegionalFleet`.
+) -> Fleet:
+    """Materialise a scenario into a :class:`~repro.fleet.fleet.Fleet`
+    partitioned into ``num_regions`` regions.
 
     The shards are built by exactly the same seeded construction as
-    :func:`build_fleet` and partitioned contiguously into
-    ``num_regions`` balanced regions (``region0``, ``region1``, ...), so
-    the hierarchical fleet evolves bit-identically to the flat one —
-    whatever ``executor`` and ``region_workers`` (the *per-region*
-    worker budget; there is no global pool) are chosen.  The scenario's
-    stress schedule and lifecycle timeline are partitioned onto the
-    owning regions by the :class:`RegionalFleet` constructor.
+    :func:`build_fleet` and partitioned contiguously into balanced
+    regions (``region0``, ``region1``, ...), so the regional fleet
+    evolves bit-identically to the flat one — whatever ``executor`` and
+    ``region_workers`` (the *per-region* worker budget) are chosen.
+    ``fault_plan`` worker indices are fleet-global, numbered region by
+    region.
     """
     shards, schedule, lifecycle = _materialise(
         scenario,
@@ -474,14 +467,14 @@ def build_regional_fleet(
         history_limit=history_limit,
         history_mode=history_mode,
     )
-    regions = partition_regions(shards, num_regions, region_workers=region_workers)
-    return RegionalFleet(
-        regions,
+    return Fleet(
+        shards,
         schedule=schedule,
         max_workers=region_workers,
         executor=executor,
         lifecycle=lifecycle,
         fault_policy=fault_policy,
-        fault_plans=fault_plans,
+        fault_plan=fault_plan,
         telemetry=telemetry,
+        regions=partition_regions(shards, num_regions, region_workers),
     )

@@ -286,6 +286,6 @@ class WorkerSupervisor:
                 f"fleet worker {group} (shards: {shard_ids}) failed at epoch "
                 f"{epoch} and its restart budget ({self.policy.restarts}) is "
                 "exhausted; the run cannot continue — resume from the last "
-                "checkpoint (repro.fleet.resume_fleet) or set "
+                "checkpoint (Fleet.resume) or set "
                 "FaultPolicy(on_exhaustion='quarantine') to degrade gracefully"
             ) from cause

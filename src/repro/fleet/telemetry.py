@@ -3,8 +3,8 @@
 DeepDive's pitch is cheap always-on monitoring with deep dives on
 demand; this module applies the same philosophy to the reproduction's
 own run path.  One :class:`TelemetryRegistry` instance threads through
-every execution layer (serial → thread → process → regional →
-supervised → campaign) and provides:
+every execution layer (serial → thread → process → supervised →
+campaign) and provides:
 
 * **tracing spans** — ``registry.span("simulate", epoch)`` is a
   context manager recording a monotonic start/duration pair into
@@ -294,10 +294,10 @@ class WorkerSpanBuffer:
 class TelemetryRegistry:
     """One fleet stack's span rings, counters, gauges and exporters.
 
-    A single registry is shared across every layer of one run — a
-    :class:`~repro.fleet.region.RegionalFleet` hands the same instance
-    to all its inner fleets and their executors, so exported traces and
-    counters describe the whole topology.  Recording is guarded by one
+    A single registry is shared across every layer of one run — the
+    fleet hands the same instance to its executor and worker
+    supervisor, so exported traces and counters describe the whole
+    topology.  Recording is guarded by one
     lock (the thread executor records from pool threads); per-span cost
     is a handful of array stores.
     """
@@ -608,8 +608,8 @@ def resolve_telemetry(
 
     ``None`` falls back to the ``REPRO_FLEET_PROFILE`` environment
     switch; a :class:`TelemetryConfig` builds a fresh registry; an
-    existing :class:`TelemetryRegistry` is shared as-is (how regional
-    fleets hand one bus to every inner fleet).  Disabled configs
+    existing :class:`TelemetryRegistry` is shared as-is (how a
+    campaign cell hands its bus to the cell fleet).  Disabled configs
     resolve to ``None`` so the hot loop pays exactly nothing.
     """
     if telemetry is None:

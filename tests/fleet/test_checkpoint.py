@@ -3,8 +3,9 @@
 The property contract (resumed == uninterrupted) lives in
 ``tests/property/test_checkpoint_equivalence.py``; this file pins the
 container itself: magic/header/version handling, loud metadata
-validation, deep payload cross-checks, atomicity of ``save``, and the
-``kind`` guards that keep flat and regional resume paths explicit.
+validation, deep payload cross-checks, atomicity of ``save``, the
+``kind`` guards, and resuming checkpoints of the ``"regional"`` kind
+written by the earlier two-class runtime.
 """
 
 import pickle
@@ -18,10 +19,10 @@ from repro.fleet import (
     Checkpoint,
     CheckpointError,
     Fleet,
-    RegionalFleet,
+    Region,
+    RunOptions,
     build_fleet,
     build_regional_fleet,
-    resume_fleet,
     synthesize_datacenter,
     validate_checkpoint_file,
 )
@@ -55,7 +56,7 @@ def _fleet(regional=False):
 def fleet_checkpoint():
     fleet = _fleet()
     try:
-        fleet.run(2, analyze=False)
+        fleet.run(2, RunOptions(analyze=False))
         return fleet.snapshot()
     finally:
         fleet.shutdown()
@@ -65,7 +66,7 @@ def fleet_checkpoint():
 def regional_checkpoint():
     fleet = _fleet(regional=True)
     try:
-        fleet.run(2, analyze=False)
+        fleet.run(2, RunOptions(analyze=False))
         return fleet.snapshot()
     finally:
         fleet.shutdown()
@@ -170,10 +171,21 @@ class TestMetaValidation:
         with pytest.raises(CheckpointError, match="shard order"):
             validate_checkpoint_meta(meta)
 
-    def test_flat_meta_refuses_regions(self, fleet_checkpoint):
-        meta = {**fleet_checkpoint.meta, "regions": [{"region_id": "r"}]}
-        with pytest.raises(CheckpointError, match="null"):
-            validate_checkpoint_meta(meta)
+    def test_region_entries_validated_whatever_the_kind(
+        self, fleet_checkpoint, regional_checkpoint
+    ):
+        assert regional_checkpoint.kind == "fleet"
+        validate_checkpoint_meta(regional_checkpoint.meta)
+        for kind in ("fleet", "regional"):
+            meta = {
+                **fleet_checkpoint.meta,
+                "kind": kind,
+                "regions": [{"region_id": "r"}],
+            }
+            with pytest.raises(CheckpointError, match=r"regions\[0\]: shard_ids"):
+                validate_checkpoint_meta(meta)
+        with pytest.raises(CheckpointError, match="non-empty region list"):
+            validate_checkpoint_meta({**fleet_checkpoint.meta, "regions": []})
 
 
 class TestDeepValidation:
@@ -216,26 +228,27 @@ class TestDeepValidation:
 
 
 class TestResumeDispatch:
-    def test_kind_guards(self, fleet_checkpoint, regional_checkpoint):
-        with pytest.raises(CheckpointError, match="RegionalFleet.resume"):
-            Fleet.resume(regional_checkpoint)
-        with pytest.raises(CheckpointError, match="Fleet.resume"):
-            RegionalFleet.resume(fleet_checkpoint)
+    def test_kind_guards(self, fleet_checkpoint):
+        with pytest.raises(CheckpointError, match="galactic"):
+            Checkpoint.from_bytes(
+                Checkpoint(
+                    meta={**fleet_checkpoint.meta, "kind": "galactic"},
+                    payload=fleet_checkpoint.payload,
+                ).to_bytes()
+            )
+        with pytest.raises(CheckpointError, match="regional checkpoint needs"):
+            validate_checkpoint_meta({**fleet_checkpoint.meta, "kind": "regional"})
 
-    def test_resume_fleet_dispatches_on_kind(
+    def test_resume_reads_flat_and_regional(
         self, fleet_checkpoint, regional_checkpoint
     ):
-        flat = resume_fleet(fleet_checkpoint)
-        regional = resume_fleet(regional_checkpoint)
+        flat = Fleet.resume(fleet_checkpoint)
+        regional = Fleet.resume(regional_checkpoint)
         try:
-            assert isinstance(flat, Fleet)
-            assert not isinstance(flat, RegionalFleet)
-            assert isinstance(regional, RegionalFleet)
+            assert flat.regions is None
+            assert [r.region_id for r in regional.regions] == ["region0", "region1"]
             assert flat.current_epoch == 2
             assert regional.current_epoch == 2
-            assert all(
-                inner.current_epoch == 2 for inner in regional.fleets.values()
-            )
         finally:
             flat.shutdown()
             regional.shutdown()
@@ -249,12 +262,16 @@ class TestResumeDispatch:
             fleet.shutdown()
 
     def test_regional_resume_rebuilds_partition(self, regional_checkpoint):
-        fleet = RegionalFleet.resume(regional_checkpoint)
+        fleet = Fleet.resume(regional_checkpoint)
         try:
-            assert list(fleet.fleets) == [
-                entry["region_id"]
-                for entry in regional_checkpoint.meta["regions"]
-            ]
+            assert [
+                {
+                    "region_id": r.region_id,
+                    "shard_ids": list(r.shard_ids),
+                    "max_workers": r.max_workers,
+                }
+                for r in fleet.regions
+            ] == regional_checkpoint.meta["regions"]
             assert list(fleet.shards) == list(
                 regional_checkpoint.meta["shard_ids"]
             )
@@ -264,3 +281,88 @@ class TestResumeDispatch:
     def test_build_classmethod_validates(self):
         with pytest.raises(CheckpointError):
             Checkpoint.build({"kind": "fleet"}, {"shards": []})
+
+
+def _decision_key(report):
+    return {
+        (shard_id, vm_name): (
+            obs.warning.action.value,
+            obs.warning.distance,
+            obs.interference_confirmed,
+        )
+        for shard_id, shard_report in report.shard_reports.items()
+        for vm_name, obs in shard_report.observations.items()
+    }
+
+
+class TestRegionalKindCompatibility:
+    """Checkpoints of kind ``"regional"`` (the layout the earlier
+    two-class runtime wrote) resume through :meth:`Fleet.resume`."""
+
+    REGIONS = (
+        Region("east", ("shard0", "shard1", "shard2", "shard3"), max_workers=2),
+        Region("west", ("shard4", "shard5"), max_workers=1),
+    )
+    FULL = RunOptions(report="full")
+
+    def _fleet(self, executor):
+        scenario = synthesize_datacenter(24, num_shards=6, seed=23)
+        shards = list(build_fleet(scenario, config=_config()).shards.values())
+        fleet = Fleet(shards, executor=executor, regions=self.REGIONS)
+        fleet.bootstrap()
+        return fleet
+
+    def _legacy_checkpoint(self, checkpoint):
+        """Rewrite a snapshot's header the way the two-class runtime
+        did: kind ``"regional"`` and the fleet-wide budget left
+        unresolved (each region's budget lives in its entry)."""
+        meta = dict(checkpoint.meta)
+        meta["kind"] = "regional"
+        meta["max_workers"] = None
+        return Checkpoint(meta=meta, payload=checkpoint.payload)
+
+    def test_regional_kind_resumes_bit_identically(self, tmp_path):
+        reference = self._fleet("serial")
+        try:
+            expected = [_decision_key(r) for r in reference.run(5, self.FULL)]
+        finally:
+            reference.shutdown()
+
+        fleet = self._fleet("process")
+        try:
+            fleet.run(2, self.FULL)
+            groups = fleet._worker_groups()
+            path = self._legacy_checkpoint(fleet.snapshot()).save(
+                tmp_path / "regional.ckpt"
+            )
+        finally:
+            fleet.shutdown()
+        assert groups == [
+            ["shard0", "shard2"],
+            ["shard1", "shard3"],
+            ["shard4", "shard5"],
+        ]
+        meta = validate_checkpoint_file(path, deep=True)
+        assert meta["kind"] == "regional"
+
+        resumed = Fleet.resume(path)
+        try:
+            assert resumed.regions == self.REGIONS
+            assert resumed.executor == "process"
+            assert resumed._worker_groups() == groups
+            assert resumed.current_epoch == 2
+            continued = [_decision_key(r) for r in resumed.run(3, self.FULL)]
+            assert len(resumed.worker_health()) == len(groups)
+            renewed = resumed.snapshot()
+        finally:
+            resumed.shutdown()
+        assert continued == expected[2:]
+        assert renewed.kind == "fleet"
+        assert renewed.meta["regions"] == [
+            {
+                "region_id": r.region_id,
+                "shard_ids": list(r.shard_ids),
+                "max_workers": r.max_workers,
+            }
+            for r in self.REGIONS
+        ]

@@ -220,7 +220,7 @@ class TestCollectWithoutWorkers:
     def test_executor_collect_after_real_run_is_refused_post_shutdown(self):
         fleet = _tiny_process_fleet(max_workers=1, num_vms=8)
         try:
-            fleet.run_epoch(analyze=False)
+            fleet.run_epoch(RunOptions(analyze=False))
             strategy = fleet._strategy
         finally:
             fleet.shutdown()
@@ -234,7 +234,7 @@ class TestCollectWithoutWorkers:
 class TestOrderedMergeValidation:
     def _executor(self):
         shards = {"s0": object(), "s1": object(), "s2": object()}
-        return ProcessShardExecutor(shards, schedule=[], max_workers=2)
+        return ProcessShardExecutor(shards, [], groups=[["s0", "s2"], ["s1"]])
 
     def _result(self, shard_id, names=("a", "b")):
         report = _columnar_report(shard_id, len(names), seed=11)
@@ -341,7 +341,7 @@ class TestWorkerFailureRecovery:
         leak."""
         fleet = _tiny_process_fleet(max_workers=2, num_vms=16)
         try:
-            fleet.run_epoch(analyze=False, report="columnar")
+            fleet.run_epoch(RunOptions(analyze=False, report="columnar"))
             strategy = fleet._strategy
             assert leaked_segments(), "columnar epochs must use shm transport"
             victim = strategy.worker_pids()[0]
@@ -350,13 +350,13 @@ class TestWorkerFailureRecovery:
             deadline = time.monotonic() + 5.0
             with pytest.raises(RuntimeError):
                 while True:
-                    fleet.run_epoch(analyze=False, report="columnar")
+                    fleet.run_epoch(RunOptions(analyze=False, report="columnar"))
                     assert time.monotonic() < deadline, (
                         "epochs kept succeeding after the worker was killed"
                     )
             # The run is now refused deterministically.
             with pytest.raises(RuntimeError, match="lock step"):
-                fleet.run_epoch(analyze=False, report="columnar")
+                fleet.run_epoch(RunOptions(analyze=False, report="columnar"))
         finally:
             fleet.shutdown()
         # Cleanup must be complete despite the kill: pools released,
@@ -544,7 +544,7 @@ class TestUnsupervisedFaultPaths:
                 fleet.snapshot()
             message = str(excinfo.value)
             assert "dead worker shards: shard0" in message
-            assert "resume_fleet" in message
+            assert "Fleet.resume" in message
         finally:
             fleet.shutdown()
         assert leaked_segments() == []

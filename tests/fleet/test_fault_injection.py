@@ -28,7 +28,6 @@ from repro.fleet import (
     RunOptions,
     WorkerFault,
     build_fleet,
-    build_regional_fleet,
     synthesize_datacenter,
 )
 from repro.fleet.checkpoint import validate_checkpoint_meta
@@ -256,7 +255,7 @@ class TestChaosIntegration:
                 _drive(fleet, 3)
             message = str(excinfo.value)
             assert "restart budget (0)" in message
-            assert "resume_fleet" in message
+            assert "Fleet.resume" in message
             assert "quarantine" in message
             # The run is refused deterministically afterwards.
             with pytest.raises(RuntimeError, match="lock step"):
@@ -312,14 +311,3 @@ class TestFaultKnobValidation:
                     executor="serial",
                     **knobs,
                 )
-
-    def test_regional_plan_for_unknown_region_rejected(self):
-        scenario = synthesize_datacenter(16, num_shards=4, seed=29)
-        with pytest.raises(ValueError, match="nowhere"):
-            build_regional_fleet(
-                scenario,
-                num_regions=2,
-                config=_config(),
-                mitigate=False,
-                fault_plans={"nowhere": _kill(1)},
-            )

@@ -21,6 +21,7 @@ from repro.fleet import (
     HostDrain,
     HostReturn,
     LoadPhase,
+    RunOptions,
     VMArrival,
     VMDeparture,
     build_fleet,
@@ -157,7 +158,7 @@ class TestAdmission:
         vCPUs: the spare (empty) host wins."""
         timeline = FleetTimeline(events=[_arrival(0, name="tenant-a")])
         fleet = _fleet(timeline)
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
         cluster = fleet.shards["shard0"].cluster
         host = cluster.host_of("tenant-a")
         assert host == "s0pm3"  # the spare headroom host is empty
@@ -171,8 +172,8 @@ class TestAdmission:
             ]
         )
         fleet = _fleet(timeline)
-        fleet.run_epoch(analyze=False)
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
+        fleet.run_epoch(RunOptions(analyze=False))
         cluster = fleet.shards["shard0"].cluster
         assert cluster.host_of("tenant-a") is not None
         assert cluster.host_of("tenant-a") != "s0pm3"
@@ -187,7 +188,7 @@ class TestAdmission:
             timeline,
             admission=AdmissionPolicy(anti_affinity=("data_analytics",)),
         )
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
         cluster = fleet.shards["shard0"].cluster
         host_name = cluster.host_of("tenant-a")
         assert host_name is not None
@@ -204,7 +205,7 @@ class TestAdmission:
         fleet = _fleet(
             timeline, admission=AdmissionPolicy(headroom_vcpus=64)
         )
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
         assert fleet.shards["shard0"].cluster.host_of("tenant-a") is None
         stats = fleet.lifecycle_stats()["shard0"]
         assert stats["arrivals_rejected"] == 1
@@ -224,7 +225,7 @@ class TestAdmission:
             timeline, admission=AdmissionPolicy(headroom_vcpus=64)
         )
         for _ in range(3):
-            fleet.run_epoch(analyze=False)
+            fleet.run_epoch(RunOptions(analyze=False))
         all_stats = fleet.lifecycle_stats()
         # One entry per shard, untouched shards all-zero (same shape as
         # the process executor's worker-collected stats).
@@ -240,7 +241,7 @@ class TestAdmission:
             events=[_arrival(0, name="tenant-a", host="s0pm1")]
         )
         fleet = _fleet(timeline)
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
         assert fleet.shards["shard0"].cluster.host_of("tenant-a") == "s0pm1"
 
     def test_decision_log_built_on_placement_dataclasses(self):
@@ -249,7 +250,7 @@ class TestAdmission:
         timeline = FleetTimeline(events=[_arrival(0, name="tenant-a")])
         fleet = _fleet(timeline)
         fleet.lifecycle.record_decisions = True
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
         assert len(fleet.lifecycle.decisions) == 1
         decision = fleet.lifecycle.decisions[0]
         assert decision.vm_name == "tenant-a"
@@ -272,7 +273,7 @@ class TestEngineSemantics:
         fleet.lifecycle.record_decisions = True
         try:
             with pytest.warns(RuntimeWarning, match="record_decisions"):
-                fleet.run_epoch(analyze=False)
+                fleet.run_epoch(RunOptions(analyze=False))
         finally:
             fleet.shutdown()
 
@@ -286,8 +287,8 @@ class TestEngineSemantics:
         fleet = _fleet(timeline)
         shard = fleet.shards["shard0"]
         assert victim in shard.baseline_loads
-        fleet.run_epoch(analyze=False)
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
+        fleet.run_epoch(RunOptions(analyze=False))
         assert shard.cluster.host_of(victim) is None
         assert victim not in shard.baseline_loads
         # History survives departure on the last host.
@@ -318,8 +319,8 @@ class TestEngineSemantics:
             admission=AdmissionPolicy(anti_affinity=("data_analytics",)),
         )
         fleet = build_fleet(scenario, config=_fast_config())
-        fleet.run_epoch(analyze=False)
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
+        fleet.run_epoch(RunOptions(analyze=False))
         cluster = fleet.shards["shard0"].cluster
         assert cluster.host_of("an-a") == "s0pm1", (
             "the drained host's analytics VM must co-locate rather than strand"
@@ -342,7 +343,7 @@ class TestEngineSemantics:
             events=[HostDrain(epoch=0, shard="shard0", host="s0pm3")]
         )
         fleet = _fleet(timeline)
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
         shard = fleet.shards["shard0"]
         cluster = shard.cluster
         assert cluster.drained_hosts == {"s0pm3"}
@@ -389,7 +390,7 @@ class TestEngineSemantics:
         resident_before = set(shard.cluster.hosts["s0pm0"].vms)
         assert resident_before
         for _ in range(5):
-            fleet.run_epoch(analyze=False)
+            fleet.run_epoch(RunOptions(analyze=False))
         # Evacuated through the existing migration path...
         assert not (
             resident_before & set(shard.cluster.hosts["s0pm0"].vms)
@@ -411,14 +412,14 @@ class TestEngineSemantics:
         fleet = _fleet(timeline)
         shard = fleet.shards["shard0"]
         before = dict(shard.baseline_loads)
-        fleet.run_epoch(analyze=False)  # epoch 0: surge not started
+        fleet.run_epoch(RunOptions(analyze=False))  # epoch 0: surge not started
         assert dict(shard.baseline_loads) == before
-        fleet.run_epoch(analyze=False)  # epoch 1: surge on
+        fleet.run_epoch(RunOptions(analyze=False))  # epoch 1: surge on
         during = dict(shard.baseline_loads)
         for name, load in before.items():
             assert during[name] == pytest.approx(min(1.0, load * 1.5))
-        fleet.run_epoch(analyze=False)  # epoch 2: still on
-        fleet.run_epoch(analyze=False)  # epoch 3: surge unwound
+        fleet.run_epoch(RunOptions(analyze=False))  # epoch 2: still on
+        fleet.run_epoch(RunOptions(analyze=False))  # epoch 3: surge unwound
         assert dict(shard.baseline_loads) == before
 
     def test_phase_applies_to_arrivals_too(self):
@@ -429,8 +430,8 @@ class TestEngineSemantics:
             ]
         )
         fleet = _fleet(timeline)
-        fleet.run_epoch(analyze=False)
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
+        fleet.run_epoch(RunOptions(analyze=False))
         assert fleet.shards["shard0"].baseline_loads["tenant-a"] == 0.4
 
 
@@ -457,29 +458,29 @@ class TestErrorContract:
             events=[VMDeparture(epoch=1, shard="shard0", vm_name="ghost")]
         )
         fleet = _fleet(timeline)
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
         with pytest.raises(
             ValueError, match=r"epoch 1.*unknown VM 'ghost'.*VMDeparture"
         ):
-            fleet.run_epoch(analyze=False)
+            fleet.run_epoch(RunOptions(analyze=False))
 
     def test_duplicate_arrival_name_raises(self):
         fleet = _fleet(FleetTimeline())
         existing = sorted(fleet.shards["shard0"].baseline_loads)[0]
         timeline = FleetTimeline(events=[_arrival(1, name=existing)])
         fleet = _fleet(timeline)
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
         with pytest.raises(ValueError, match="duplicates an existing"):
-            fleet.run_epoch(analyze=False)
+            fleet.run_epoch(RunOptions(analyze=False))
 
     def test_arrival_pinned_to_full_host_raises(self):
         timeline = FleetTimeline(
             events=[_arrival(1, name="bigvm", host="s0pm0", vcpus=32)]
         )
         fleet = _fleet(timeline)
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
         with pytest.raises(ValueError, match="cannot fit"):
-            fleet.run_epoch(analyze=False)
+            fleet.run_epoch(RunOptions(analyze=False))
 
     def test_arrival_pinned_to_drained_host_raises(self):
         timeline = FleetTimeline(
@@ -489,6 +490,6 @@ class TestErrorContract:
             ]
         )
         fleet = _fleet(timeline)
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
         with pytest.raises(ValueError, match="drained"):
-            fleet.run_epoch(analyze=False)
+            fleet.run_epoch(RunOptions(analyze=False))

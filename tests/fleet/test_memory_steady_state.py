@@ -12,7 +12,7 @@ import gc
 import tracemalloc
 
 from repro.core.config import DeepDiveConfig
-from repro.fleet import build_fleet, synthesize_datacenter
+from repro.fleet import RunOptions, build_fleet, synthesize_datacenter
 
 #: Generous allowance for interpreter-level noise (code objects,
 #: logging internals, dict resizes) across the measured epochs — far
@@ -44,15 +44,15 @@ def test_steady_state_memory_does_not_grow_with_epochs():
     fleet.bootstrap()
     # Warm the rings past capacity (2 * history_limit epochs) so every
     # allocation steady state — ring buffers, caches, trims — is reached.
-    fleet.run(20, analyze=False, keep_reports=False)
+    fleet.run(20, RunOptions(analyze=False, keep_reports=False))
 
     gc.collect()
     tracemalloc.start()
     try:
-        fleet.run(5, analyze=False, keep_reports=False)
+        fleet.run(5, RunOptions(analyze=False, keep_reports=False))
         gc.collect()
         baseline, _ = tracemalloc.get_traced_memory()
-        fleet.run(40, analyze=False, keep_reports=False)
+        fleet.run(40, RunOptions(analyze=False, keep_reports=False))
         gc.collect()
         settled, _ = tracemalloc.get_traced_memory()
     finally:

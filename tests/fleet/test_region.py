@@ -1,27 +1,32 @@
-"""Region-layer unit tests: construction, budgets, roll-ups.
+"""Region unit tests: construction, worker topology, roll-ups.
 
-The bit-identity of hierarchical runs is pinned by
+The bit-identity of regional runs is pinned by
 ``tests/property/test_region_equivalence.py``; these tests cover the
-construction contracts (unique ids, contiguous partitioning, per-region
-worker budgets, lifecycle validation) and the
-:meth:`~repro.fleet.fleet.FleetRunSummary.merge` roll-up semantics.
+partition contracts (unique ids, every shard in exactly one region,
+contiguity), the worker topology regions shape (one executor per fleet,
+groups formed within each region at its budget, region-labelled health
+rows) and the :meth:`~repro.fleet.fleet.FleetRunSummary.merge` roll-up
+semantics.
 """
 
 import pytest
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
+    Fleet,
     FleetEpochReport,
     FleetRunSummary,
     HostDrain,
+    ProcessShardExecutor,
     Region,
-    RegionalFleet,
+    RunOptions,
     build_fleet,
     build_regional_fleet,
     churn_timeline,
     partition_regions,
     synthesize_datacenter,
 )
+from repro.fleet.shm import leaked_segments
 
 
 def _config() -> DeepDiveConfig:
@@ -41,52 +46,83 @@ def _flat(num_shards=4, num_vms=16, timeline=None):
     return build_fleet(scenario, config=_config())
 
 
+def _shards(num_shards=4):
+    return list(_flat(num_shards=num_shards).shards.values())
+
+
 class TestRegionConstruction:
     def test_empty_region_rejected(self):
-        with pytest.raises(ValueError, match="at least one shard"):
-            Region(region_id="r0", shards=[])
+        with pytest.raises(ValueError, match="region 'r0' needs at least one shard"):
+            Region(region_id="r0", shard_ids=[])
 
     def test_empty_regional_fleet_rejected(self):
         with pytest.raises(ValueError, match="at least one region"):
-            RegionalFleet([])
+            Fleet(_shards(), regions=[])
 
     def test_duplicate_region_id_rejected(self):
-        shards = list(_flat().shards.values())
-        with pytest.raises(ValueError, match="duplicate region id"):
-            RegionalFleet(
-                [
-                    Region("r0", shards[:2]),
-                    Region("r0", shards[2:]),
-                ]
+        with pytest.raises(ValueError, match="duplicate region id 'r0'"):
+            Fleet(
+                _shards(),
+                regions=[
+                    Region("r0", ["shard0", "shard1"]),
+                    Region("r0", ["shard2", "shard3"]),
+                ],
             )
 
     def test_shard_in_two_regions_rejected(self):
-        shards = list(_flat().shards.values())
-        with pytest.raises(ValueError, match="appears in regions"):
-            RegionalFleet(
-                [
-                    Region("r0", shards[:3]),
-                    Region("r1", shards[2:]),
-                ]
+        with pytest.raises(
+            ValueError, match="'shard2' appears in regions 'r0' and 'r1'"
+        ):
+            Fleet(
+                _shards(),
+                regions=[
+                    Region("r0", ["shard0", "shard1", "shard2"]),
+                    Region("r1", ["shard2", "shard3"]),
+                ],
             )
 
-    def test_from_fleet_adopts_shards(self):
-        flat = _flat(num_shards=2)
-        region = Region.from_fleet("adopted", flat, max_workers=3)
-        assert [s.shard_id for s in region.shards] == list(flat.shards)
-        assert region.max_workers == 3
+    def test_non_contiguous_region_rejected(self):
+        with pytest.raises(ValueError, match="region 'r0' is not contiguous"):
+            Fleet(
+                _shards(),
+                regions=[
+                    Region("r0", ["shard0", "shard2"]),
+                    Region("r1", ["shard1", "shard3"]),
+                ],
+            )
+
+    def test_regions_out_of_shard_order_rejected(self):
+        with pytest.raises(ValueError, match="region 'r0' is not contiguous"):
+            Fleet(
+                _shards(),
+                regions=[
+                    Region("r0", ["shard2", "shard3"]),
+                    Region("r1", ["shard0", "shard1"]),
+                ],
+            )
+
+    def test_unknown_or_unowned_shards_rejected(self):
+        with pytest.raises(ValueError, match="region 'r1' names unknown shard"):
+            Fleet(
+                _shards(),
+                regions=[
+                    Region("r0", ["shard0", "shard1"]),
+                    Region("r1", ["shard2", "shard3", "shard9"]),
+                ],
+            )
+        with pytest.raises(ValueError, match="belong to no region"):
+            Fleet(_shards(), regions=[Region("r0", ["shard0", "shard1"])])
 
     def test_contiguous_balanced_partition(self):
-        shards = list(_flat(num_shards=4).shards.values())
+        shards = _shards(num_shards=4)
         regions = partition_regions(shards, 3)
-        sizes = [len(r.shards) for r in regions]
+        sizes = [len(r.shard_ids) for r in regions]
         assert sizes == [2, 1, 1]
-        flattened = [s.shard_id for r in regions for s in r.shards]
+        flattened = [sid for r in regions for sid in r.shard_ids]
         assert flattened == [s.shard_id for s in shards]
 
     def test_partition_caps_at_shard_count(self):
-        shards = list(_flat(num_shards=2).shards.values())
-        regions = partition_regions(shards, 5)
+        regions = partition_regions(_shards(num_shards=2), 5)
         assert len(regions) == 2
 
     def test_lifecycle_validated_against_full_topology(self):
@@ -101,38 +137,80 @@ class TestRegionConstruction:
 
 class TestWorkerBudgets:
     def test_per_region_budget_overrides_default(self):
-        shards = list(_flat(num_shards=4).shards.values())
-        fleet = RegionalFleet(
-            [
-                Region("r0", shards[:2], max_workers=4),
-                Region("r1", shards[2:]),
+        """Groups are formed round-robin within each region at its own
+        budget (region max_workers, else the fleet's), numbered region
+        by region."""
+        fleet = Fleet(
+            _shards(num_shards=6),
+            regions=[
+                Region("r0", ["shard0", "shard1", "shard2", "shard3"], max_workers=2),
+                Region("r1", ["shard4", "shard5"]),
             ],
-            max_workers=2,
-            executor="thread",
+            max_workers=3,
+            executor="process",
         )
-        assert fleet.fleets["r0"].max_workers == 4
-        assert fleet.fleets["r1"].max_workers == 2
+        strategy = fleet._shard_strategy()
+        assert isinstance(strategy, ProcessShardExecutor)
+        assert strategy._groups == [
+            ["shard0", "shard2"],
+            ["shard1", "shard3"],
+            ["shard4"],
+            ["shard5"],
+        ]
+        fleet.shutdown()
 
-    def test_executor_propagates_to_every_region(self):
-        fleet = build_regional_fleet(
-            synthesize_datacenter(8, num_shards=2, seed=11),
-            num_regions=2,
-            config=_config(),
-            executor="thread",
-            region_workers=2,
-        )
-        assert fleet.executor == "thread"
-        assert all(f.executor == "thread" for f in fleet.fleets.values())
+    def test_flat_fleet_keeps_round_robin_over_all_shards(self):
+        fleet = Fleet(_shards(num_shards=6), max_workers=4, executor="process")
+        assert fleet._shard_strategy()._groups == [
+            ["shard0", "shard4"],
+            ["shard1", "shard5"],
+            ["shard2"],
+            ["shard3"],
+        ]
+        fleet.shutdown()
 
     def test_default_executor_inferred_from_budget(self):
-        shards = list(_flat(num_shards=2).shards.values())
-        serial = RegionalFleet([Region("r0", shards)])
+        serial = Fleet(
+            _shards(num_shards=2), regions=[Region("r0", ["shard0", "shard1"])]
+        )
         assert serial.executor == "serial"
-        threaded = RegionalFleet(
-            [Region("r0", list(_flat(num_shards=2).shards.values()))],
+        threaded = Fleet(
+            _shards(num_shards=2),
+            regions=[Region("r0", ["shard0", "shard1"])],
             max_workers=2,
         )
         assert threaded.executor == "thread"
+
+    def test_one_executor_spawns_the_summed_budgets(self):
+        """2 regions x 3 shards at region_workers=2 run on exactly 4
+        workers of one executor, and every health row's shards lie
+        inside its region."""
+        fleet = build_regional_fleet(
+            synthesize_datacenter(24, num_shards=6, seed=11),
+            num_regions=2,
+            config=_config(),
+            executor="process",
+            region_workers=2,
+        )
+        try:
+            fleet.run_epoch(RunOptions(analyze=False))
+            rows = fleet.worker_health()
+            assert len(rows) == 4
+            assert len({row["pid"] for row in rows}) == 4
+            members = {
+                region.region_id: set(region.shard_ids) for region in fleet.regions
+            }
+            assert [row["region"] for row in rows] == [
+                "region0",
+                "region0",
+                "region1",
+                "region1",
+            ]
+            for row in rows:
+                assert set(row["shards"]) <= members[row["region"]]
+        finally:
+            fleet.shutdown()
+        assert leaked_segments() == []
 
 
 class TestAggregation:
@@ -147,22 +225,16 @@ class TestAggregation:
         assert stats["shards"] == 2.0
         assert stats["vms"] == 8.0
 
-    def test_schedule_partitioned_by_shard_ownership(self):
-        from repro.fleet import InterferenceEpisode
-
-        scenario = synthesize_datacenter(
-            8,
-            num_shards=2,
-            seed=11,
-            episodes=[
-                InterferenceEpisode(
-                    shard=1, host_index=0, start_epoch=0, end_epoch=2
-                )
-            ],
-        )
-        fleet = build_regional_fleet(scenario, num_regions=2, config=_config())
-        assert fleet.fleets["region0"].schedule == []
-        assert [s.shard_id for s in fleet.fleets["region1"].schedule] == ["shard1"]
+    def test_flat_fleet_summaries_use_one_implicit_region(self):
+        fleet = _flat(num_shards=2)
+        fleet.bootstrap()
+        summaries = fleet.run_summaries(2, RunOptions(analyze=False))
+        assert list(summaries) == ["fleet"]
+        assert summaries["fleet"].epochs == 2
+        assert list(summaries["fleet"].final_report.shard_reports) == [
+            "shard0",
+            "shard1",
+        ]
 
 
 class TestSummaryMerge:

@@ -12,6 +12,7 @@ from repro.core.config import DeepDiveConfig
 from repro.fleet import (
     FleetRunSummary,
     InterferenceEpisode,
+    RunOptions,
     build_fleet,
     synthesize_datacenter,
 )
@@ -56,8 +57,8 @@ class TestRunSummaryMerge:
         must equal the fold of the full report list."""
         listed = _build(episodes=self.EPISODES)
         summarized = _build(episodes=self.EPISODES)
-        reports = listed.run(7, analyze=True)
-        summary = summarized.run(7, analyze=True, keep_reports=False)
+        reports = listed.run(7)
+        summary = summarized.run(7, RunOptions(keep_reports=False))
         assert isinstance(summary, FleetRunSummary)
         assert summary.epochs == len(reports) == 7
         assert summary.observations == sum(r.observations() for r in reports)
@@ -76,7 +77,7 @@ class TestRunSummaryMerge:
 
     def test_final_report_is_last_epoch_snapshot(self):
         fleet = _build()
-        summary = fleet.run(4, analyze=False, keep_reports=False)
+        summary = fleet.run(4, RunOptions(analyze=False, keep_reports=False))
         assert summary.final_report is not None
         assert summary.final_report.epoch == 3
         # The snapshot is a full report: per-VM observations retained.
@@ -86,7 +87,7 @@ class TestRunSummaryMerge:
 
     def test_zero_epoch_run_returns_empty_summary(self):
         fleet = _build(bootstrap=False)
-        summary = fleet.run(0, keep_reports=False)
+        summary = fleet.run(0, RunOptions(keep_reports=False))
         assert summary.epochs == 0
         assert summary.observations == 0
         assert summary.action_histogram == {}
@@ -96,8 +97,8 @@ class TestRunSummaryMerge:
         """Direct unit check of the fold itself."""
         fleet = _build()
         summary = FleetRunSummary()
-        r1 = fleet.run_epoch(analyze=False)
-        r2 = fleet.run_epoch(analyze=False)
+        r1 = fleet.run_epoch(RunOptions(analyze=False))
+        r2 = fleet.run_epoch(RunOptions(analyze=False))
         summary.accumulate(r1)
         summary.accumulate(r2)
         assert summary.epochs == 2
@@ -111,14 +112,14 @@ class TestHistoryTrimming:
         exactly the most recent epochs after a trim."""
         fleet = _build(history_limit=4)
         epochs = 11
-        fleet.run(epochs, analyze=False, keep_reports=False)
+        fleet.run(epochs, RunOptions(analyze=False, keep_reports=False))
         for shard in fleet.shards.values():
             for host in shard.cluster.hosts.values():
                 assert host.history_limit == 4
                 for history in host.counter_history.values():
                     assert len(history) <= 2 * 4
         # One more epoch is observable only through the retained window.
-        report = fleet.run_epoch(analyze=False)
+        report = fleet.run_epoch(RunOptions(analyze=False))
         assert report.epoch == epochs
 
     def test_trim_keeps_most_recent_samples(self):
@@ -131,7 +132,7 @@ class TestHistoryTrimming:
         vm_name = next(iter(host.counter_history))
         seen = []
         for _ in range(9):
-            fleet.run_epoch(analyze=False)
+            fleet.run_epoch(RunOptions(analyze=False))
             seen.append(host.counter_history[vm_name][-1])
         history = host.counter_history[vm_name]
         assert len(history) <= 6
@@ -139,7 +140,7 @@ class TestHistoryTrimming:
 
     def test_unlimited_history_retains_everything(self):
         fleet = _build(history_limit=None)
-        fleet.run(6, analyze=False, keep_reports=False)
+        fleet.run(6, RunOptions(analyze=False, keep_reports=False))
         for shard in fleet.shards.values():
             for host in shard.cluster.hosts.values():
                 for history in host.counter_history.values():

@@ -1,14 +1,12 @@
-"""The unified FleetRuntime surface: RunOptions, streaming, shims.
+"""The fleet run surface: RunOptions and streaming.
 
-Pins the PR-8 API redesign: both fleet kinds satisfy the
-:class:`~repro.fleet.FleetRuntime` protocol with identical signatures,
-``stream`` is the lazy primitive ``run``/``run_epoch`` are built on,
-typed :class:`~repro.fleet.RunOptions` replaces the keyword zoo, and
-the legacy ``report=`` / ``keep_reports=`` keywords survive as
-deprecation shims that produce byte-identical behaviour.
+Pins the one runtime: flat and regional fleets are the same
+:class:`~repro.fleet.Fleet` class, ``stream`` is the lazy primitive
+``run``/``run_epoch``/``run_summaries`` are built on, and a typed
+:class:`~repro.fleet.RunOptions` is the only way to configure a run —
+the old ``analyze=`` / ``report=`` / ``keep_reports=`` keywords are
+refused.
 """
-
-import warnings
 
 import pytest
 
@@ -17,9 +15,7 @@ from repro.fleet import (
     ColumnarFleetReport,
     Fleet,
     FleetEpochReport,
-    FleetRuntime,
     FleetRunSummary,
-    RegionalFleet,
     RunOptions,
     build_fleet,
     build_regional_fleet,
@@ -71,12 +67,16 @@ class TestRunOptions:
             RunOptions().analyze = False
 
     def test_options_and_legacy_keywords_conflict(self):
+        """Run keywords are gone: RunOptions is the only configuration."""
         fleet = _fleet()
         try:
-            with pytest.raises(TypeError, match="not both"):
+            with pytest.raises(TypeError, match="report"):
                 fleet.run_epoch(RunOptions(), report="full")
-            with pytest.raises(TypeError, match="not both"):
+            with pytest.raises(TypeError, match="keep_reports"):
                 fleet.run(1, RunOptions(), keep_reports=False)
+            with pytest.raises(TypeError, match="analyze"):
+                fleet.run_epoch(analyze=False)
+            assert fleet.current_epoch == 0
         finally:
             fleet.shutdown()
 
@@ -94,16 +94,21 @@ class TestProtocol:
     def test_both_fleet_kinds_satisfy_the_protocol(self, regional):
         fleet = _fleet(regional=regional)
         try:
-            assert isinstance(fleet, FleetRuntime)
+            assert isinstance(fleet, Fleet)
+            for method in ("stream", "run", "run_epoch", "run_summaries"):
+                assert callable(getattr(fleet, method))
         finally:
             fleet.shutdown()
 
     def test_kind_specific_classes(self):
+        """A flat fleet is a Fleet without regions; a regional one is
+        the same class carrying its partition."""
         flat = _fleet()
         regional = _fleet(regional=True)
         try:
-            assert isinstance(flat, Fleet) and not isinstance(flat, RegionalFleet)
-            assert isinstance(regional, RegionalFleet)
+            assert type(flat) is type(regional) is Fleet
+            assert flat.regions is None
+            assert [r.region_id for r in regional.regions] == ["region0", "region1"]
         finally:
             flat.shutdown()
             regional.shutdown()
@@ -197,66 +202,14 @@ class TestStream:
         assert summary.observations == sum(r.observations() for r in reports)
 
 
-class TestDeprecationShims:
-    def test_report_keyword_warns_with_migration_hint(self):
-        fleet = _fleet()
-        try:
-            with pytest.warns(DeprecationWarning, match="RunOptions"):
-                report = fleet.run_epoch(report="full")
-            assert isinstance(report, FleetEpochReport)
-        finally:
-            fleet.shutdown()
-
-    def test_keep_reports_keyword_warns_with_migration_hint(self):
-        fleet = _fleet()
-        try:
-            with pytest.warns(DeprecationWarning, match="RunOptions"):
-                summary = fleet.run(2, keep_reports=False)
-            assert isinstance(summary, FleetRunSummary)
-        finally:
-            fleet.shutdown()
-
-    def test_analyze_keyword_stays_silent(self):
-        """analyze= is a supported convenience alias, not a deprecation."""
-        fleet = _fleet()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                fleet.run_epoch(analyze=False)
-                fleet.run(1, analyze=False)
-        finally:
-            fleet.shutdown()
-
-    def test_legacy_and_new_style_runs_identical(self):
-        """The shim translation is exact: legacy keywords produce the
-        same decisions as their RunOptions spelling."""
-
-        def fingerprint(report):
-            return {
-                (sid, vm): obs.warning.action.value
-                for sid, sr in report.shard_reports.items()
-                for vm, obs in sr.observations.items()
-            }
-
-        fleet = _fleet()
-        try:
-            with pytest.warns(DeprecationWarning):
-                legacy = fleet.run_epoch(report="full")
-        finally:
-            fleet.shutdown()
-        fleet = _fleet()
-        try:
-            modern = fleet.run_epoch(RunOptions(report="full"))
-        finally:
-            fleet.shutdown()
-        assert fingerprint(legacy) == fingerprint(modern)
-
+class TestRunSummaries:
     def test_regional_run_summaries_accepts_options(self):
         fleet = _fleet(regional=True)
         try:
             summaries = fleet.run_summaries(2, RunOptions(analyze=False))
-            assert set(summaries) == set(fleet.fleets)
+            assert list(summaries) == [r.region_id for r in fleet.regions]
             merged = FleetRunSummary.merge(list(summaries.values()))
             assert merged.epochs == 2
+            assert fleet.current_epoch == 2
         finally:
             fleet.shutdown()

@@ -13,6 +13,7 @@ import pytest
 
 from repro.fleet import (
     COUNTER_NAMES,
+    RunOptions,
     SPAN_KINDS,
     Fleet,
     FleetDashboard,
@@ -170,7 +171,7 @@ class TestPrometheus:
 
     def test_monotone_across_snapshot_resume(self, tmp_path):
         fleet = _small_fleet(TelemetryConfig(enabled=True))
-        fleet.run(3, analyze=False)
+        fleet.run(3, RunOptions(analyze=False))
         before = fleet.telemetry.counter("epochs_total")
         seconds_before = fleet.telemetry.span_totals()["epoch"]["seconds"]
         checkpoint = fleet.snapshot(tmp_path / "fleet.ckpt")
@@ -182,7 +183,7 @@ class TestPrometheus:
         # Carried totals arrive before any new epoch runs.
         assert resumed.telemetry.counter("epochs_total") == before
         assert resumed.telemetry.counter("snapshots_total") == 1
-        resumed.run(2, analyze=False)
+        resumed.run(2, RunOptions(analyze=False))
         resumed.shutdown()
         assert resumed.telemetry.counter("epochs_total") == before + 2
         assert (
@@ -194,7 +195,7 @@ class TestPrometheus:
 
     def test_resume_telemetry_override(self, tmp_path):
         fleet = _small_fleet(TelemetryConfig(enabled=True))
-        fleet.run(2, analyze=False)
+        fleet.run(2, RunOptions(analyze=False))
         fleet.snapshot(tmp_path / "fleet.ckpt")
         fleet.shutdown()
         # An explicit disabled config switches telemetry off on resume.
@@ -206,7 +207,7 @@ class TestPrometheus:
 
     def test_untelemetered_snapshot_resumes_untelemetered(self, tmp_path):
         fleet = _small_fleet()
-        fleet.run(2, analyze=False)
+        fleet.run(2, RunOptions(analyze=False))
         checkpoint = fleet.snapshot(tmp_path / "fleet.ckpt")
         assert checkpoint.meta["has_telemetry"] is False
         fleet.shutdown()
@@ -244,7 +245,7 @@ class TestChromeTrace:
 
     def test_trace_loads_as_json_after_fleet_run(self, tmp_path):
         fleet = _small_fleet(TelemetryConfig(enabled=True))
-        fleet.run(2, analyze=False)
+        fleet.run(2, RunOptions(analyze=False))
         fleet.shutdown()
         path = fleet.telemetry.export_chrome_trace(tmp_path / "t.json")
         payload = json.loads(path.read_text())

@@ -10,7 +10,12 @@ sequence.
 import pytest
 
 from repro.core.config import DeepDiveConfig
-from repro.fleet import InterferenceEpisode, build_fleet, synthesize_datacenter
+from repro.fleet import (
+    InterferenceEpisode,
+    RunOptions,
+    build_fleet,
+    synthesize_datacenter,
+)
 
 
 @pytest.fixture
@@ -48,7 +53,7 @@ class TestFleetEpochLoop:
 
         confirmed_by_epoch = {}
         for epoch in range(28):
-            report = fleet.run_epoch(analyze=True)
+            report = fleet.run_epoch()
             confirmed_by_epoch[epoch] = report.confirmed_interference()
 
         # The learning epochs (0..5) certify the production behaviours;
@@ -112,7 +117,7 @@ class TestFleetEpochLoop:
             fleet.bootstrap()
             trace = []
             for _ in range(10):
-                report = fleet.run_epoch(analyze=True)
+                report = fleet.run_epoch()
                 trace.append(
                     {
                         (shard_id, vm): (

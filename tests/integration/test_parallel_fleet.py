@@ -15,6 +15,7 @@ from repro.fleet import (
     ColumnarFleetReport,
     FleetRunSummary,
     InterferenceEpisode,
+    RunOptions,
     build_fleet,
     synthesize_datacenter,
 )
@@ -78,8 +79,8 @@ class TestParallelDeterminism:
         parallel = _build(max_workers=4)
         try:
             for epoch in range(9):
-                r1 = serial.run_epoch(analyze=True)
-                r4 = parallel.run_epoch(analyze=True)
+                r1 = serial.run_epoch()
+                r4 = parallel.run_epoch()
                 assert r1.epoch == r4.epoch
                 assert list(r1.shard_reports) == list(r4.shard_reports), (
                     "merge order must be shard insertion order"
@@ -145,7 +146,7 @@ class TestProcessExecutorDeterminism:
     def test_process_workers_bit_identical_to_serial(self):
         serial = _build(max_workers=1, executor="serial")
         reference = _summary_fingerprint(
-            serial.run(self.EPOCHS, analyze=True, keep_reports=False)
+            serial.run(self.EPOCHS, RunOptions(keep_reports=False))
         )
         serial_stats = serial.stats()
         serial_detections = [
@@ -159,7 +160,7 @@ class TestProcessExecutorDeterminism:
         for workers in (1, 2, 4):
             fleet = _build(max_workers=workers, executor="process")
             try:
-                summary = fleet.run(self.EPOCHS, analyze=True, keep_reports=False)
+                summary = fleet.run(self.EPOCHS, RunOptions(keep_reports=False))
                 assert _summary_fingerprint(summary) == reference, (
                     f"process run with {workers} workers diverges from serial"
                 )
@@ -181,8 +182,8 @@ class TestProcessExecutorDeterminism:
         process = _build(max_workers=2, executor="process")
         try:
             for _ in range(6):
-                r_full = full.run_epoch(analyze=True)
-                r_col = process.run_epoch(analyze=True, report="columnar")
+                r_full = full.run_epoch()
+                r_col = process.run_epoch(RunOptions(report="columnar"))
                 assert isinstance(r_col, ColumnarFleetReport)
                 assert list(r_col.shard_reports) == list(r_full.shard_reports)
                 assert r_col.observations() == r_full.observations()
@@ -212,14 +213,14 @@ class TestProcessExecutorDeterminism:
 
     def test_shutdown_process_fleet_refuses_new_epochs(self):
         fleet = _build(max_workers=2, executor="process", mitigate=False)
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
         stats = fleet.stats()
         fleet.shutdown()
         # Statistics survive shutdown; new epochs would silently reset
         # worker state and are refused.
         assert fleet.stats() == stats
         with pytest.raises(RuntimeError):
-            fleet.run_epoch(analyze=False)
+            fleet.run_epoch(RunOptions(analyze=False))
 
 
 class TestBaselineLoadPropagation:
@@ -231,11 +232,11 @@ class TestBaselineLoadPropagation:
         shard = next(iter(fleet.shards.values()))
         vm_name = next(iter(shard.baseline_loads))
         cluster = shard.cluster
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
         host = cluster.hosts[cluster.host_of(vm_name)]
         assert host.get_load(vm_name) == shard.baseline_loads[vm_name]
         shard.baseline_loads[vm_name] = 0.123
-        fleet.run_epoch(analyze=False)
+        fleet.run_epoch(RunOptions(analyze=False))
         assert host.get_load(vm_name) == 0.123
 
 
@@ -244,7 +245,7 @@ class TestMemoryBoundedRun:
         """Fleet hosts trim per-VM histories, so long runs hold constant
         memory (the default history_limit covers every consumer window)."""
         fleet = _build(max_workers=1, mitigate=False)
-        fleet.run(12, analyze=False, keep_reports=False)
+        fleet.run(12, RunOptions(analyze=False, keep_reports=False))
         limits = set()
         for shard in fleet.shards.values():
             for host in shard.cluster.hosts.values():
@@ -257,8 +258,8 @@ class TestMemoryBoundedRun:
         """keep_reports=False aggregates exactly what the list would."""
         listed = _build(max_workers=1, mitigate=False)
         summarized = _build(max_workers=1, mitigate=False)
-        reports = listed.run(9, analyze=True)
-        summary = summarized.run(9, analyze=True, keep_reports=False)
+        reports = listed.run(9)
+        summary = summarized.run(9, RunOptions(keep_reports=False))
         assert isinstance(summary, FleetRunSummary)
         assert summary.epochs == len(reports) == 9
         assert summary.observations == sum(r.observations() for r in reports)

@@ -7,8 +7,8 @@ summary, same lifecycle counters.  The contract holds:
 
 * across shard executors (``serial`` / ``thread`` / ``process``) at
   1/2/4 workers — a process fleet snapshots the *workers'* live state;
-* across topologies (flat :class:`~repro.fleet.Fleet` vs hierarchical
-  :class:`~repro.fleet.RegionalFleet` regional splits);
+* across topologies (a flat :class:`~repro.fleet.Fleet` vs one
+  partitioned into regions);
 * across the file boundary (save → load → resume equals in-memory
   resume, and the checkpoint file passes deep schema validation);
 * **cross-executor**: a checkpoint taken under one executor resumes
@@ -35,12 +35,10 @@ from repro.fleet import (
     HostReturn,
     InterferenceEpisode,
     LoadPhase,
-    RegionalFleet,
     RunOptions,
     build_fleet,
     build_regional_fleet,
     churn_timeline,
-    resume_fleet,
     synthesize_datacenter,
     validate_checkpoint_file,
 )
@@ -166,7 +164,7 @@ def _run_interrupted(
     finally:
         fleet.shutdown()
     source = via_file if via_file is not None else checkpoint
-    resumed = resume_fleet(
+    resumed = Fleet.resume(
         source, executor=resume_executor, max_workers=resume_workers
     )
     assert resumed.current_epoch == split
@@ -226,7 +224,7 @@ class TestCheckpointEquivalence:
             result, reference, f"{executor}/{workers}/regional={regional}"
         )
         resumed = result[3]
-        assert isinstance(resumed, RegionalFleet if regional else Fleet)
+        assert isinstance(resumed, Fleet)
 
     def test_every_split_point(self, reference):
         """The contract holds wherever the run is cut — including k=0
@@ -273,7 +271,7 @@ class TestCheckpointEquivalence:
         path = tmp_path / "regional.ckpt"
         result = _run_interrupted(_build(regional=True), via_file=path)
         meta = validate_checkpoint_file(path, deep=True)
-        assert meta["kind"] == "regional"
+        assert meta["kind"] == "fleet"
         assert [entry["region_id"] for entry in meta["regions"]] == [
             "region0",
             "region1",

@@ -108,7 +108,7 @@ def _build(
             executor=executor,
             region_workers=max_workers,
             fault_policy=fault_policy,
-            fault_plans={"region0": fault_plan} if fault_plan else None,
+            fault_plan=fault_plan,
         )
     else:
         fleet = build_fleet(

@@ -23,6 +23,7 @@ from repro.core.config import DeepDiveConfig
 from repro.fleet import (
     FleetRunSummary,
     InterferenceEpisode,
+    RunOptions,
     build_fleet,
     synthesize_datacenter,
 )
@@ -97,7 +98,7 @@ def _run(fleet, epochs=8):
     decisions = []
     try:
         for _ in range(epochs):
-            report = fleet.run_epoch(analyze=True)
+            report = fleet.run_epoch()
             decisions.append(_decision_key(report))
             summary.accumulate(report)
     finally:
@@ -204,8 +205,8 @@ class TestLazyHistoryEquivalence:
         eager = _build("eager")
         lazy = _build("lazy")
         for _ in range(3):
-            eager.run_epoch(analyze=False)
-            lazy.run_epoch(analyze=False)
+            eager.run_epoch(RunOptions(analyze=False))
+            lazy.run_epoch(RunOptions(analyze=False))
         for fleet in (eager, lazy):
             cluster = fleet.shards["shard0"].cluster
             vm_name = sorted(cluster.all_vms())[0]
@@ -220,7 +221,7 @@ class TestLazyHistoryEquivalence:
             )
             cluster.migrate_vm(vm_name, destination)
         for _ in range(3):
-            eager.run_epoch(analyze=False)
-            lazy.run_epoch(analyze=False)
+            eager.run_epoch(RunOptions(analyze=False))
+            lazy.run_epoch(RunOptions(analyze=False))
         _assert_histories_bit_identical(eager, lazy)
         _assert_windows_bit_identical(eager, lazy, windows=(1, 2, 4))

@@ -36,6 +36,7 @@ from repro.fleet import (
     HostReturn,
     InterferenceEpisode,
     LoadPhase,
+    RunOptions,
     build_fleet,
     churn_timeline,
     synthesize_datacenter,
@@ -135,7 +136,7 @@ def _run(fleet, epochs=EPOCHS):
     decisions = []
     try:
         for _ in range(epochs):
-            report = fleet.run_epoch(analyze=True)
+            report = fleet.run_epoch()
             decisions.append(_decision_key(report))
             summary.accumulate(report)
         lifecycle = fleet.lifecycle_stats()
@@ -230,8 +231,8 @@ class TestLifecycleEquivalence:
         fleet_b = _build(history_mode="eager")
         try:
             for _ in range(EPOCHS):
-                fleet_a.run_epoch(analyze=False)
-                fleet_b.run_epoch(analyze=False)
+                fleet_a.run_epoch(RunOptions(analyze=False))
+                fleet_b.run_epoch(RunOptions(analyze=False))
                 for shard_id, shard_a in fleet_a.shards.items():
                     placement_a = {
                         vm: host
@@ -255,7 +256,7 @@ class TestLifecycleEquivalence:
         fleet = _build()
         try:
             for _ in range(EPOCHS):
-                fleet.run_epoch(analyze=False)
+                fleet.run_epoch(RunOptions(analyze=False))
             for shard in fleet.shards.values():
                 cluster = shard.cluster
                 for window in (1, 2, 3):

@@ -1,10 +1,10 @@
-"""Hierarchical-fleet equivalence properties.
+"""Regional-fleet equivalence properties.
 
 Shards share nothing, so grouping them into regions is pure
-bookkeeping: a :class:`~repro.fleet.region.RegionalFleet` built from
-the same scenario must evolve **bit-identically** to the flat
-:class:`~repro.fleet.fleet.Fleet` — decisions, run summaries, lifecycle
-counters — at any region split, across
+bookkeeping: a :class:`~repro.fleet.fleet.Fleet` partitioned into
+regions from the same scenario must evolve **bit-identically** to the
+flat one — decisions, run summaries, lifecycle counters — at any
+region split, across
 
 * hardware substrates (``scalar`` / ``batch``),
 * counter-history modes (``lazy`` / ``eager``),
@@ -14,8 +14,8 @@ counters — at any region split, across
 The scenario reuses the churn-heavy shape of
 ``test_lifecycle_equivalence``: Poisson arrivals through the admission
 policy, scheduled departures, a host drain and return, a flash crowd on
-a load phase, plus a scheduled interference episode — so the region
-layer's lifecycle partitioning (one engine subset per region) is
+a load phase, plus a scheduled interference episode — so the regional
+worker grouping (lifecycle engines subset per worker group) is
 exercised against every event type while the fleet stays busy
 detecting.
 """
@@ -30,6 +30,7 @@ from repro.fleet import (
     HostReturn,
     InterferenceEpisode,
     LoadPhase,
+    RunOptions,
     build_fleet,
     build_regional_fleet,
     churn_timeline,
@@ -146,7 +147,7 @@ def _run(fleet, epochs=EPOCHS):
     shard_orders = []
     try:
         for _ in range(epochs):
-            report = fleet.run_epoch(analyze=True)
+            report = fleet.run_epoch()
             decisions.append(_decision_key(report))
             shard_orders.append(list(report.shard_reports))
             summary.accumulate(report)
@@ -218,9 +219,9 @@ class TestRegionEquivalence:
 
     @pytest.mark.parametrize("region_workers", [1, 2, 4])
     def test_process_executor_bit_identical(self, reference, region_workers):
-        """Each region brings its own shared-memory process pools; the
-        hierarchical run must equal flat serial at every per-region
-        worker budget."""
+        """Each region brings its own shared-memory process workers; the
+        regional run must equal flat serial at every per-region worker
+        budget."""
         result = _run(
             _build_regional(executor="process", region_workers=region_workers)
         )
@@ -232,14 +233,14 @@ class TestRegionEquivalence:
         full report included."""
         _decisions, summary_ref, _lifecycle, _stats, orders_ref = reference
         with _build_regional(executor="process", region_workers=1) as fleet:
-            summary = fleet.run(EPOCHS, keep_reports=False)
+            summary = fleet.run(EPOCHS, RunOptions(keep_reports=False))
         assert _summary_key(summary) == _summary_key(summary_ref)
         assert list(summary.final_report.shard_reports) == orders_ref[-1]
 
     def test_region_summaries_merge_to_flat(self, reference):
-        """Per-region summaries (regions run to completion one after
-        another) roll up to the flat summary via
-        ``FleetRunSummary.merge`` — the constant-memory region path."""
+        """Per-region summaries (folded from the lockstep run) roll up
+        to the flat summary via ``FleetRunSummary.merge`` — the
+        constant-memory region path."""
         _decisions, summary_ref, _lifecycle, _stats, orders_ref = reference
         with _build_regional(num_regions=2) as fleet:
             per_region = fleet.run_summaries(EPOCHS)

@@ -20,7 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DeepDiveConfig
-from repro.fleet import InterferenceEpisode, build_fleet, synthesize_datacenter
+from repro.fleet import (
+    InterferenceEpisode,
+    RunOptions,
+    build_fleet,
+    synthesize_datacenter,
+)
 from repro.hardware.demand import ResourceDemand
 from repro.hardware.machine import PhysicalMachine
 from repro.hardware.specs import CORE_I7_E5640, XEON_X5472
@@ -228,8 +233,8 @@ class TestFleetSubstrateEquivalence:
             fleets[substrate] = fleet
 
         for epoch in range(9):
-            r_scalar = fleets["scalar"].run_epoch(analyze=True)
-            r_batch = fleets["batch"].run_epoch(analyze=True)
+            r_scalar = fleets["scalar"].run_epoch()
+            r_batch = fleets["batch"].run_epoch()
             assert _decision_key(r_scalar) == _decision_key(r_batch), (
                 f"decisions diverge at epoch {epoch}"
             )
@@ -282,7 +287,7 @@ class TestFleetSubstrateEquivalence:
         )
         fleet.bootstrap()
         for _ in range(5):
-            fleet.run_epoch(analyze=False)
+            fleet.run_epoch(RunOptions(analyze=False))
         cluster = next(iter(fleet.shards.values())).cluster
         for window in (1, 2, 3, 5, 8):
             view = cluster.counter_window_view(window)
@@ -308,7 +313,7 @@ class TestFleetSubstrateEquivalence:
         )
         fleet.bootstrap()
         for _ in range(3):
-            fleet.run_epoch(analyze=False)
+            fleet.run_epoch(RunOptions(analyze=False))
         cluster = next(iter(fleet.shards.values())).cluster
         vm_name = sorted(cluster.all_vms())[0]
         source = cluster.host_of(vm_name)
@@ -320,7 +325,7 @@ class TestFleetSubstrateEquivalence:
         )
         cluster.migrate_vm(vm_name, destination)
         for _ in range(2):
-            fleet.run_epoch(analyze=False)
+            fleet.run_epoch(RunOptions(analyze=False))
         view = cluster.counter_window_view(3)
         windows = cluster.counter_windows(3)
         assert set(view.vm_names) == set(windows)

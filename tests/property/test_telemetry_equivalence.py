@@ -128,7 +128,7 @@ def _run(fleet):
     decisions = []
     try:
         for _ in range(EPOCHS):
-            report = fleet.run_epoch(analyze=True)
+            report = fleet.run_epoch()
             decisions.append(_decision_key(report))
             summary.accumulate(report)
         stats = fleet.stats()

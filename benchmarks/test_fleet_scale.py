@@ -1,4 +1,4 @@
-"""Fleet-scale benchmarks: epoch engine, hardware substrate, parallelism.
+"""Fleet-scale benchmarks: epoch engine, hardware substrate, executors.
 
 Three axes of the fleet hot loop are measured and recorded in
 ``.benchmarks/BENCH_fleet.json`` (gitignored, so a test run never
@@ -11,10 +11,8 @@ frozen history):
   (:mod:`repro.hardware.batch`) against the scalar per-VM contention
   model, end-to-end through ``Fleet.run_epoch`` at 2k and 10k VMs.  The
   scalar-substrate fleet (with ground-truth tracking, as in PR 1) is the
-  PR 1 baseline the acceptance floor is measured against;
-* **parallel** — serial versus thread-pool shard dispatch (results are
-  worker-count independent; on multi-core hosts the pool overlaps the
-  shards' numpy work);
+  PR 1 baseline the acceptance floor is measured against, and both
+  fleets run the serial loop;
 * **process** — the state-owning process-pool executor
   (:mod:`repro.fleet.executor`): single-worker versus multi-worker
   process execution, columnar epochs published through double-buffered
@@ -45,8 +43,8 @@ All compared configurations produce equivalent decisions (pinned by the
 property suites); the benchmarks only measure cost.  Run the tiny-scale
 smoke variants with ``pytest -m bench_smoke``; ``FLEET_SMOKE_EXECUTOR``
 selects the executor and ``FLEET_SMOKE_HISTORY_MODE`` the counter-store
-mode the smoke fleet runs under (the CI matrix covers ``thread`` /
-``process`` executors and an eager-history leg).
+mode the smoke fleet runs under (the CI matrix covers the ``process``
+executor and an eager-history leg).
 ``FLEET_SMOKE_SNAPSHOT=1`` turns the snapshot smoke into a
 process-executor kill/resume roundtrip whose checkpoint file (written
 to ``FLEET_SMOKE_CKPT`` when set) the CI workflow schema-validates
@@ -100,8 +98,8 @@ FULL_SCALE_VMS = 1000
 FULL_SCALE_SHARDS = 2
 #: Acceptance floor for the batched epoch engine at full scale.
 MIN_ENGINE_SPEEDUP = 5.0
-#: Acceptance floor for the batch substrate (+ parallel shards) over the
-#: PR 1 baseline, end-to-end through ``Fleet.run_epoch`` at 2k VMs.
+#: Acceptance floor for the batch substrate over the PR 1 baseline,
+#: end-to-end through serial ``Fleet.run_epoch`` at 2k VMs.
 MIN_SUBSTRATE_SPEEDUP = 5.0
 
 
@@ -262,7 +260,7 @@ def _run_engine_comparison(num_vms: int, num_shards: int, reps: int) -> Dict:
 
 
 # ----------------------------------------------------------------------
-# Substrate + parallelism comparison (end-to-end Fleet.run_epoch).
+# Substrate comparison (end-to-end Fleet.run_epoch).
 # ----------------------------------------------------------------------
 def _time_fleet_epoch(fleet, reps: int) -> float:
     """Best-of-``reps`` wall time of one end-to-end fleet epoch
@@ -292,10 +290,9 @@ def _run_substrate_comparison(
     num_shards: int,
     scalar_reps: int,
     batch_reps: int,
-    parallel_workers: int = 4,
 ) -> Dict:
     """Time the PR 1 baseline (scalar substrate, serial, ground truth on)
-    against the batch substrate, serial and parallel."""
+    against the serial batch substrate."""
     baseline = _prepare_fleet(
         num_vms, num_shards, substrate="scalar", track_performance=True
     )
@@ -308,12 +305,6 @@ def _run_substrate_comparison(
     )
     scalar_s = _time_fleet_epoch(baseline, scalar_reps)
     batch_s = _time_fleet_epoch(batch, batch_reps)
-    parallel = _prepare_fleet(
-        num_vms, num_shards, substrate="batch", max_workers=parallel_workers
-    )
-    parallel_s = _time_fleet_epoch(parallel, batch_reps)
-    parallel.shutdown()
-    best_s = min(batch_s, parallel_s)
     vms = batch.total_vms()
     return {
         "benchmark": "fleet_substrate",
@@ -322,13 +313,10 @@ def _run_substrate_comparison(
         "shards": len(batch.shards),
         "scalar_reps": scalar_reps,
         "batch_reps": batch_reps,
-        "parallel_workers": parallel_workers,
         "pr1_baseline_epoch_seconds": scalar_s,
         "batch_epoch_seconds": batch_s,
-        "batch_parallel_epoch_seconds": parallel_s,
         "substrate_speedup": scalar_s / batch_s,
-        "parallel_speedup_over_serial_batch": batch_s / parallel_s,
-        "end_to_end_speedup": scalar_s / best_s,
+        "end_to_end_speedup": scalar_s / batch_s,
         "batch_vm_epochs_per_second": vms / batch_s,
         "unix_time": time.time(),
     }
@@ -339,9 +327,8 @@ def _run_substrate_comparison(
 # ----------------------------------------------------------------------
 def _time_fleet_epoch_columnar(fleet, reps: int) -> float:
     """Best-of-``reps`` wall time of one columnar fleet epoch — the
-    process executor's native exchange format (serial and thread fleets
-    derive the same arrays in-process, so the comparison is like for
-    like)."""
+    process executor's native exchange format (a serial fleet derives
+    the same arrays in-process, so the comparison is like for like)."""
     return _time_fleet_epochs_columnar([fleet], reps)[0]
 
 
@@ -626,7 +613,7 @@ def test_fleet_engine_smoke():
 def test_fleet_substrate_smoke():
     """Substrates agree and both complete an epoch at tiny scale."""
     record = _run_substrate_comparison(
-        num_vms=60, num_shards=2, scalar_reps=2, batch_reps=2, parallel_workers=2
+        num_vms=60, num_shards=2, scalar_reps=2, batch_reps=2
     )
     assert record["vms"] == 60
     assert record["batch_epoch_seconds"] > 0
@@ -671,12 +658,12 @@ def test_fleet_churn_smoke():
 @pytest.mark.bench_smoke
 def test_fleet_executor_smoke():
     """The env-selected executor and history mode complete an epoch and
-    agree with the serial loop (the CI matrix runs this under thread and
-    process executors plus eager-history and churn legs).  With
+    agree with the serial loop (the CI matrix runs this under the
+    process executor plus eager-history and churn legs).  With
     ``FLEET_SMOKE_CHURN=1`` both fleets carry the same churn timeline,
     so the fingerprint comparison covers worker-side lifecycle
     application too."""
-    executor = os.environ.get("FLEET_SMOKE_EXECUTOR", "thread")
+    executor = os.environ.get("FLEET_SMOKE_EXECUTOR", "process")
     history_mode = os.environ.get("FLEET_SMOKE_HISTORY_MODE", "lazy")
     churn_epochs = 16 if os.environ.get("FLEET_SMOKE_CHURN") == "1" else None
     serial = _prepare_fleet(
@@ -769,8 +756,8 @@ def test_fleet_scale_1000_vms():
 
 
 def test_fleet_substrate_scale_2000_vms():
-    """Batch substrate (+ parallel shards) is >= 5x the PR 1 baseline
-    end-to-end at 2k VMs."""
+    """The serial batch substrate is >= 5x the PR 1 baseline end-to-end
+    at 2k VMs."""
     record = _run_substrate_comparison(
         num_vms=2000, num_shards=4, scalar_reps=2, batch_reps=4
     )
@@ -779,15 +766,15 @@ def test_fleet_substrate_scale_2000_vms():
     assert record["end_to_end_speedup"] >= MIN_SUBSTRATE_SPEEDUP, (
         f"end-to-end speedup {record['end_to_end_speedup']:.1f}x below the "
         f"{MIN_SUBSTRATE_SPEEDUP:.0f}x acceptance floor (PR 1 baseline "
-        f"{record['pr1_baseline_epoch_seconds']:.3f}s vs best batch "
-        f"{min(record['batch_epoch_seconds'], record['batch_parallel_epoch_seconds']):.3f}s "
+        f"{record['pr1_baseline_epoch_seconds']:.3f}s vs batch "
+        f"{record['batch_epoch_seconds']:.3f}s "
         f"at {record['vms']} VMs)"
     )
 
 
 def test_fleet_substrate_scale_10000_vms():
     """The batch substrate keeps scaling at 10k VMs (the north star's
-    fleet size); records the scalar/batch/parallel comparison."""
+    fleet size); records the scalar/batch comparison."""
     record = _run_substrate_comparison(
         num_vms=10_000, num_shards=8, scalar_reps=1, batch_reps=2
     )

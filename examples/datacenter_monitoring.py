@@ -30,8 +30,9 @@ def run_fleet_demo(num_vms: int = 2000, epochs: int = 12) -> None:
 
     ``substrate="batch"`` resolves each epoch's hardware contention for
     all VMs on all hosts of a shard as array operations,
-    ``max_workers=4`` dispatches the independent shards to a thread pool
-    (results are identical for any worker count), and
+    ``executor="process"`` with ``max_workers=4`` runs the independent
+    shards in four state-owning worker processes (results are identical
+    for any worker count), and
     ``RunOptions(keep_reports=False)`` keeps memory constant however
     long the run.
     """
@@ -46,7 +47,11 @@ def run_fleet_demo(num_vms: int = 2000, epochs: int = 12) -> None:
         ],
     )
     fleet = build_fleet(
-        scenario, mitigate=False, substrate="batch", max_workers=4
+        scenario,
+        mitigate=False,
+        substrate="batch",
+        executor="process",
+        max_workers=4,
     )
     fleet.bootstrap()
     start = time.perf_counter()

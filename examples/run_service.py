@@ -63,7 +63,7 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--epochs", type=int, default=20)
     parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default="serial"
+        "--executor", choices=("serial", "process"), default="serial"
     )
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(

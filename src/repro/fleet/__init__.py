@@ -56,7 +56,6 @@ from repro.fleet.executor import (
     ColumnarShardReport,
     ProcessShardExecutor,
     SerialShardExecutor,
-    ThreadShardExecutor,
 )
 from repro.fleet.faults import FaultPlan, WorkerFault
 from repro.fleet.fleet import (
@@ -128,7 +127,6 @@ __all__ = [
     "SerialShardExecutor",
     "TelemetryConfig",
     "TelemetryRegistry",
-    "ThreadShardExecutor",
     "VMArrival",
     "VMDeparture",
     "WorkerFault",

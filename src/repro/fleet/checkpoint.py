@@ -50,6 +50,11 @@ CHECKPOINT_VERSION = 1
 #: written by the earlier two-class runtime, and requires regions.
 CHECKPOINT_KINDS = ("fleet", "regional")
 
+#: Executors that older checkpoints record, mapped to the one a resumed
+#: fleet runs: ``"thread"`` (since removed) kept its shard state in the
+#: fleet process, as ``"serial"`` does.
+LEGACY_EXECUTORS = {"thread": "serial"}
+
 #: Keys every checkpoint payload dict carries.
 PAYLOAD_KEYS = (
     "shards",
@@ -98,7 +103,7 @@ def _check_meta(meta: Mapping[str, object]) -> List[str]:
         problems.append(f"kind: {kind!r} not in {CHECKPOINT_KINDS}")
     _int("epoch")
     executor = meta.get("executor")
-    if executor not in EXECUTOR_KINDS:
+    if executor not in EXECUTOR_KINDS and executor not in LEGACY_EXECUTORS:
         problems.append(f"executor: {executor!r} not in {EXECUTOR_KINDS}")
     max_workers = meta.get("max_workers")
     if max_workers is not None and (

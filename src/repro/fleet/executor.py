@@ -1,13 +1,9 @@
-"""Shard execution strategies: serial, thread pool, process pool.
+"""Shard execution strategies: serial and process pool.
 
 A fleet's shards share nothing, so the only question is *where* their
 epochs run:
 
 * ``"serial"`` — one loop in the calling thread (the reference);
-* ``"thread"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`;
-  NumPy releases the GIL inside the batch substrate's array ops, but the
-  Python share of each epoch (monitoring actions, history bookkeeping)
-  still serialises on one interpreter;
 * ``"process"`` — one single-worker
   :class:`~concurrent.futures.ProcessPoolExecutor` per shard group.
   Each worker process receives its shards' **full simulation state once**
@@ -19,10 +15,13 @@ epochs run:
   fleet throughput scales with cores instead of with one interpreter
   and the IPC tax stays near zero.
 
-Whatever the strategy, per-shard results merge in shard insertion
-order and every shard evolves from its own pickled RNG state, so a
-fleet run is **bit-identical for any worker count** (pinned by
-``tests/integration/test_parallel_fleet.py``).
+Both run the same per-epoch loop, :func:`step_shards` (lifecycle
+events, then the stress schedule, then every shard's epoch in
+insertion order) — the serial strategy in the fleet process, the
+process strategy inside each worker against its own shard subset.
+Results merge in shard insertion order and every shard evolves from its
+own pickled RNG state, so a fleet run is **bit-identical for any worker
+count** (pinned by ``tests/integration/test_parallel_fleet.py``).
 
 The process strategy deliberately uses *dedicated* single-worker pools
 instead of one shared pool: task-to-worker affinity is what lets each
@@ -39,7 +38,7 @@ import pickle
 import signal
 import warnings
 import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace as dataclass_replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -75,7 +74,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.lifecycle import LifecycleEngine
 
 #: Supported shard execution strategies.
-EXECUTOR_KINDS = ("serial", "thread", "process")
+EXECUTOR_KINDS = ("serial", "process")
+
+#: How process workers start: spawned, so a worker holds exactly its
+#: pickled payload on every platform.
+_START_METHOD = "spawn"
 
 #: Stable warning-action code table shared by parent and workers (the
 #: decision arrays store indices into this tuple).
@@ -91,8 +94,8 @@ def apply_stress_schedule(
     """Switch scheduled stress VMs on or off for the given epoch.
 
     Runs wherever the shard state lives: in the fleet process for the
-    serial/thread strategies, inside each worker (against its own shard
-    subset) for the process strategy.
+    serial strategy, inside each worker (against its own shard subset)
+    for the process strategy.
     """
     for stress in schedule:
         shard = shards.get(stress.shard_id)
@@ -317,9 +320,48 @@ def columnar_from_report(
 ShardEpochResult = Union["EpochReport", ColumnarShardReport]
 
 
-# ----------------------------------------------------------------------
-# In-process strategies
-# ----------------------------------------------------------------------
+def _shard_epoch(
+    shard_id: str,
+    shard: "FleetShard",
+    epoch: int,
+    analyze: bool,
+    report: str,
+    telemetry: Union[TelemetryRegistry, WorkerSpanBuffer, None] = None,
+) -> ShardEpochResult:
+    epoch_report = shard.run_epoch(analyze=analyze, telemetry=telemetry, epoch=epoch)
+    if report == "full":
+        return epoch_report
+    return columnar_from_report(shard_id, epoch, epoch_report, shard)
+
+
+def step_shards(
+    shards: Mapping[str, "FleetShard"],
+    schedule: Sequence["ScheduledStress"],
+    lifecycle: Optional["LifecycleEngine"],
+    epoch: int,
+    analyze: bool,
+    report: str,
+    telemetry: Union[TelemetryRegistry, WorkerSpanBuffer, None] = None,
+) -> Dict[str, ShardEpochResult]:
+    """Advance ``shards`` by one epoch, wherever their state lives.
+
+    Lifecycle events run first (they may move or remove the very VMs
+    the stress schedule addresses), then the stress schedule, then each
+    shard's epoch in insertion order.  ``telemetry`` is the fleet's
+    registry or a worker's span buffer; deep spans are recorded only on
+    its sampled epochs.
+    """
+    deep = telemetry.deep(epoch) if telemetry is not None else None
+    with deep.span("lifecycle", epoch) if deep is not None else nullcontext():
+        if lifecycle is not None:
+            lifecycle.apply(shards, epoch)
+        apply_stress_schedule(shards, schedule, epoch)
+    return {
+        shard_id: _shard_epoch(shard_id, shard, epoch, analyze, report, deep)
+        for shard_id, shard in shards.items()
+    }
+
+
 class SerialShardExecutor:
     """The reference strategy: shard epochs run in the calling thread."""
 
@@ -337,33 +379,18 @@ class SerialShardExecutor:
         self._lifecycle = lifecycle
         self._telemetry = telemetry
 
-    def _pre_epoch(self, epoch: int) -> None:
-        """Lifecycle events first (they may move or remove the very VMs
-        the stress schedule addresses), then the stress schedule."""
-        telemetry = self._telemetry
-        deep = telemetry.deep(epoch) if telemetry is not None else None
-        if deep is None:
-            if self._lifecycle is not None:
-                self._lifecycle.apply(self._shards, epoch)
-            apply_stress_schedule(self._shards, self._schedule, epoch)
-            return
-        with deep.span("lifecycle", epoch):
-            if self._lifecycle is not None:
-                self._lifecycle.apply(self._shards, epoch)
-            apply_stress_schedule(self._shards, self._schedule, epoch)
-
     def run_shard_epochs(
         self, epoch: int, analyze: bool, report: str
     ) -> Dict[str, ShardEpochResult]:
-        self._pre_epoch(epoch)
-        telemetry = self._telemetry
-        deep = telemetry.deep(epoch) if telemetry is not None else None
-        out: Dict[str, ShardEpochResult] = {}
-        for shard_id, shard in self._shards.items():
-            out[shard_id] = _shard_epoch(
-                shard_id, shard, epoch, analyze, report, telemetry=deep
-            )
-        return out
+        return step_shards(
+            self._shards,
+            self._schedule,
+            self._lifecycle,
+            epoch,
+            analyze,
+            report,
+            self._telemetry,
+        )
 
     def bootstrap(self) -> None:
         for shard in self._shards.values():
@@ -371,68 +398,6 @@ class SerialShardExecutor:
 
     def shutdown(self) -> None:
         pass
-
-
-class ThreadShardExecutor(SerialShardExecutor):
-    """Shard epochs dispatched to a thread pool.
-
-    The batch substrate's NumPy kernels release the GIL, so threads
-    overlap the array share of an epoch; the Python share still
-    serialises (the process strategy exists for that).
-    """
-
-    kind = "thread"
-
-    def __init__(
-        self,
-        shards: Mapping[str, "FleetShard"],
-        schedule: Sequence["ScheduledStress"],
-        max_workers: int,
-        lifecycle: Optional["LifecycleEngine"] = None,
-        telemetry: Optional[TelemetryRegistry] = None,
-    ) -> None:
-        super().__init__(shards, schedule, lifecycle=lifecycle, telemetry=telemetry)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="fleet-shard"
-        )
-        # Release the worker threads when the strategy is collected,
-        # even if the caller never calls shutdown() explicitly.
-        weakref.finalize(self, self._pool.shutdown, wait=False)
-
-    def run_shard_epochs(
-        self, epoch: int, analyze: bool, report: str
-    ) -> Dict[str, ShardEpochResult]:
-        # Lifecycle + stress mutations run single-threaded before the
-        # dispatch, so worker threads only ever race on disjoint shards.
-        self._pre_epoch(epoch)
-        # The registry's span recording is lock-guarded, so pool threads
-        # may record per-shard spans concurrently.
-        telemetry = self._telemetry
-        deep = telemetry.deep(epoch) if telemetry is not None else None
-        futures = {
-            shard_id: self._pool.submit(
-                _shard_epoch, shard_id, shard, epoch, analyze, report, deep
-            )
-            for shard_id, shard in self._shards.items()
-        }
-        return {shard_id: futures[shard_id].result() for shard_id in self._shards}
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-def _shard_epoch(
-    shard_id: str,
-    shard: "FleetShard",
-    epoch: int,
-    analyze: bool,
-    report: str,
-    telemetry: Union[TelemetryRegistry, WorkerSpanBuffer, None] = None,
-) -> ShardEpochResult:
-    epoch_report = shard.run_epoch(analyze=analyze, telemetry=telemetry, epoch=epoch)
-    if report == "full":
-        return epoch_report
-    return columnar_from_report(shard_id, epoch, epoch_report, shard)
 
 
 # ----------------------------------------------------------------------
@@ -473,27 +438,23 @@ def _worker_run_epoch(
 ) -> Union[ShmEpochDescriptor, List[Tuple[str, ShardEpochResult]]]:
     shards: Dict[str, "FleetShard"] = _WORKER_STATE["shards"]
     sent_names: Dict[str, Tuple[str, ...]] = _WORKER_STATE["sent_names"]
-    lifecycle = _WORKER_STATE.get("lifecycle")
     faults: Optional[FaultPlan] = _WORKER_STATE.get("faults")
     buffer: Optional[WorkerSpanBuffer] = _WORKER_STATE.get("telemetry")
-    deep = buffer.deep(epoch) if buffer is not None else None
     if faults:
         faults.fire(epoch, "before")
-    if deep is None:
-        if lifecycle is not None:
-            # Each worker owns its shards' lifecycle subset; churn
-            # therefore happens where the state lives, epochs before the
-            # stress toggle.
-            lifecycle.apply(shards, epoch)
-        apply_stress_schedule(shards, _WORKER_STATE["schedule"], epoch)
-    else:
-        with deep.span("lifecycle", epoch):
-            if lifecycle is not None:
-                lifecycle.apply(shards, epoch)
-            apply_stress_schedule(shards, _WORKER_STATE["schedule"], epoch)
+    # Each worker owns its shards' lifecycle subset; churn therefore
+    # happens where the state lives, epochs before the stress toggle.
+    results = step_shards(
+        shards,
+        _WORKER_STATE["schedule"],
+        _WORKER_STATE.get("lifecycle"),
+        epoch,
+        analyze,
+        report,
+        buffer,
+    )
     out: List[Tuple[str, ShardEpochResult]] = []
-    for shard_id, shard in shards.items():
-        result = _shard_epoch(shard_id, shard, epoch, analyze, report, telemetry=deep)
+    for shard_id, result in results.items():
         if isinstance(result, ColumnarShardReport):
             # Ship the VM-name table only when it changed — steady-state
             # epochs are pure arrays on the wire.
@@ -535,21 +496,22 @@ def _worker_run_epoch(
 def _worker_replay(steps: Sequence[Tuple[int, bool]]) -> int:
     """Re-run epochs state-only during supervised recovery.
 
-    Mirrors :func:`_worker_run_epoch`'s state mutations exactly —
-    lifecycle events, stress schedule, then every shard's epoch with the
-    recorded ``analyze`` flag — but builds no reports and ships nothing:
-    report flattening is a pure read, so skipping it replays the missed
-    epochs bit-identically at minimum cost.  Injected faults never fire
-    during replay (the respawn payload already dropped the fired ones).
+    Runs :func:`_worker_run_epoch`'s loop, :func:`step_shards`, with the
+    recorded ``analyze`` flags, full reports (no flattening) and no
+    spans, and ships nothing: the discarded reports are pure reads, so
+    the missed epochs replay bit-identically.  Injected faults never
+    fire during replay (the respawn payload already dropped the fired
+    ones).
     """
-    shards: Dict[str, "FleetShard"] = _WORKER_STATE["shards"]
-    lifecycle = _WORKER_STATE.get("lifecycle")
     for epoch, analyze in steps:
-        if lifecycle is not None:
-            lifecycle.apply(shards, epoch)
-        apply_stress_schedule(shards, _WORKER_STATE["schedule"], epoch)
-        for shard in shards.values():
-            shard.run_epoch(analyze=analyze)
+        step_shards(
+            _WORKER_STATE["shards"],
+            _WORKER_STATE["schedule"],
+            _WORKER_STATE.get("lifecycle"),
+            epoch,
+            analyze,
+            "full",
+        )
     return len(steps)
 
 
@@ -637,7 +599,6 @@ class ProcessShardExecutor:
         shards: Mapping[str, "FleetShard"],
         schedule: Sequence["ScheduledStress"],
         groups: Sequence[Sequence[str]],
-        start_method: str = "spawn",
         lifecycle: Optional["LifecycleEngine"] = None,
         fault_policy: Optional[FaultPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -648,7 +609,6 @@ class ProcessShardExecutor:
         self._lifecycle = lifecycle
         self._telemetry = telemetry
         self._shard_order = list(shards)
-        self._start_method = start_method
         self._groups: List[List[str]] = [list(group) for group in groups]
         self._pools: Optional[List[ProcessPoolExecutor]] = None
         #: One shared-memory reader per pool (parallel to ``_pools``).
@@ -749,11 +709,10 @@ class ProcessShardExecutor:
                 "lifecycle record_decisions: the placement-decision log is "
                 "recorded inside the worker processes and is not collected "
                 "back to the parent engine; audit admission decisions with "
-                "a serial or thread fleet instead",
+                "a serial fleet instead",
                 RuntimeWarning,
                 stacklevel=4,
             )
-        context = multiprocessing.get_context(self._start_method)
         pools: List[ProcessPoolExecutor] = []
         for index, group in enumerate(self._groups):
             payload = self._group_payload(
@@ -761,14 +720,7 @@ class ProcessShardExecutor:
                 [self._shards[shard_id] for shard_id in group],
                 self._lifecycle.subset(group) if self._lifecycle is not None else None,
             )
-            pool = ProcessPoolExecutor(
-                max_workers=1,
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=(payload,),
-            )
-            weakref.finalize(self, pool.shutdown, wait=False)
-            pools.append(pool)
+            pools.append(self._spawn_pool(payload))
         # Surface spawn/unpickling failures eagerly rather than on the
         # first epoch.
         for pool in pools:
@@ -792,6 +744,49 @@ class ProcessShardExecutor:
             health.beat()
             self._health.append(health)
         return pools
+
+    def _spawn_pool(self, payload: bytes) -> ProcessPoolExecutor:
+        """One dedicated single-worker pool holding ``payload`` as its
+        resident state, released when the strategy is collected."""
+        pool = ProcessPoolExecutor(
+            max_workers=1,
+            mp_context=multiprocessing.get_context(_START_METHOD),
+            initializer=_worker_init,
+            initargs=(payload,),
+        )
+        weakref.finalize(self, pool.shutdown, wait=False)
+        return pool
+
+    def _receive(
+        self,
+        index: int,
+        result: Union[ShmEpochDescriptor, List[Tuple[str, ShardEpochResult]]],
+    ) -> List[Tuple[str, ShardEpochResult]]:
+        """One group's epoch result as ``(shard_id, result)`` pairs.
+
+        Full-report epochs arrive as the pairs themselves.  A columnar
+        epoch's payload lives in the worker's shared segments: the
+        descriptor is read into views (remapping on a regrow handshake)
+        and folded into the telemetry bus — its pipe cost, any regrow,
+        and the worker's spans.
+        """
+        if not isinstance(result, ShmEpochDescriptor):
+            return result
+        reader = self._readers[index]
+        regrows_before = reader.regrows
+        pairs = reader.read(result)
+        telemetry = self._telemetry
+        if telemetry is not None:
+            telemetry.inc(
+                C_DESCRIPTOR_BYTES,
+                len(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)),
+            )
+            regrown = reader.regrows - regrows_before
+            if regrown:
+                telemetry.inc(C_SHM_REGROWS, regrown)
+            if result.spans:
+                telemetry.fold_worker_spans(result.spans, self._health[index].pid)
+        return pairs
 
     def _commit_pairs(
         self,
@@ -850,20 +845,7 @@ class ProcessShardExecutor:
                 if future is None:
                     continue
                 try:
-                    result = future.result(timeout=timeout)
-                    if isinstance(result, ShmEpochDescriptor):
-                        # Columnar epoch: the payload lives in the
-                        # worker's shared segments; materialise views
-                        # (remapping on a regrow handshake).
-                        reader = self._readers[index]
-                        regrows_before = reader.regrows
-                        pairs = reader.read(result)
-                        if telemetry is not None:
-                            self._account_descriptor(
-                                telemetry, index, result, regrows_before
-                            )
-                    else:
-                        pairs = result
+                    pairs = self._receive(index, future.result(timeout=timeout))
                 except BaseException as exc:  # noqa: BLE001 - classified below
                     # Worker death (BrokenProcessPool), a tripped
                     # heartbeat deadline (TimeoutError) or a lost/corrupt
@@ -895,27 +877,6 @@ class ProcessShardExecutor:
             return self._ordered_merge(epoch, merged)
         with telemetry.span("merge", epoch):
             return self._ordered_merge(epoch, merged)
-
-    def _account_descriptor(
-        self,
-        telemetry: TelemetryRegistry,
-        index: int,
-        descriptor: ShmEpochDescriptor,
-        regrows_before: int,
-    ) -> None:
-        """Fold one received descriptor into the telemetry bus: its
-        pipe cost, any regrow handshake, and the worker's spans."""
-        telemetry.inc(
-            C_DESCRIPTOR_BYTES,
-            len(pickle.dumps(descriptor, protocol=pickle.HIGHEST_PROTOCOL)),
-        )
-        regrown = self._readers[index].regrows - regrows_before
-        if regrown:
-            telemetry.inc(C_SHM_REGROWS, regrown)
-        if descriptor.spans:
-            telemetry.fold_worker_spans(
-                descriptor.spans, self._health[index].pid
-            )
 
     # ------------------------------------------------------------------
     # Supervised recovery mechanics (driven by WorkerSupervisor)
@@ -967,14 +928,7 @@ class ProcessShardExecutor:
         payload = self._group_payload(
             index, shards, engine, fired_through=fired_through
         )
-        context = multiprocessing.get_context(self._start_method)
-        pool = ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(payload,),
-        )
-        weakref.finalize(self, pool.shutdown, wait=False)
+        pool = self._spawn_pool(payload)
         if not pool.submit(_worker_ready).result():
             pool.shutdown(wait=False)
             raise RuntimeError("respawned fleet worker failed to initialise its shards")
@@ -1006,19 +960,12 @@ class ProcessShardExecutor:
         timeout: Optional[float],
     ) -> List[Tuple[str, ShardEpochResult]]:
         """Run one epoch on one group (the recovery re-run)."""
-        result = self._pools[index].submit(
-            _worker_run_epoch, epoch, analyze, report
-        ).result(timeout=timeout)
-        if isinstance(result, ShmEpochDescriptor):
-            reader = self._readers[index]
-            regrows_before = reader.regrows
-            pairs = reader.read(result)
-            if self._telemetry is not None:
-                self._account_descriptor(
-                    self._telemetry, index, result, regrows_before
-                )
-            return pairs
-        return result
+        return self._receive(
+            index,
+            self._pools[index]
+            .submit(_worker_run_epoch, epoch, analyze, report)
+            .result(timeout=timeout),
+        )
 
     def _quarantine_group(self, index: int) -> None:
         """Exclude a group's shards from the rest of the run."""
@@ -1286,43 +1233,3 @@ class ProcessShardExecutor:
                 close_readers(self._readers)
                 self._readers = None
 
-
-def make_shard_executor(
-    kind: str,
-    shards: Mapping[str, "FleetShard"],
-    schedule: Sequence["ScheduledStress"],
-    groups: Sequence[Sequence[str]],
-    lifecycle: Optional["LifecycleEngine"] = None,
-    fault_policy: Optional[FaultPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    telemetry: Optional[TelemetryRegistry] = None,
-) -> Union[SerialShardExecutor, ThreadShardExecutor, ProcessShardExecutor]:
-    """Instantiate the strategy for ``kind`` (see :data:`EXECUTOR_KINDS`).
-
-    ``groups`` are the fleet's worker shard groups: one process worker
-    each, or that many pool threads.  ``fault_policy``/``fault_plan``
-    only apply to the process executor (the only strategy with workers
-    to supervise or kill); ``telemetry`` threads the owning fleet's
-    registry into whichever strategy runs the shards.
-    """
-    if kind == "process":
-        return ProcessShardExecutor(
-            shards,
-            schedule,
-            groups,
-            lifecycle=lifecycle,
-            fault_policy=fault_policy,
-            fault_plan=fault_plan,
-            telemetry=telemetry,
-        )
-    if kind == "thread" and len(groups) > 1:
-        return ThreadShardExecutor(
-            shards,
-            schedule,
-            max_workers=len(groups),
-            lifecycle=lifecycle,
-            telemetry=telemetry,
-        )
-    return SerialShardExecutor(
-        shards, schedule, lifecycle=lifecycle, telemetry=telemetry
-    )

@@ -10,9 +10,9 @@ epoch through the batch engine — and aggregates the fleet-wide view
 show.
 
 Shards share nothing (separate clusters, sandboxes, repositories and
-random generators), so the fleet can dispatch their epochs to any of the
-:mod:`repro.fleet.executor` strategies — ``"serial"``, a ``"thread"``
-pool, or state-owning ``"process"`` workers exchanging columnar epoch
+random generators), so the fleet can dispatch their epochs to either
+:mod:`repro.fleet.executor` strategy — the ``"serial"`` reference loop
+or state-owning ``"process"`` workers exchanging columnar epoch
 results.  Results merge in shard insertion order and each shard's
 evolution is independent of execution order, so a fleet run is
 bit-identical for any strategy and worker count — pinned by
@@ -57,12 +57,12 @@ from typing import (
 from repro.core.config import DeepDiveConfig
 from repro.core.deepdive import DeepDive, EpochReport
 from repro.core.events import InterferenceDetectedEvent, MigrationEvent
-from repro.fleet.checkpoint import CHECKPOINT_VERSION, Checkpoint
+from repro.fleet.checkpoint import CHECKPOINT_VERSION, LEGACY_EXECUTORS, Checkpoint
 from repro.fleet.executor import (
     EXECUTOR_KINDS,
     ColumnarFleetReport,
     ProcessShardExecutor,
-    make_shard_executor,
+    SerialShardExecutor,
 )
 from repro.fleet.faults import FaultPlan
 from repro.fleet.lifecycle import LifecycleEngine, LifecycleStats
@@ -520,21 +520,21 @@ class Fleet:
     schedule:
         Scheduled stress windows applied before each epoch.
     max_workers:
-        Worker count for the thread/process strategies; ``None`` or 1
-        keeps the serial loop (with an explicit ``executor`` the default
-        is ``os.cpu_count()``).  With ``regions`` it is the default
+        Worker count for the process strategy; ``None`` or 1 keeps the
+        serial loop (with an explicit ``executor`` the default is
+        ``os.cpu_count()``).  With ``regions`` it is the default
         *per-region* budget.  Shards share no state, so results are
         identical for any worker count (the merge order is always shard
         insertion order).
     executor:
-        Shard execution strategy: ``"serial"``, ``"thread"`` or
-        ``"process"`` (see :mod:`repro.fleet.executor`).  The default
-        infers ``"thread"`` when ``max_workers > 1`` and ``"serial"``
-        otherwise.  With ``"process"``, the worker processes own the
-        shard state for the whole run: the fleet's own shard objects are
-        the start-of-run template, and mid-run mutations of them (or of
-        ``schedule``) do not reach the workers — fleet statistics are
-        fetched from the workers instead.
+        Shard execution strategy: ``"serial"`` or ``"process"`` (see
+        :mod:`repro.fleet.executor`).  The default infers ``"process"``
+        when ``max_workers > 1`` and ``"serial"`` otherwise.  With
+        ``"process"``, the worker processes own the shard state for the
+        whole run: the fleet's own shard objects are the start-of-run
+        template, and mid-run mutations of them (or of ``schedule``) do
+        not reach the workers — fleet statistics are fetched from the
+        workers instead.
     lifecycle:
         Optional :class:`~repro.fleet.lifecycle.LifecycleEngine` whose
         timeline (VM churn, host maintenance, load phases) is applied
@@ -583,7 +583,7 @@ class Fleet:
             raise ValueError("max_workers must be at least 1")
         if executor is None:
             executor = (
-                "thread" if max_workers is not None and max_workers > 1 else "serial"
+                "process" if max_workers is not None and max_workers > 1 else "serial"
             )
         if executor not in EXECUTOR_KINDS:
             raise ValueError(
@@ -594,10 +594,10 @@ class Fleet:
         ) and executor != "process":
             raise ValueError(
                 "fault_policy/fault_plan only apply to the process executor "
-                "(serial and thread fleets have no workers to supervise); "
+                "(a serial fleet has no workers to supervise); "
                 f"got executor {executor!r}"
             )
-        if executor in ("thread", "process") and max_workers is None:
+        if executor == "process" and max_workers is None:
             max_workers = os.cpu_count() or 1
         self.shards: Dict[str, FleetShard] = {}
         for shard in shards:
@@ -675,16 +675,23 @@ class Fleet:
 
     def _shard_strategy(self):
         if self._strategy is None:
-            self._strategy = make_shard_executor(
-                self.executor,
-                self.shards,
-                self.schedule,
-                groups=self._worker_groups(),
-                lifecycle=self.lifecycle,
-                fault_policy=self.fault_policy,
-                fault_plan=self.fault_plan,
-                telemetry=self.telemetry,
-            )
+            if self.executor == "process":
+                self._strategy = ProcessShardExecutor(
+                    self.shards,
+                    self.schedule,
+                    self._worker_groups(),
+                    lifecycle=self.lifecycle,
+                    fault_policy=self.fault_policy,
+                    fault_plan=self.fault_plan,
+                    telemetry=self.telemetry,
+                )
+            else:
+                self._strategy = SerialShardExecutor(
+                    self.shards,
+                    self.schedule,
+                    lifecycle=self.lifecycle,
+                    telemetry=self.telemetry,
+                )
         return self._strategy
 
     def _collected(self) -> Optional[Dict[str, Dict[str, object]]]:
@@ -876,7 +883,7 @@ class Fleet:
         """The live shards (in shard order), lifecycle state, and the
         shards missing from the snapshot (quarantined workers).
 
-        Serial/thread fleets own their state locally; a started process
+        A serial fleet owns its state locally; a started process
         fleet fetches the live shard objects and lifecycle state back
         from its workers (the parent's objects are only the start-of-run
         template then).  A degraded process fleet returns a *partial*
@@ -1033,7 +1040,9 @@ class Fleet:
         The region partition (ids, shard grouping, per-region budgets)
         comes back from ``meta.regions``.  Checkpoints of kind
         ``"regional"``, written by the earlier two-class runtime, share
-        the payload layout and resume here too.
+        the payload layout and resume here too.  A recorded executor of
+        ``"thread"`` (removed since) resumes as ``"serial"``, the
+        in-process loop that run's state lived in.
         """
         checkpoint = (
             source if isinstance(source, Checkpoint) else Checkpoint.load(source)
@@ -1052,15 +1061,16 @@ class Fleet:
         if telemetry is None and telemetry_state is not None:
             telemetry = telemetry_state[0]
         regions = checkpoint.meta.get("regions")
+        if executor is None:
+            recorded = checkpoint.meta["executor"]
+            executor = LEGACY_EXECUTORS.get(recorded, recorded)
         fleet = cls(
             state["shards"],
             schedule=state["schedule"],
             max_workers=(
                 checkpoint.meta["max_workers"] if max_workers is None else max_workers
             ),
-            executor=(
-                checkpoint.meta["executor"] if executor is None else executor
-            ),
+            executor=executor,
             lifecycle=lifecycle,
             telemetry=telemetry,
             regions=(
@@ -1085,7 +1095,7 @@ class Fleet:
         :meth:`migrations` keep answering after the workers are gone.
         Restarting a shut-down process fleet would silently reset the
         worker state to the start-of-run template, so further epochs are
-        refused; thread and serial fleets can keep running.
+        refused; a serial fleet can keep running.
 
         Idempotent and failure-safe: calling it again, or after a
         worker death broke the run mid-flight, is a clean no-op — the
@@ -1241,7 +1251,7 @@ class Fleet:
     def worker_health(self) -> List[Dict[str, object]]:
         """Per-worker health rows (pid, restarts, heartbeat age, ...).
 
-        Populated for a started process fleet; serial/thread fleets (and
+        Populated for a started process fleet; serial fleets (and
         process fleets before their first epoch) report no workers.  A
         regional fleet labels each row with its worker's ``region``
         (worker groups never span regions).

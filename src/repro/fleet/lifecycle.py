@@ -355,8 +355,8 @@ class LifecycleEngine:
     application behaves exactly like in-process application; statistics
     are collected back from the workers.  The one exception is the
     opt-in :attr:`decisions` log: it stays wherever it was recorded, so
-    audit admission decisions with a serial or thread fleet (a process
-    fleet warns when ``record_decisions`` is set before spawn).
+    audit admission decisions with a serial fleet (a process fleet
+    warns when ``record_decisions`` is set before spawn).
     """
 
     def __init__(

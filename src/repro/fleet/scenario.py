@@ -227,9 +227,9 @@ def build_fleet(
         Shard worker count for :meth:`Fleet.run_epoch` (``None`` =
         serial); any value yields identical results.
     executor:
-        Shard execution strategy (``"serial"``/``"thread"``/``"process"``,
-        see :class:`~repro.fleet.fleet.Fleet`); the default infers it
-        from ``max_workers``.
+        Shard execution strategy (``"serial"``/``"process"``, see
+        :class:`~repro.fleet.fleet.Fleet`); the default infers it from
+        ``max_workers``.
     track_performance:
         Whether hosts materialise per-VM ground-truth performance
         reports.  The fleet's monitoring pipeline only reads counters,

@@ -3,8 +3,8 @@
 DeepDive's pitch is cheap always-on monitoring with deep dives on
 demand; this module applies the same philosophy to the reproduction's
 own run path.  One :class:`TelemetryRegistry` instance threads through
-every execution layer (serial → thread → process → supervised →
-campaign) and provides:
+every execution layer (serial → process → supervised → campaign) and
+provides:
 
 * **tracing spans** — ``registry.span("simulate", epoch)`` is a
   context manager recording a monotonic start/duration pair into
@@ -298,8 +298,8 @@ class TelemetryRegistry:
     fleet hands the same instance to its executor and worker
     supervisor, so exported traces and counters describe the whole
     topology.  Recording is guarded by one
-    lock (the thread executor records from pool threads); per-span cost
-    is a handful of array stores.
+    lock (a shared registry may be written or exported from another
+    thread); per-span cost is a handful of array stores.
     """
 
     def __init__(

@@ -4,8 +4,9 @@ The property contract (resumed == uninterrupted) lives in
 ``tests/property/test_checkpoint_equivalence.py``; this file pins the
 container itself: magic/header/version handling, loud metadata
 validation, deep payload cross-checks, atomicity of ``save``, the
-``kind`` guards, and resuming checkpoints of the ``"regional"`` kind
-written by the earlier two-class runtime.
+``kind`` guards, and resuming older checkpoints: the ``"regional"``
+kind written by the earlier two-class runtime, and the ``"thread"``
+executor recorded before that executor was removed.
 """
 
 import pickle
@@ -254,9 +255,9 @@ class TestResumeDispatch:
             regional.shutdown()
 
     def test_resume_overrides_executor(self, fleet_checkpoint):
-        fleet = Fleet.resume(fleet_checkpoint, executor="thread", max_workers=2)
+        fleet = Fleet.resume(fleet_checkpoint, executor="process", max_workers=2)
         try:
-            assert fleet.executor == "thread"
+            assert fleet.executor == "process"
             assert fleet.max_workers == 2
         finally:
             fleet.shutdown()
@@ -366,3 +367,61 @@ class TestRegionalKindCompatibility:
             }
             for r in self.REGIONS
         ]
+
+
+class TestThreadExecutorCompatibility:
+    """Checkpoints that record the removed ``"thread"`` executor still
+    validate and resume — as ``"serial"``, the in-process loop the
+    writer's shard state lived in."""
+
+    FULL = RunOptions(report="full")
+
+    def _fleet(self):
+        scenario = synthesize_datacenter(24, num_shards=4, seed=23)
+        fleet = build_fleet(
+            scenario, config=_config(), executor="serial", max_workers=2
+        )
+        fleet.bootstrap()
+        return fleet
+
+    def _legacy_checkpoint(self, checkpoint):
+        """Rewrite a snapshot's header the way a thread fleet wrote it."""
+        meta = dict(checkpoint.meta)
+        meta["executor"] = "thread"
+        return Checkpoint(meta=meta, payload=checkpoint.payload)
+
+    def test_thread_executor_resumes_as_serial(self, tmp_path):
+        reference = self._fleet()
+        try:
+            expected = [_decision_key(r) for r in reference.run(5, self.FULL)]
+        finally:
+            reference.shutdown()
+
+        fleet = self._fleet()
+        try:
+            fleet.run(2, self.FULL)
+            path = self._legacy_checkpoint(fleet.snapshot()).save(
+                tmp_path / "thread.ckpt"
+            )
+        finally:
+            fleet.shutdown()
+        meta = validate_checkpoint_file(path, deep=True)
+        assert meta["executor"] == "thread"
+
+        resumed = Fleet.resume(path)
+        try:
+            assert resumed.executor == "serial"
+            assert resumed.max_workers == 2
+            assert resumed.current_epoch == 2
+            continued = [_decision_key(r) for r in resumed.run(3, self.FULL)]
+            renewed = resumed.snapshot()
+        finally:
+            resumed.shutdown()
+        assert continued == expected[2:]
+        assert renewed.meta["executor"] == "serial"
+        # An explicit executor still overrides the recorded one.
+        overridden = Fleet.resume(path, executor="process")
+        try:
+            assert overridden.executor == "process"
+        finally:
+            overridden.shutdown()

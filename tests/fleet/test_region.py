@@ -174,12 +174,12 @@ class TestWorkerBudgets:
             _shards(num_shards=2), regions=[Region("r0", ["shard0", "shard1"])]
         )
         assert serial.executor == "serial"
-        threaded = Fleet(
+        parallel = Fleet(
             _shards(num_shards=2),
             regions=[Region("r0", ["shard0", "shard1"])],
             max_workers=2,
         )
-        assert threaded.executor == "thread"
+        assert parallel.executor == "process"
 
     def test_one_executor_spawns_the_summed_budgets(self):
         """2 regions x 3 shards at region_workers=2 run on exactly 4

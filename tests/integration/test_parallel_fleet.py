@@ -1,8 +1,8 @@
 """Parallel shard execution and memory-bounded fleet runs.
 
 Shards share nothing, so a fleet's evolution must be bit-identical for
-any execution strategy and ``max_workers`` value — thread pools and
-state-owning worker processes only change wall-clock, not results.
+any execution strategy and ``max_workers`` value — state-owning worker
+processes only change wall-clock, not results.
 ``keep_reports=False`` must aggregate exactly what the report list
 would.
 """
@@ -74,9 +74,11 @@ def _report_fingerprint(report):
 
 class TestParallelDeterminism:
     def test_worker_count_does_not_change_results(self):
-        """max_workers=1 and max_workers=4 produce bit-identical runs."""
+        """max_workers=1 (serial) and max_workers=4 (process, inferred)
+        produce bit-identical runs."""
         serial = _build(max_workers=1)
         parallel = _build(max_workers=4)
+        assert parallel.executor == "process"
         try:
             for epoch in range(9):
                 r1 = serial.run_epoch()
@@ -94,9 +96,16 @@ class TestParallelDeterminism:
             ] == [
                 (sid, e.vm_name, e.epoch) for sid, e in parallel.detections()
             ]
-            # Counter streams are bit-identical, not merely close.
+            # Counter streams are bit-identical, not merely close.  The
+            # parallel fleet's own shards are only the start-of-run
+            # template; its live state comes back from the workers.
+            live = {
+                shard.shard_id: shard
+                for shard in parallel.snapshot().state()["shards"]
+            }
+            assert list(live) == list(serial.shards)
             for sid, shard_s in serial.shards.items():
-                shard_p = parallel.shards[sid]
+                shard_p = live[sid]
                 for host_name, host_s in shard_s.cluster.hosts.items():
                     host_p = shard_p.cluster.hosts[host_name]
                     for vm_name, history_s in host_s.counter_history.items():

@@ -5,8 +5,8 @@ A run interrupted by ``snapshot()`` at any epoch ``k`` and continued by
 per-epoch warning decisions (exact distances included), same run
 summary, same lifecycle counters.  The contract holds:
 
-* across shard executors (``serial`` / ``thread`` / ``process``) at
-  1/2/4 workers — a process fleet snapshots the *workers'* live state;
+* across shard executors (``serial`` / ``process``) at 1/2/4
+  workers — a process fleet snapshots the *workers'* live state;
 * across topologies (a flat :class:`~repro.fleet.Fleet` vs one
   partitioned into regions);
 * across the file boundary (save → load → resume equals in-memory
@@ -199,7 +199,6 @@ class TestCheckpointEquivalence:
         "executor,workers,regional",
         [
             ("serial", None, False),
-            ("thread", 2, False),
             ("process", 2, False),
             ("process", 4, False),
             ("serial", None, True),
@@ -207,7 +206,6 @@ class TestCheckpointEquivalence:
         ],
         ids=[
             "serial-flat",
-            "thread2-flat",
             "process2-flat",
             "process4-flat",
             "serial-regional",
@@ -238,9 +236,8 @@ class TestCheckpointEquivalence:
         [
             ("process", 2, "serial", None),
             ("serial", None, "process", 2),
-            ("thread", 2, "process", 4),
         ],
-        ids=["process-to-serial", "serial-to-process", "thread-to-process"],
+        ids=["process-to-serial", "serial-to-process"],
     )
     def test_cross_executor_resume(
         self, reference, snap_exec, snap_workers, resume_exec, resume_workers

@@ -172,20 +172,6 @@ class TestLazyHistoryEquivalence:
         _assert_histories_bit_identical(eager, lazy)
         _assert_windows_bit_identical(eager, lazy, windows=(1, 3))
 
-    def test_thread_executor(self):
-        """Thread-pool shard dispatch over lazy histories matches the
-        eager serial reference bit for bit (both substrates)."""
-        for substrate in ("batch", "scalar"):
-            eager = _build("eager", substrate=substrate)
-            lazy = _build(
-                "lazy", substrate=substrate, executor="thread", max_workers=2
-            )
-            decisions_e, summary_e = _run(eager, epochs=6)
-            decisions_l, summary_l = _run(lazy, epochs=6)
-            assert decisions_e == decisions_l, f"substrate={substrate}"
-            assert _summary_key(summary_e) == _summary_key(summary_l)
-            _assert_histories_bit_identical(eager, lazy)
-
     def test_process_executor(self):
         """State-owning process workers (columnar exchange) over lazy
         histories match the eager serial reference's decisions and run

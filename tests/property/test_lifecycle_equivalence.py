@@ -7,8 +7,7 @@ fleet evolutions — decisions, run summaries, churned topology — across
 
 * hardware substrates (``scalar`` / ``batch``),
 * counter-history modes (``lazy`` / ``eager``),
-* shard executors (``serial`` / ``thread`` / ``process``) at any
-  worker count.
+* shard executors (``serial`` / ``process``) at any worker count.
 
 The churn-heavy scenario exercised here hits every event type at once:
 tenant arrivals admitted by the interference-aware policy, scheduled
@@ -198,16 +197,6 @@ class TestLifecycleEquivalence:
         )
         assert decisions_a == decisions_b
         assert _summary_key(summary_a) == _summary_key(summary_b)
-
-    def test_thread_executor_bit_identical(self, reference):
-        decisions_ref, summary_ref, lifecycle_ref = reference
-        for workers in (2, 4):
-            decisions, summary, lifecycle = _run(
-                _build(executor="thread", max_workers=workers)
-            )
-            assert decisions == decisions_ref, f"workers={workers}"
-            assert _summary_key(summary) == _summary_key(summary_ref)
-            assert lifecycle == lifecycle_ref
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_process_executor_bit_identical(self, reference, workers):

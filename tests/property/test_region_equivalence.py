@@ -8,8 +8,8 @@ region split, across
 
 * hardware substrates (``scalar`` / ``batch``),
 * counter-history modes (``lazy`` / ``eager``),
-* region executors (``serial`` / ``thread`` / ``process``) at any
-  per-region worker budget.
+* region executors (``serial`` / ``process``) at any per-region worker
+  budget.
 
 The scenario reuses the churn-heavy shape of
 ``test_lifecycle_equivalence``: Poisson arrivals through the admission
@@ -210,12 +210,6 @@ class TestRegionEquivalence:
         flat = _run(_build_flat(substrate="scalar"))
         regional = _run(_build_regional(substrate="scalar"))
         _assert_matches_reference(regional, flat)
-
-    def test_thread_executor_bit_identical(self, reference):
-        result = _run(
-            _build_regional(executor="thread", region_workers=2)
-        )
-        _assert_matches_reference(result, reference)
 
     @pytest.mark.parametrize("region_workers", [1, 2, 4])
     def test_process_executor_bit_identical(self, reference, region_workers):

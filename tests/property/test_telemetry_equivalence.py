@@ -6,7 +6,7 @@ every :class:`~repro.fleet.fleet.FleetRunSummary` total must be
 **bit-identical** with telemetry off, fully on, or sampled
 (``profile_every > 1``), across
 
-* executors (``serial`` / ``thread`` / ``process``) at 1/2/4 workers,
+* executors (``serial`` / ``process``) at 1/2/4 workers,
 * flat vs. hierarchical (regional) topologies,
 
 on a scenario busy enough to exercise the instrumented paths: churn
@@ -165,12 +165,6 @@ class TestTelemetryEquivalence:
     @pytest.mark.parametrize("mode", ["on", "sampled"])
     def test_serial_bit_identical(self, reference, mode):
         _assert_matches(_run(_build(mode)), reference)
-
-    @pytest.mark.parametrize("max_workers", [2, 4])
-    @pytest.mark.parametrize("mode", ["on", "sampled"])
-    def test_thread_bit_identical(self, reference, mode, max_workers):
-        result = _run(_build(mode, executor="thread", max_workers=max_workers))
-        _assert_matches(result, reference)
 
     @pytest.mark.parametrize("max_workers", [1, 2, 4])
     def test_process_bit_identical(self, reference, max_workers):

@@ -70,12 +70,12 @@ class GaussianMixtureModel:
     def mahalanobis(self, data: np.ndarray) -> np.ndarray:
         """Per-point diagonal Mahalanobis distance to the *closest* component."""
         data = np.atleast_2d(np.asarray(data, dtype=float))
-        n = data.shape[0]
-        dists = np.empty((n, self.n_components))
-        for j in range(self.n_components):
-            diff = data - self.means[j]
-            dists[:, j] = np.sqrt(np.sum(diff * diff / self.variances[j], axis=1))
-        return dists.min(axis=1)
+        # All components in one broadcast: each (point, component) sum
+        # still runs over the contiguous metric axis, as a per-component
+        # loop would, so every distance keeps the same bits.
+        diff = data[:, None, :] - self.means[None, :, :]
+        squares = diff * diff / self.variances[None, :, :]
+        return np.sqrt(np.sum(squares, axis=2)).min(axis=1)
 
     def bic(self, data: np.ndarray) -> float:
         """Bayesian information criterion on ``data`` (lower is better)."""

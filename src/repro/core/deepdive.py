@@ -13,8 +13,11 @@ exactly as in the paper.
 
 from __future__ import annotations
 
+import collections.abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.analyzer import AnalysisResult, InterferenceAnalyzer
 from repro.core.config import DeepDiveConfig
@@ -26,7 +29,14 @@ from repro.core.events import (
 )
 from repro.core.placement import PlacementDecision, PlacementManager
 from repro.core.repository import BehaviorRepository
-from repro.core.warning import WarningAction, WarningDecision, WarningSystem
+from repro.core.warning import (
+    ACTIONS,
+    NORMAL_CODE,
+    DecisionColumns,
+    WarningAction,
+    WarningDecision,
+    WarningSystem,
+)
 from repro.metrics.counters import COUNTER_NAMES, CounterSample
 from repro.metrics.cpi import CPIStackModel
 from repro.metrics.matrix import MetricMatrix
@@ -62,26 +72,205 @@ class VMObservation:
         return self.analysis is not None and self.analysis.confirmed
 
 
-@dataclass
+@dataclass(eq=False)
 class EpochReport:
-    """Everything DeepDive did in one monitoring epoch."""
+    """Everything DeepDive did in one monitoring epoch, as columns.
+
+    Row ``i`` of ``decisions``, ``analyzed`` and ``confirmed`` is the
+    epoch's ``i``-th evaluated VM, in placement order.  ``acted`` holds
+    the :class:`VMObservation` of every row whose warning was not
+    NORMAL — the rows the action phase visited; every other row is a
+    plain NORMAL verdict.  :attr:`observations` reads all rows as one
+    lazy, read-only ``vm name -> VMObservation`` mapping.  Both epoch
+    engines fill the same columns.
+    """
 
     epoch: int
-    observations: Dict[str, VMObservation] = field(default_factory=dict)
+    decisions: DecisionColumns
+    #: Whether the analyzer ran for the row.
+    analyzed: np.ndarray
+    #: Whether interference was confirmed (analysis or known signature).
+    confirmed: np.ndarray
+    acted: Dict[str, VMObservation] = field(default_factory=dict)
+
+    @property
+    def observations(self) -> "ObservationView":
+        return ObservationView(self)
 
     def analyzer_invocations(self) -> int:
-        return sum(1 for o in self.observations.values() if o.analysis is not None)
+        return int(np.count_nonzero(self.analyzed))
 
     def confirmed_interference(self) -> List[str]:
-        return [
-            name
-            for name, o in self.observations.items()
-            if o.interference_confirmed
-        ]
+        names = self.decisions.vm_names
+        return [names[i] for i in np.flatnonzero(self.confirmed).tolist()]
+
+    def confirmed_count(self) -> int:
+        return int(np.count_nonzero(self.confirmed))
+
+    def action_counts(self) -> np.ndarray:
+        """Per-action decision counts (:data:`ACTIONS` order)."""
+        return np.bincount(self.decisions.action_codes, minlength=len(ACTIONS))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EpochReport):
+            return NotImplemented
+        return self.epoch == other.epoch and self.observations == other.observations
+
+
+class ObservationView(collections.abc.Mapping):
+    """Read-only ``vm name -> VMObservation`` view of an epoch report.
+
+    Acted-on rows return the report's stored observation; a NORMAL row's
+    observation is built when it is indexed.
+    """
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: EpochReport) -> None:
+        self._report = report
+
+    def __getitem__(self, vm_name: str) -> VMObservation:
+        report = self._report
+        observation = report.acted.get(vm_name)
+        if observation is not None:
+            return observation
+        decisions = report.decisions
+        row = decisions.row_of(vm_name)
+        return VMObservation(
+            vm_name=vm_name,
+            app_id=decisions.app_ids[row],
+            warning=decisions.decision(row),
+        )
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._report.decisions.vm_names)
+
+    def __len__(self) -> int:
+        return len(self._report.decisions.vm_names)
+
+    def __contains__(self, vm_name: object) -> bool:
+        return vm_name in self._report.decisions
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"ObservationView({len(self)} VMs, {len(self._report.acted)} acted)"
+
+
+class _AppGroup:
+    """One application's rows in a batch epoch.
+
+    ``rows`` are the application's report rows; ``own`` and ``pool``
+    are placement positions of its evaluated VMs and of its sibling
+    pool (every VM of the application with counters).
+    """
+
+    def __init__(
+        self,
+        app_id: str,
+        rows: np.ndarray,
+        own: np.ndarray,
+        pool: np.ndarray,
+        names: Tuple[str, ...],
+    ) -> None:
+        self.app_id = app_id
+        self.rows = rows
+        self.own = own
+        self.pool = pool
+        self._own_names = tuple(map(names.__getitem__, own.tolist()))
+        self._pool_names = tuple(map(names.__getitem__, pool.tolist()))
+        self._own_labels = (app_id,) * len(self._own_names)
+        self._pool_labels = (app_id,) * len(self._pool_names)
+
+    def matrices(
+        self, own: np.ndarray, pool: np.ndarray
+    ) -> Tuple[MetricMatrix, MetricMatrix]:
+        """This epoch's metric matrices of the evaluated VMs and the pool."""
+        return (
+            MetricMatrix(array=own, vm_names=self._own_names, labels=self._own_labels),
+            MetricMatrix(
+                array=pool, vm_names=self._pool_names, labels=self._pool_labels
+            ),
+        )
+
+
+class _EpochLayout:
+    """The batch engine's placement-derived row tables.
+
+    Built from the cluster's cached placement map and kept until that
+    map is replaced, which any placement change does.  The per-app
+    groups are kept while the VMs with counters and the eligible VMs
+    stay the same: every epoch of a steady fleet.
+    """
+
+    def __init__(self, placement: Mapping[str, Tuple[str, VirtualMachine]]) -> None:
+        self.placement = placement
+        self.names: Tuple[str, ...] = tuple(placement)
+        self.app_of: Tuple[str, ...] = tuple(vm.app_id for _, vm in placement.values())
+        positions: Dict[str, List[int]] = {}
+        for pos, app_id in enumerate(self.app_of):
+            positions.setdefault(app_id, []).append(pos)
+        self._app_positions = {
+            app_id: np.asarray(pos, dtype=np.intp) for app_id, pos in positions.items()
+        }
+        self._view_names: Optional[Tuple[str, ...]] = None
+        self._view_rows = np.zeros(0, dtype=np.intp)
+        self._masks: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: The report's rows: eligible VMs in placement order.
+        self.vm_names: Tuple[str, ...] = ()
+        self.app_ids: Tuple[str, ...] = ()
+        self.groups: List[_AppGroup] = []
+
+    def view_rows(self, view: CounterWindowView) -> np.ndarray:
+        """Placement position -> row of ``view`` (-1: no counters yet)."""
+        if view.vm_names is not self._view_names:
+            if view.vm_names == self.names:
+                rows = np.arange(len(self.names), dtype=np.intp)
+            else:
+                index = view.index
+                rows = np.fromiter(
+                    (index.get(name, -1) for name in self.names),
+                    dtype=np.intp,
+                    count=len(self.names),
+                )
+            self._view_names = view.vm_names
+            self._view_rows = rows
+        return self._view_rows
+
+    def regroup(self, present: np.ndarray, eligible: np.ndarray) -> None:
+        """Rebuild the report rows and app groups if the masks changed."""
+        masks = self._masks
+        if (
+            masks is not None
+            and np.array_equal(masks[0], present)
+            and np.array_equal(masks[1], eligible)
+        ):
+            return
+        self._masks = (present, eligible)
+        if eligible.all():
+            self.vm_names = self.names
+            self.app_ids = self.app_of
+        else:
+            order = np.flatnonzero(eligible).tolist()
+            self.vm_names = tuple(map(self.names.__getitem__, order))
+            self.app_ids = tuple(map(self.app_of.__getitem__, order))
+        report_row = np.cumsum(eligible) - 1
+        groups = []
+        for app_id, pos in self._app_positions.items():
+            own = pos[eligible[pos]]
+            if own.size:
+                pool = pos[present[pos]]
+                groups.append(_AppGroup(app_id, report_row[own], own, pool, self.names))
+        # Applications in order of their first evaluated VM.
+        groups.sort(key=lambda group: int(group.rows[0]))
+        self.groups = groups
 
 
 class DeepDive:
     """Transparent interference identification and management."""
+
+    #: The batch engine's row tables for the current placement (empty on
+    #: the class, so an instance unpickled from an older checkpoint
+    #: builds them on its first epoch).
+    _layout: Optional[_EpochLayout] = None
 
     def __init__(
         self,
@@ -246,54 +435,39 @@ class DeepDive:
         engine = engine or self.engine
         if engine not in ("batch", "scalar"):
             raise ValueError(f"unknown epoch engine {engine!r}")
-        report = EpochReport(epoch=self.current_epoch)
         if loads:
             for vm_name, load in loads.items():
                 self.observe_load(vm_name, load)
 
-        placement = self.cluster.all_vms()
+        # The cluster's cached placement map: never mutated in place (a
+        # placement change builds a new one), so it stays the epoch-start
+        # placement even if a mitigation migrates a VM below.
+        placement = self.cluster._placement()
         # ------------------------------------------------------------------
         # Phase 1: evaluate every eligible VM against a frozen repository.
         # An (almost) idle VM produces no meaningful metric vector; there
         # is nothing to suffer interference yet.
         # ------------------------------------------------------------------
         if engine == "batch":
-            # One columnar read serves the whole epoch: the cluster hands
-            # back every VM's newest counters and smoothing-window sum as
-            # two raw matrices (served directly from the batch substrate's
-            # per-epoch counter blocks when available).
-            view = self.cluster.counter_window_view(self.config.smoothing_epochs)
-            latest_inst = view.latest[:, _INST_RETIRED_COL]
-            eligible = [
-                vm_name
-                for vm_name in placement
-                if vm_name in view.index
-                and latest_inst[view.index[vm_name]] >= 1e3
-            ]
-            decisions, vectors = self._evaluate_epoch_batch(
-                placement, eligible, view
-            )
+            decisions, vectors = self._evaluate_epoch_batch(placement)
         else:
-            windows = self.cluster.counter_windows(self.config.smoothing_epochs)
-            latest_samples: Dict[str, CounterSample] = {
-                vm_name: window[-1] for vm_name, window in windows.items()
-            }
-            eligible = [
-                vm_name
-                for vm_name in placement
-                if vm_name in latest_samples
-                and latest_samples[vm_name].inst_retired >= 1e3
-            ]
-            decisions, vectors = self._evaluate_epoch_scalar(
-                placement, latest_samples, eligible
-            )
+            decisions, vectors = self._evaluate_epoch_scalar(placement)
 
         # ------------------------------------------------------------------
-        # Phase 2: act on the decisions in deterministic placement order.
+        # Phase 2: act on the non-NORMAL decisions in placement order.
         # ------------------------------------------------------------------
-        for vm_name in eligible:
+        n = len(decisions)
+        report = EpochReport(
+            epoch=self.current_epoch,
+            decisions=decisions,
+            analyzed=np.zeros(n, dtype=bool),
+            confirmed=np.zeros(n, dtype=bool),
+        )
+        acted = np.flatnonzero(decisions.action_codes != NORMAL_CODE)
+        for row in acted.tolist():
+            vm_name = decisions.vm_names[row]
             host_name, vm = placement[vm_name]
-            decision = decisions[vm_name]
+            decision = decisions.decision(row)
             vector = vectors[vm_name]
             observation = VMObservation(
                 vm_name=vm_name, app_id=vm.app_id, warning=decision
@@ -327,7 +501,9 @@ class DeepDive:
                         observation.placement = self._mitigate(
                             host_name, observation.analysis
                         )
-            report.observations[vm_name] = observation
+            report.acted[vm_name] = observation
+            report.analyzed[row] = observation.analysis is not None
+            report.confirmed[row] = observation.interference_confirmed
 
         self.current_epoch += 1
         return report
@@ -336,12 +512,19 @@ class DeepDive:
     # Epoch engines
     # ------------------------------------------------------------------
     def _evaluate_epoch_scalar(
-        self,
-        placement: Mapping[str, tuple],
-        latest_samples: Mapping[str, CounterSample],
-        eligible: Sequence[str],
-    ) -> tuple:
+        self, placement: Mapping[str, Tuple[str, VirtualMachine]]
+    ) -> Tuple[DecisionColumns, Dict[str, MetricVector]]:
         """The per-VM reference loop: one dict-driven evaluation per VM."""
+        windows = self.cluster.counter_windows(self.config.smoothing_epochs)
+        latest_samples: Dict[str, CounterSample] = {
+            vm_name: window[-1] for vm_name, window in windows.items()
+        }
+        eligible = [
+            vm_name
+            for vm_name in placement
+            if vm_name in latest_samples
+            and latest_samples[vm_name].inst_retired >= 1e3
+        ]
         latest_vectors: Dict[str, MetricVector] = {
             vm_name: MetricVector.from_sample(
                 latest_samples[vm_name], label=placement[vm_name][1].app_id
@@ -349,7 +532,7 @@ class DeepDive:
             for vm_name in placement
             if vm_name in latest_samples
         }
-        decisions: Dict[str, WarningDecision] = {}
+        decisions: List[WarningDecision] = []
         vectors: Dict[str, MetricVector] = {}
         for vm_name in eligible:
             host_name, vm = placement[vm_name]
@@ -361,62 +544,57 @@ class DeepDive:
                 and other_vm.app_id == vm.app_id
                 and other in latest_vectors
             }
-            decisions[vm_name] = self.warning_system.evaluate(
-                vm_name=vm_name,
-                app_id=vm.app_id,
-                vector=vector,
-                sibling_vectors=siblings,
+            decisions.append(
+                self.warning_system.evaluate(
+                    vm_name=vm_name,
+                    app_id=vm.app_id,
+                    vector=vector,
+                    sibling_vectors=siblings,
+                )
             )
             vectors[vm_name] = vector
-        return decisions, vectors
+        return DecisionColumns.from_decisions(decisions), vectors
 
     def _evaluate_epoch_batch(
-        self,
-        placement: Mapping[str, tuple],
-        eligible: Sequence[str],
-        view: CounterWindowView,
-    ) -> tuple:
+        self, placement: Mapping[str, Tuple[str, VirtualMachine]]
+    ) -> Tuple[DecisionColumns, Dict[str, MetricVector]]:
         """The vectorized engine: a handful of array ops per application.
 
-        Consumes the cluster's columnar counter view directly — the raw
-        window sums and latest samples are already matrices, so each
-        application's metric matrices are a row-gather plus one batch
-        normalisation, with no per-VM sample handling.
+        One columnar read serves the whole epoch: the cluster hands back
+        every VM's newest counters and smoothing-window sum as two raw
+        matrices.  Both are normalised once; each application's metric
+        matrices are then row gathers, and its verdicts are scattered
+        into the epoch's decision columns.  The row tables behind the
+        gathers are cached per placement (:class:`_EpochLayout`).
         """
-        by_app: Dict[str, List[str]] = {}
-        for vm_name in eligible:
-            by_app.setdefault(placement[vm_name][1].app_id, []).append(vm_name)
-        # Sibling pools, grouped in one pass over the placement (pool
-        # order = placement order, matching the scalar sibling dicts).
-        pool_by_app: Dict[str, List[str]] = {}
-        for vm_name, (_, vm) in placement.items():
-            if vm_name in view.index:
-                pool_by_app.setdefault(vm.app_id, []).append(vm_name)
+        view = self.cluster.counter_window_view(self.config.smoothing_epochs)
+        layout = self._layout
+        if layout is None or layout.placement is not placement:
+            layout = self._layout = _EpochLayout(placement)
+        rows = layout.view_rows(view)
+        present = rows >= 0
+        eligible = present.copy()
+        if present.any():
+            eligible &= view.latest[rows, _INST_RETIRED_COL] >= 1e3
+        layout.regroup(present, eligible)
 
-        decisions: Dict[str, WarningDecision] = {}
+        decisions = DecisionColumns.allocate(layout.vm_names, layout.app_ids)
         vectors: Dict[str, MetricVector] = {}
-        for app_id, vm_names in by_app.items():
-            own_rows = [view.index[vm_name] for vm_name in vm_names]
-            own = MetricMatrix(
-                array=normalize_counter_matrix(view.window_sum[own_rows]),
-                vm_names=tuple(vm_names),
-                labels=tuple(app_id for _ in vm_names),
+        if not layout.groups:
+            return decisions, vectors
+        smoothed = normalize_counter_matrix(view.window_sum)
+        latest = normalize_counter_matrix(view.latest)
+        for group in layout.groups:
+            own, pool = group.matrices(
+                smoothed[rows[group.own]], latest[rows[group.pool]]
             )
-            pool_names = pool_by_app.get(app_id, [])
-            pool_rows = [view.index[vm_name] for vm_name in pool_names]
-            pool = MetricMatrix(
-                array=normalize_counter_matrix(view.latest[pool_rows]),
-                vm_names=tuple(pool_names),
-                labels=tuple(app_id for _ in pool_names),
-            )
-            decisions.update(self.warning_system.evaluate_batch(app_id, own, pool))
-            # Materialise the scalar vectors only for rows that may need
-            # them in the action phase (learning / analyzer triggering).
-            for vm_name in vm_names:
-                if decisions[vm_name].action is not WarningAction.NORMAL:
-                    vectors[vm_name] = own.vector(vm_name)
-                else:
-                    vectors[vm_name] = None  # never consumed for NORMAL rows
+            part = self.warning_system.evaluate_batch(group.app_id, own, pool)
+            decisions.put(group.rows, part)
+            # Materialise scalar vectors only for the rows the action
+            # phase visits (learning / analyzer triggering).
+            for i in np.flatnonzero(part.action_codes != NORMAL_CODE).tolist():
+                vm_name = own.vm_names[i]
+                vectors[vm_name] = own.vector(vm_name)
         return decisions, vectors
 
     # ------------------------------------------------------------------

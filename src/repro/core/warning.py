@@ -19,9 +19,10 @@ accelerates the learning of the normal-behaviour set.
 
 from __future__ import annotations
 
+import collections.abc
 import enum
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,6 +100,131 @@ class WarningDecision:
     def flags_interference(self) -> bool:
         """True when the decision itself already identifies interference."""
         return self.action is WarningAction.KNOWN_INTERFERENCE
+
+
+#: Warning actions in code order: ``action_codes`` columns index into it.
+ACTIONS: Tuple[WarningAction, ...] = tuple(WarningAction)
+NORMAL_CODE = ACTIONS.index(WarningAction.NORMAL)
+WORKLOAD_CHANGE_CODE = ACTIONS.index(WarningAction.WORKLOAD_CHANGE)
+ANALYZE_CODE = ACTIONS.index(WarningAction.ANALYZE)
+KNOWN_INTERFERENCE_CODE = ACTIONS.index(WarningAction.KNOWN_INTERFERENCE)
+
+
+@dataclass(eq=False)
+class DecisionColumns(collections.abc.Mapping):
+    """Warning decisions for many VMs, stored as columns.
+
+    Row ``i`` is the verdict for ``vm_names[i]``.  Reads as a read-only
+    mapping ``vm name -> WarningDecision`` that builds each decision
+    only when it is indexed, so an epoch whose rows are almost all
+    NORMAL never materialises per-VM decision objects.  The reason
+    string is derived from the action, the conservative flag and the
+    sibling counts, exactly as :meth:`WarningSystem.evaluate` words it.
+    """
+
+    vm_names: Tuple[str, ...]
+    app_ids: Tuple[str, ...]
+    #: Index into :data:`ACTIONS` per row.
+    action_codes: np.ndarray
+    #: Mahalanobis distance to the closest normal cluster (inf: no model).
+    distances: np.ndarray
+    conservative: np.ndarray
+    siblings_consulted: np.ndarray
+    siblings_agreeing: np.ndarray
+    #: Violated metric dimensions of the deviating rows only (row -> names).
+    violated: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
+    _index: Optional[Dict[str, int]] = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def allocate(
+        cls, vm_names: Tuple[str, ...], app_ids: Tuple[str, ...]
+    ) -> "DecisionColumns":
+        """Columns for ``vm_names``, every row NORMAL until written."""
+        n = len(vm_names)
+        return cls(
+            vm_names=vm_names,
+            app_ids=app_ids,
+            action_codes=np.full(n, NORMAL_CODE, dtype=np.int8),
+            distances=np.zeros(n, dtype=float),
+            conservative=np.zeros(n, dtype=bool),
+            siblings_consulted=np.zeros(n, dtype=np.int32),
+            siblings_agreeing=np.zeros(n, dtype=np.int32),
+        )
+
+    @classmethod
+    def from_decisions(cls, decisions: Sequence[WarningDecision]) -> "DecisionColumns":
+        """Columns holding already materialised decisions, in order."""
+        out = cls.allocate(
+            tuple(d.vm_name for d in decisions), tuple(d.app_id for d in decisions)
+        )
+        for i, d in enumerate(decisions):
+            out.action_codes[i] = ACTIONS.index(d.action)
+            out.distances[i] = d.distance
+            out.conservative[i] = d.conservative
+            out.siblings_consulted[i] = d.siblings_consulted
+            out.siblings_agreeing[i] = d.siblings_agreeing
+            if d.violated_dimensions:
+                out.violated[i] = d.violated_dimensions
+        return out
+
+    def put(self, rows: np.ndarray, part: "DecisionColumns") -> None:
+        """Scatter ``part``'s rows into rows ``rows`` of these columns."""
+        self.action_codes[rows] = part.action_codes
+        self.distances[rows] = part.distances
+        self.conservative[rows] = part.conservative
+        self.siblings_consulted[rows] = part.siblings_consulted
+        self.siblings_agreeing[rows] = part.siblings_agreeing
+        for i, dims in part.violated.items():
+            self.violated[int(rows[i])] = dims
+
+    def decision(self, row: int) -> WarningDecision:
+        """Materialise row ``row`` as a :class:`WarningDecision`."""
+        action = ACTIONS[self.action_codes[row]]
+        conservative = bool(self.conservative[row])
+        consulted = int(self.siblings_consulted[row])
+        agreeing = int(self.siblings_agreeing[row])
+        if action is WarningAction.NORMAL:
+            reason = _REASON_NORMAL
+        elif action is WarningAction.KNOWN_INTERFERENCE:
+            reason = _REASON_KNOWN_INTERFERENCE
+        elif action is WarningAction.WORKLOAD_CHANGE:
+            reason = _reason_workload_change(agreeing, consulted)
+        elif conservative:
+            reason = _REASON_CONSERVATIVE
+        else:
+            reason = _REASON_ANALYZE
+        return WarningDecision(
+            action=action,
+            vm_name=self.vm_names[row],
+            app_id=self.app_ids[row],
+            distance=float(self.distances[row]),
+            conservative=conservative,
+            reason=reason,
+            violated_dimensions=self.violated.get(row, ()),
+            siblings_consulted=consulted,
+            siblings_agreeing=agreeing,
+        )
+
+    def row_of(self, vm_name: str) -> int:
+        if self._index is None:
+            self._index = {name: i for i, name in enumerate(self.vm_names)}
+        return self._index[vm_name]
+
+    def __getitem__(self, vm_name: str) -> WarningDecision:
+        return self.decision(self.row_of(vm_name))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.vm_names)
+
+    def __len__(self) -> int:
+        return len(self.vm_names)
+
+    def __contains__(self, vm_name: object) -> bool:
+        try:
+            self.row_of(vm_name)  # type: ignore[arg-type]
+        except KeyError:
+            return False
+        return True
 
 
 class WarningSystem:
@@ -230,7 +356,7 @@ class WarningSystem:
         app_id: str,
         own: MetricMatrix,
         sibling_pool: Optional[MetricMatrix] = None,
-    ) -> Dict[str, WarningDecision]:
+    ) -> DecisionColumns:
         """Run Algorithm 1 for every VM of one application at once.
 
         Parameters
@@ -244,125 +370,77 @@ class WarningSystem:
             (usually a superset of ``own``'s VMs; a VM is never treated
             as its own sibling).
 
-        Returns one :class:`WarningDecision` per row, equal — action,
-        distance, violated dimensions, sibling counts and reason — to
-        what :meth:`evaluate` returns for the corresponding scalar call.
+        Returns the verdicts as :class:`DecisionColumns`, one row per
+        row of ``own``: a read-only mapping whose ``batch[vm_name]`` is
+        equal — action, distance, violated dimensions, sibling counts
+        and reason — to what :meth:`evaluate` returns for the
+        corresponding scalar call.  Only deviating rows cost Python
+        work; the NORMAL majority is a handful of array operations.
         """
-        decisions: Dict[str, WarningDecision] = {}
         n = len(own)
+        app_ids = (app_id,) * n
         if n == 0:
-            return decisions
+            return DecisionColumns.allocate(own.vm_names, app_ids)
         self.evaluations[app_id] = self.evaluations.get(app_id, 0) + n
         pool = sibling_pool if sibling_pool is not None else MetricMatrix.empty()
         m = len(pool)
-        sib_counts = [m - 1 if name in pool else m for name in own.vm_names]
+        if own.vm_names == pool.vm_names:
+            consulted = np.full(n, m - 1, dtype=np.int32)
+        else:
+            consulted = np.fromiter(
+                (m - 1 if name in pool else m for name in own.vm_names),
+                dtype=np.int32,
+                count=n,
+            )
+        out = DecisionColumns.allocate(own.vm_names, app_ids)
+        out.siblings_consulted[:] = consulted
 
         # Conservative mode: no model yet (or too few behaviours).
         if not self.repository.has_model(app_id):
-            for i, name in enumerate(own.vm_names):
-                decisions[name] = WarningDecision(
-                    action=WarningAction.ANALYZE,
-                    vm_name=name,
-                    app_id=app_id,
-                    distance=float("inf"),
-                    conservative=True,
-                    reason=_REASON_CONSERVATIVE,
-                    siblings_consulted=sib_counts[i],
-                )
-            return decisions
+            out.action_codes[:] = ANALYZE_CODE
+            out.distances[:] = np.inf
+            out.conservative[:] = True
+            return out
 
         # Local check, one matrix op for the whole epoch.
         acceptance_radius = self.repository.acceptance_radius()
         distances = self.repository.distance_batch(app_id, own.array)
-        normal = distances <= acceptance_radius
-        deviating = np.flatnonzero(~normal)
+        out.distances[:] = distances
+        deviating = np.flatnonzero(~(distances <= acceptance_radius))
+        if deviating.size == 0:
+            return out
 
         # Per-dimension MT violations, only for the deviating rows.
-        thresholds = self.repository.thresholds(app_id)
-        violated: Dict[int, Tuple[str, ...]] = {}
-        if thresholds is not None and deviating.size:
-            rows = own.array[deviating]
+        rows = own.array[deviating]
+        if self.repository.thresholds(app_id) is not None:
             for idx, dims in zip(
-                deviating, self._violated_dimensions_batch(app_id, rows)
+                deviating.tolist(), self._violated_dimensions_batch(app_id, rows)
             ):
-                violated[int(idx)] = dims
+                out.violated[idx] = dims
 
         # Known-interference signatures, batched over the deviating rows.
         known = np.zeros(n, dtype=bool)
-        if deviating.size:
-            known[deviating] = self.repository.matches_interference_batch(
-                app_id, own.array[deviating]
-            )
+        known[deviating] = self.repository.matches_interference_batch(app_id, rows)
 
         # Global check: deviating, unknown rows with at least one sibling.
-        need_global = [
-            int(i)
-            for i in deviating
-            if not known[i] and sib_counts[i] > 0
-        ]
-        agreeing_counts = np.zeros(n, dtype=int)
-        if need_global and m > 0:
+        need_global = deviating[~known[deviating] & (consulted[deviating] > 0)]
+        agreeing = np.zeros(n, dtype=np.int32)
+        if need_global.size and m > 0:
             pool_deviates = (
                 self.repository.distance_batch(app_id, pool.array) > acceptance_radius
             )
-            agreeing_counts = self._count_agreeing_batch(
+            agreeing[:] = self._count_agreeing_batch(
                 own, pool, need_global, pool_deviates
             )
-
-        for i, name in enumerate(own.vm_names):
-            consulted = sib_counts[i]
-            if normal[i]:
-                decisions[name] = WarningDecision(
-                    action=WarningAction.NORMAL,
-                    vm_name=name,
-                    app_id=app_id,
-                    distance=float(distances[i]),
-                    conservative=False,
-                    reason=_REASON_NORMAL,
-                    siblings_consulted=consulted,
-                )
-                continue
-            dims = violated.get(i, ())
-            if known[i]:
-                decisions[name] = WarningDecision(
-                    action=WarningAction.KNOWN_INTERFERENCE,
-                    vm_name=name,
-                    app_id=app_id,
-                    distance=float(distances[i]),
-                    conservative=False,
-                    reason=_REASON_KNOWN_INTERFERENCE,
-                    violated_dimensions=dims,
-                    siblings_consulted=consulted,
-                )
-                continue
-            agreeing = int(agreeing_counts[i])
-            if consulted > 0:
-                quorum = max(1, int(np.ceil(self.config.global_quorum * consulted)))
-                if agreeing >= quorum:
-                    decisions[name] = WarningDecision(
-                        action=WarningAction.WORKLOAD_CHANGE,
-                        vm_name=name,
-                        app_id=app_id,
-                        distance=float(distances[i]),
-                        conservative=False,
-                        reason=_reason_workload_change(agreeing, consulted),
-                        violated_dimensions=dims,
-                        siblings_consulted=consulted,
-                        siblings_agreeing=agreeing,
-                    )
-                    continue
-            decisions[name] = WarningDecision(
-                action=WarningAction.ANALYZE,
-                vm_name=name,
-                app_id=app_id,
-                distance=float(distances[i]),
-                conservative=False,
-                reason=_REASON_ANALYZE,
-                violated_dimensions=dims,
-                siblings_consulted=consulted,
-                siblings_agreeing=agreeing,
-            )
-        return decisions
+        out.siblings_agreeing[:] = agreeing
+        quorum = np.maximum(
+            1, np.ceil(self.config.global_quorum * consulted).astype(np.int64)
+        )
+        workload = (consulted > 0) & (agreeing >= quorum)
+        codes = np.where(known, KNOWN_INTERFERENCE_CODE, ANALYZE_CODE)
+        codes[workload & ~known] = WORKLOAD_CHANGE_CODE
+        out.action_codes[deviating] = codes[deviating]
+        return out
 
     def _violated_dimensions_batch(
         self, app_id: str, rows: np.ndarray

@@ -26,21 +26,18 @@ from repro.fleet.fleet import Fleet, FleetReport, RunOptions
 def _shard_numbers(shard_report: object) -> Dict[str, int]:
     """One shard report (full or columnar) as plain counters.
 
-    Both kinds expose ``analyzer_invocations()``; observation and
-    confirmation counts differ in shape (a dict of per-VM observations
-    vs. flat arrays), which this adapter hides from the dashboard.
+    Both kinds expose ``analyzer_invocations()`` and
+    ``confirmed_count()``; the observation count is a method of the
+    columnar report and the length of an ``EpochReport``'s lazy
+    observation mapping, which this adapter hides from the dashboard.
     """
-    observations = getattr(shard_report, "observations")
-    if callable(observations):  # ColumnarShardReport
-        return {
-            "observations": int(shard_report.observations()),
-            "analyzer_invocations": int(shard_report.analyzer_invocations()),
-            "confirmed": int(shard_report.confirmed_count()),
-        }
-    return {  # core EpochReport: observations is a per-VM dict
-        "observations": len(observations),
+    observations = shard_report.observations
+    return {
+        "observations": (
+            int(observations()) if callable(observations) else len(observations)
+        ),
         "analyzer_invocations": int(shard_report.analyzer_invocations()),
-        "confirmed": len(shard_report.confirmed_interference()),
+        "confirmed": int(shard_report.confirmed_count()),
     }
 
 

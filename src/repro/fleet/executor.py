@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.warning import WarningAction
+from repro.core.warning import ACTIONS
 from repro.fleet.faults import FaultPlan
 from repro.fleet.shm import (
     ShmBlockReader,
@@ -67,6 +67,7 @@ from repro.fleet.telemetry import (
     WorkerSpanBuffer,
 )
 from repro.hardware.batch import N_COUNTERS
+from repro.virt.cluster import host_counter_totals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.deepdive import EpochReport
@@ -82,8 +83,17 @@ _START_METHOD = "spawn"
 
 #: Stable warning-action code table shared by parent and workers (the
 #: decision arrays store indices into this tuple).
-WARNING_ACTIONS: Tuple[str, ...] = tuple(action.value for action in WarningAction)
-_ACTION_INDEX: Dict[str, int] = {value: i for i, value in enumerate(WARNING_ACTIONS)}
+WARNING_ACTIONS: Tuple[str, ...] = tuple(action.value for action in ACTIONS)
+
+
+def action_histogram(counts: np.ndarray) -> Dict[str, int]:
+    """Per-action counts (:data:`WARNING_ACTIONS` order) as a dict of
+    the non-zero entries."""
+    return {
+        WARNING_ACTIONS[i]: int(count)
+        for i, count in enumerate(counts.tolist())
+        if count
+    }
 
 
 def apply_stress_schedule(
@@ -149,7 +159,7 @@ class ColumnarShardReport:
     #: Whether interference was confirmed (analysis or known signature).
     confirmed: np.ndarray
     #: Sum of the shard's raw counter block for the epoch (Table-1
-    #: column order), read straight from the hosts' counter-store rings.
+    #: column order), from :meth:`Cluster.latest_counter_totals`.
     #: Contract: a shard whose hosts hold **no resident VMs at all**
     #: (mass departures, full drain) reports an explicit **all-zeros
     #: row** — the telemetry is present and genuinely zero.  ``None``
@@ -167,8 +177,16 @@ class ColumnarShardReport:
         return int(np.count_nonzero(self.analyzed))
 
     def confirmed_interference(self) -> List[str]:
+        rows = np.flatnonzero(self.confirmed).tolist()
+        if self.vm_names is None and rows:
+            raise ValueError(
+                f"shard {self.shard_id!r} epoch {self.epoch}: vm_names is "
+                "elided in transit (unchanged since the previously shipped "
+                "epoch), so confirmed rows cannot be named; read the report "
+                "after the executor has rehydrated its VM names"
+            )
         names = self.vm_names or ()
-        return [names[i] for i in np.nonzero(self.confirmed)[0]]
+        return [names[i] for i in rows]
 
     def confirmed_count(self) -> int:
         """Confirmed observations, counted without touching vm_names."""
@@ -179,12 +197,7 @@ class ColumnarShardReport:
         return np.bincount(self.action_codes, minlength=len(WARNING_ACTIONS))
 
     def action_histogram(self) -> Dict[str, int]:
-        counts = self.action_counts()
-        return {
-            WARNING_ACTIONS[i]: int(count)
-            for i, count in enumerate(counts.tolist())
-            if count
-        }
+        return action_histogram(self.action_counts())
 
 
 @dataclass
@@ -233,12 +246,7 @@ class ColumnarFleetReport:
         return counts
 
     def action_histogram(self) -> Dict[str, int]:
-        counts = self.action_counts()
-        return {
-            WARNING_ACTIONS[i]: int(count)
-            for i, count in enumerate(counts.tolist())
-            if count
-        }
+        return action_histogram(self.action_counts())
 
     def counter_totals(self) -> Optional[np.ndarray]:
         """Fleet-wide raw counter sums over shards with telemetry.
@@ -259,60 +267,32 @@ class ColumnarFleetReport:
 
 
 def _shard_counter_totals(shard: "FleetShard") -> Optional[np.ndarray]:
-    """One shard's epoch counter totals, or ``None`` when unavailable.
+    """One shard's epoch counter totals assembled host by host.
 
-    See :attr:`ColumnarShardReport.counter_totals` for the contract:
-    hosts without resident VMs contribute nothing (a fully emptied-out
-    shard is an explicit all-zeros row, not "unavailable"), while a
-    *populated* host without a resident batch counter block — the
-    scalar substrate's steady state — makes the shard's telemetry
-    unavailable.
+    See :attr:`ColumnarShardReport.counter_totals` for the contract.
+    :meth:`Cluster.latest_counter_totals` serves the same totals from
+    its whole-cluster counter block and falls back to this per-host
+    assembly whenever the block cannot serve them.
     """
-    populated = [host for host in shard.cluster.hosts.values() if host.vms]
-    if not populated:
-        return np.zeros(N_COUNTERS, dtype=float)
-    total = np.zeros(N_COUNTERS, dtype=float)
-    for host in populated:
-        latest = host.counter_store.latest_block()
-        if latest is None:
-            return None
-        total += latest.sum(axis=0)
-    return total
+    return host_counter_totals(shard.cluster.hosts.values())
 
 
 def columnar_from_report(
     shard_id: str, epoch: int, report: "EpochReport", shard: "FleetShard"
 ) -> ColumnarShardReport:
-    """Flatten one shard's :class:`EpochReport` into decision arrays."""
-    observations = report.observations
-    n = len(observations)
-    vm_names: List[str] = []
-    action_codes = np.empty(n, dtype=np.int8)
-    distances = np.empty(n, dtype=float)
-    siblings_consulted = np.empty(n, dtype=np.int32)
-    siblings_agreeing = np.empty(n, dtype=np.int32)
-    analyzed = np.zeros(n, dtype=bool)
-    confirmed = np.zeros(n, dtype=bool)
-    for i, (vm_name, obs) in enumerate(observations.items()):
-        vm_names.append(vm_name)
-        warning = obs.warning
-        action_codes[i] = _ACTION_INDEX[warning.action.value]
-        distances[i] = warning.distance
-        siblings_consulted[i] = warning.siblings_consulted
-        siblings_agreeing[i] = warning.siblings_agreeing
-        analyzed[i] = obs.analysis is not None
-        confirmed[i] = obs.interference_confirmed
+    """One shard's :class:`EpochReport` columns plus its counter totals."""
+    decisions = report.decisions
     return ColumnarShardReport(
         shard_id=shard_id,
         epoch=epoch,
-        vm_names=tuple(vm_names),
-        action_codes=action_codes,
-        distances=distances,
-        siblings_consulted=siblings_consulted,
-        siblings_agreeing=siblings_agreeing,
-        analyzed=analyzed,
-        confirmed=confirmed,
-        counter_totals=_shard_counter_totals(shard),
+        vm_names=decisions.vm_names,
+        action_codes=decisions.action_codes,
+        distances=decisions.distances,
+        siblings_consulted=decisions.siblings_consulted,
+        siblings_agreeing=decisions.siblings_agreeing,
+        analyzed=report.analyzed,
+        confirmed=report.confirmed,
+        counter_totals=shard.cluster.latest_counter_totals(),
     )
 
 

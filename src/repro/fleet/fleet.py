@@ -54,15 +54,19 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.core.config import DeepDiveConfig
 from repro.core.deepdive import DeepDive, EpochReport
 from repro.core.events import InterferenceDetectedEvent, MigrationEvent
 from repro.fleet.checkpoint import CHECKPOINT_VERSION, LEGACY_EXECUTORS, Checkpoint
 from repro.fleet.executor import (
     EXECUTOR_KINDS,
+    WARNING_ACTIONS,
     ColumnarFleetReport,
     ProcessShardExecutor,
     SerialShardExecutor,
+    action_histogram,
 )
 from repro.fleet.faults import FaultPlan
 from repro.fleet.lifecycle import LifecycleEngine, LifecycleStats
@@ -344,28 +348,16 @@ class FleetEpochReport:
         ]
 
     def confirmed_count(self) -> int:
-        """Number of confirmed-interference observations this epoch.
-
-        Counted in one pass over the per-shard observations — unlike
-        ``len(confirmed_interference())`` no (shard, VM) tuple list is
-        materialised, which matters on the summary hot loop of a
-        many-shard fleet.
-        """
-        return sum(
-            1
-            for report in self.shard_reports.values()
-            for obs in report.observations.values()
-            if obs.interference_confirmed
-        )
+        """Number of confirmed-interference observations this epoch,
+        counted off the reports' columns."""
+        return sum(r.confirmed_count() for r in self.shard_reports.values())
 
     def action_histogram(self) -> Dict[str, int]:
         """Warning-action counts across the whole fleet."""
-        histogram: Dict[str, int] = {}
+        counts = np.zeros(len(WARNING_ACTIONS), dtype=np.int64)
         for report in self.shard_reports.values():
-            for observation in report.observations.values():
-                key = observation.warning.action.value
-                histogram[key] = histogram.get(key, 0) + 1
-        return histogram
+            counts += report.action_counts()
+        return action_histogram(counts)
 
 
 #: A fleet-wide epoch report of either kind (both expose the same

@@ -40,8 +40,19 @@ stranded only when no host can physically fit it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -63,7 +74,11 @@ from repro.virt.vm import VirtualMachine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.fleet import FleetShard
+    from repro.virt.cluster import Cluster
     from repro.virt.vmm import Host
+
+_PLACEMENT_VERSION = operator.attrgetter("placement_version")
+_LOADS_VERSION = operator.attrgetter("_loads_version")
 
 #: Resource columns of the admission pressure/capacity matrices.
 ADMISSION_RESOURCES: Tuple[str, ...] = (
@@ -149,6 +164,117 @@ def _capacity_row_for(host: "Host") -> np.ndarray:
     )
 
 
+class _HostSummary:
+    """One host's admission inputs (see :class:`_ShardSummary`).
+
+    The names, pressure rows, applications and free capacity change
+    only with the host's placement version; the load-scaled pressure
+    also with its load version, and is re-summed alone when only the
+    loads moved.
+    """
+
+    __slots__ = (
+        "host",
+        "names",
+        "rows",
+        "apps",
+        "free_vcpus",
+        "free_mem",
+        "pressure",
+    )
+
+    def __init__(self, host: "Host", pressure_rows: Dict[str, np.ndarray]) -> None:
+        rows: List[np.ndarray] = []
+        apps: Set[str] = set()
+        used_vcpus = 0
+        used_mem = 0.0
+        for vm_name, vm in host._vms.items():
+            row = pressure_rows.get(vm_name)
+            if row is None:
+                row = _pressure_row_for(vm, host.epoch_seconds)
+                pressure_rows[vm_name] = row
+            rows.append(row)
+            apps.add(vm.app_id)
+            used_vcpus += vm.vcpus
+            used_mem += vm.memory_gb
+        self.host = host
+        self.names = tuple(host._vms)
+        self.rows = (
+            np.asarray(rows, dtype=float)
+            if rows
+            else np.empty((0, len(ADMISSION_RESOURCES)), dtype=float)
+        )
+        #: Shared with the admission views; they copy before adding.
+        self.apps = frozenset(apps)
+        self.free_vcpus = host.machine.spec.architecture.cores - used_vcpus
+        self.free_mem = host.machine.spec.dram_gb - used_mem
+        self.sum_pressure()
+
+    def sum_pressure(self) -> None:
+        """Sum the load-scaled rows in VM order (a left fold from zero)."""
+        loads = self.host._loads
+        scaled = self.rows * np.asarray(
+            [loads.get(name, 0.0) for name in self.names], dtype=float
+        )[:, None]
+        total = np.zeros(len(ADMISSION_RESOURCES), dtype=float)
+        for row in scaled:
+            total += row
+        self.pressure = total
+
+
+class _ShardSummary:
+    """A shard's admission inputs, kept between admission views.
+
+    The per-host summaries stacked into arrays.  A refresh re-reads only
+    the hosts whose placement or load version moved: at fleet scale an
+    admission view is built on most churn epochs, and a walk over every
+    host and VM of the shard dominated that build.
+    """
+
+    def __init__(self, cluster: "Cluster") -> None:
+        self.hosts: List["Host"] = list(cluster.hosts.values())
+        self.host_names: List[str] = list(cluster.hosts)
+        self.host_index = {name: i for i, name in enumerate(self.host_names)}
+        n = len(self.hosts)
+        self.summaries: List[Optional[_HostSummary]] = [None] * n
+        self.versions: List[Optional[int]] = [None] * n
+        self.loads_versions: List[Optional[int]] = [None] * n
+        self.pressure = np.zeros((n, len(ADMISSION_RESOURCES)), dtype=float)
+        self.free_vcpus = np.zeros(n, dtype=float)
+        self.free_mem = np.zeros(n, dtype=float)
+        #: Per-host application sets (shared, never mutated).
+        self.apps: List[FrozenSet[str]] = [frozenset()] * n
+
+    def describes(self, cluster: "Cluster") -> bool:
+        """Whether ``cluster`` still has exactly these hosts, in order."""
+        return (
+            len(cluster.hosts) == len(self.hosts)
+            and all(map(operator.is_, cluster.hosts.values(), self.hosts))
+            and list(cluster.hosts) == self.host_names
+        )
+
+    def refresh(self, pressure_rows: Dict[str, np.ndarray]) -> None:
+        versions = list(map(_PLACEMENT_VERSION, self.hosts))
+        loads_versions = list(map(_LOADS_VERSION, self.hosts))
+        if versions == self.versions and loads_versions == self.loads_versions:
+            return
+        summaries = self.summaries
+        for i, host in enumerate(self.hosts):
+            if versions[i] != self.versions[i]:
+                summary = summaries[i] = _HostSummary(host, pressure_rows)
+                self.apps[i] = summary.apps
+                self.free_vcpus[i] = summary.free_vcpus
+                self.free_mem[i] = summary.free_mem
+            elif loads_versions[i] != self.loads_versions[i]:
+                summary = summaries[i]
+                summary.sum_pressure()
+            else:
+                continue
+            self.pressure[i] = summary.pressure
+        self.versions = versions
+        self.loads_versions = loads_versions
+
+
 class _ShardAdmissionState:
     """One shard's admission view for one epoch batch.
 
@@ -159,55 +285,27 @@ class _ShardAdmissionState:
 
     def __init__(
         self,
-        shard: "FleetShard",
+        summary: _ShardSummary,
         policy: AdmissionPolicy,
         drained: Set[str],
-        pressure_rows: Dict[str, np.ndarray],
         capacity: np.ndarray,
     ) -> None:
-        cluster = shard.cluster
         self.policy = policy
-        self.host_names: List[str] = list(cluster.hosts)
-        self.host_index = {name: i for i, name in enumerate(self.host_names)}
+        self.host_names = summary.host_names
+        self.host_index = summary.host_index
         n = len(self.host_names)
         self.capacity = capacity
-        self.pressure = np.zeros((n, len(ADMISSION_RESOURCES)), dtype=float)
-        self.free_vcpus = np.empty(n, dtype=float)
-        self.free_mem = np.empty(n, dtype=float)
-        self.apps: List[Set[str]] = []
-        # One gathering pass, then a single vectorized scatter-add: at
-        # fleet scale this rebuild runs on most churn epochs, so per-VM
-        # numpy calls are too expensive here.
-        rows: List[np.ndarray] = []
-        loads: List[float] = []
-        row_hosts: List[int] = []
-        for i, host_name in enumerate(self.host_names):
-            host = cluster.hosts[host_name]
-            apps: Set[str] = set()
-            used_vcpus = 0
-            used_mem = 0.0
-            host_loads = host._loads
-            for vm_name, vm in host._vms.items():
-                row = pressure_rows.get(vm_name)
-                if row is None:
-                    row = _pressure_row_for(vm, host.epoch_seconds)
-                    pressure_rows[vm_name] = row
-                rows.append(row)
-                loads.append(host_loads.get(vm_name, 0.0))
-                row_hosts.append(i)
-                apps.add(vm.app_id)
-                used_vcpus += vm.vcpus
-                used_mem += vm.memory_gb
-            self.apps.append(apps)
-            self.free_vcpus[i] = host.machine.spec.architecture.cores - used_vcpus
-            self.free_mem[i] = host.machine.spec.dram_gb - used_mem
-        if rows:
-            scaled = np.asarray(rows, dtype=float)
-            scaled *= np.asarray(loads, dtype=float)[:, None]
-            np.add.at(self.pressure, np.asarray(row_hosts, dtype=np.intp), scaled)
-        self.drained_mask = np.fromiter(
-            (name in drained for name in self.host_names), dtype=bool, count=n
-        )
+        self.pressure = summary.pressure.copy()
+        #: Per-host application sets; :meth:`commit` replaces, never
+        #: mutates, an entry (the sets are the summaries').
+        self.apps: List[FrozenSet[str]] = list(summary.apps)
+        self.free_vcpus = summary.free_vcpus.copy()
+        self.free_mem = summary.free_mem.copy()
+        self.drained_mask = np.zeros(n, dtype=bool)
+        for name in drained:
+            i = self.host_index.get(name)
+            if i is not None:
+                self.drained_mask[i] = True
         #: Lazily built per-app presence masks for anti-affinity checks.
         self._app_masks: Dict[str, np.ndarray] = {}
 
@@ -297,7 +395,7 @@ class _ShardAdmissionState:
         self.pressure[i] = self.pressure[i] + probe
         self.free_vcpus[i] -= vm.vcpus
         self.free_mem[i] -= vm.memory_gb
-        self.apps[i].add(vm.app_id)
+        self.apps[i] = self.apps[i] | {vm.app_id}
         mask = self._app_masks.get(vm.app_id)
         if mask is not None:
             mask[i] = True
@@ -381,6 +479,8 @@ class LifecycleEngine:
         #: Cached per-shard resident-VM name sets (O(1) existence checks
         #: without forcing a placement-map rebuild per event).
         self._vm_names: Dict[str, Set[str]] = {}
+        #: Cached per-shard admission inputs.
+        self._summaries: Dict[str, _ShardSummary] = {}
         #: Tenants whose arrival was rejected, per shard — their
         #: auto-scheduled departures are dropped, not errors.
         self._rejected: Dict[str, Set[str]] = {}
@@ -565,12 +665,14 @@ class LifecycleEngine:
                     ]
                 )
                 self._capacity[shard.shard_id] = capacity
+            summary = self._summaries.get(shard.shard_id)
+            if summary is None or not summary.describes(shard.cluster):
+                summary = self._summaries[shard.shard_id] = _ShardSummary(
+                    shard.cluster
+                )
+            summary.refresh(self._rows.setdefault(shard.shard_id, {}))
             state = _ShardAdmissionState(
-                shard,
-                self.admission,
-                shard.cluster.drained_hosts,
-                self._rows.setdefault(shard.shard_id, {}),
-                capacity,
+                summary, self.admission, shard.cluster.drained_hosts, capacity
             )
             cache[shard.shard_id] = state
         return state

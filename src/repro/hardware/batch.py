@@ -29,7 +29,7 @@ tolerance ``1e-9`` relative), which cannot change any warning decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,30 +184,37 @@ class ClusterLayout:
         ``h * cache_domains + local_domain`` so domains never alias
         across hosts.
         """
-        host_ids: List[np.ndarray] = []
-        n_cores: List[np.ndarray] = []
-        pair_vm: List[np.ndarray] = []
-        pair_domain: List[np.ndarray] = []
-        pair_weight: List[np.ndarray] = []
-        offset = 0
-        for h, plan in enumerate(plans):
-            host_ids.append(np.full(plan.n_vms, h, dtype=np.intp))
-            n_cores.append(plan.n_cores)
-            pair_vm.append(plan.pair_vm + offset)
-            pair_domain.append(plan.pair_domain + h * cache_domains)
-            pair_weight.append(plan.pair_weight)
-            offset += plan.n_vms
-        concat = lambda parts, dtype: (  # noqa: E731 - local helper
-            np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+        n = len(plans)
+        if not n:
+            empty_int = np.empty(0, dtype=np.intp)
+            return cls(
+                host_of_vm=empty_int,
+                n_cores=np.empty(0, dtype=float),
+                pair_vm=empty_int.copy(),
+                pair_domain=empty_int.copy(),
+                pair_weight=np.empty(0, dtype=float),
+                n_hosts=0,
+                n_domains=0,
+            )
+        # Concatenate once and shift with repeated per-host offsets: a
+        # churning placement re-assembles every epoch, and per-host
+        # array arithmetic dominated that rebuild.
+        hosts = np.arange(n, dtype=np.intp)
+        vm_counts = np.fromiter((plan.n_vms for plan in plans), np.intp, count=n)
+        pair_counts = np.fromiter(
+            (plan.pair_vm.size for plan in plans), np.intp, count=n
         )
+        vm_offsets = np.cumsum(vm_counts) - vm_counts
         return cls(
-            host_of_vm=concat(host_ids, np.intp),
-            n_cores=concat(n_cores, float),
-            pair_vm=concat(pair_vm, np.intp),
-            pair_domain=concat(pair_domain, np.intp),
-            pair_weight=concat(pair_weight, float),
-            n_hosts=len(plans),
-            n_domains=len(plans) * cache_domains,
+            host_of_vm=np.repeat(hosts, vm_counts),
+            n_cores=np.concatenate([plan.n_cores for plan in plans]),
+            pair_vm=np.concatenate([plan.pair_vm for plan in plans])
+            + np.repeat(vm_offsets, pair_counts),
+            pair_domain=np.concatenate([plan.pair_domain for plan in plans])
+            + np.repeat(hosts * cache_domains, pair_counts),
+            pair_weight=np.concatenate([plan.pair_weight for plan in plans]),
+            n_hosts=n,
+            n_domains=n * cache_domains,
         )
 
 

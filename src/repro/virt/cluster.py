@@ -14,7 +14,9 @@ Two hardware substrates drive the per-epoch simulation:
   (:mod:`repro.hardware.batch`), emitting the same counter samples and
   additionally recording a columnar per-epoch counter block that feeds
   the monitoring pipeline's :class:`~repro.metrics.matrix.MetricMatrix`
-  without per-VM dictionary materialisation.
+  without per-VM dictionary materialisation.  The cluster keeps copies
+  of the newest whole-cluster blocks, so the monitoring window and the
+  epoch's counter totals are read without a loop over hosts.
 
 Both substrates are equivalent (same formulas, same noise draws; pinned
 by ``tests/property/test_substrate_equivalence.py``).
@@ -22,9 +24,12 @@ by ``tests/property/test_substrate_equivalence.py``).
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from repro.hardware.batch import (
     BatchBuffers,
     ClusterLayout,
     DemandMatrix,
+    HostBatchPlan,
     simulate_epoch_batch,
 )
 from repro.hardware.machine import outcome_from_batch
@@ -57,24 +63,131 @@ class CounterWindowView:
     vm_names: Tuple[str, ...]
     latest: np.ndarray
     window_sum: np.ndarray
-    index: Dict[str, int] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.index = {name: i for i, name in enumerate(self.vm_names)}
+    @functools.cached_property
+    def index(self) -> Dict[str, int]:
+        """``vm name -> row``, built on first use."""
+        return {name: i for i, name in enumerate(self.vm_names)}
 
     def __contains__(self, vm_name: str) -> bool:
         return vm_name in self.index
 
 
+def host_counter_totals(hosts: Iterable[Host]) -> Optional[np.ndarray]:
+    """The hosts' newest-epoch counter totals, assembled host by host.
+
+    Hosts without resident VMs contribute nothing, so hosts that are
+    all empty give an explicit all-zeros row; a *populated* host
+    without a resident batch counter block (the scalar substrate's
+    steady state) makes the totals unavailable: ``None``.
+    """
+    populated = [host for host in hosts if host.vms]
+    if not populated:
+        return np.zeros(N_COUNTERS, dtype=float)
+    total = np.zeros(N_COUNTERS, dtype=float)
+    for host in populated:
+        latest = host.counter_store.latest_block()
+        if latest is None:
+            return None
+        total += latest.sum(axis=0)
+    return total
+
+
+@dataclass(frozen=True)
+class _BlockTables:
+    """Row tables of the whole-cluster counter block for one placement."""
+
+    #: Placement signature the tables were built at.
+    signature: Tuple[int, int]
+    #: Block row order: every populated host's VMs, hosts in order.
+    vm_names: Tuple[str, ...]
+    #: Smallest ``history_limit`` among populated hosts (None: unlimited).
+    history_limit: Optional[int]
+    #: VMs per populated host, hosts in order.
+    counts: np.ndarray
+
+    @functools.cached_property
+    def slots(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """``slots[j] = (sums, rows)``: for the populated hosts with more
+        than ``j`` VMs, their row in :meth:`Cluster.latest_counter_totals`'
+        per-host sums (1-based) and the block row of their ``j``-th VM.
+        Built on the first totals read: window reads do not need them."""
+        start = np.cumsum(self.counts) - self.counts
+        slots = []
+        for j in range(int(self.counts.max(initial=0))):
+            hosts = np.flatnonzero(self.counts > j)
+            slots.append((hosts + 1, start[hosts] + j))
+        return tuple(slots)
+
+
 #: One batch-substrate execution group: hosts sharing a machine spec and
-#: epoch length, with their assembled cluster layout.
+#: epoch length, with their assembled cluster layout and the VMs' CPU
+#: caps in row order.
 BatchGroup = Tuple[
-    MachineSpec, float, List[Tuple[str, "Host", Tuple[str, ...]]], ClusterLayout
+    MachineSpec,
+    float,
+    List[Tuple[str, "Host", Tuple[str, ...]]],
+    ClusterLayout,
+    np.ndarray,
 ]
+
+
+class _HostSegments:
+    """One spec group's per-host batch inputs, refreshed host by host.
+
+    A host's batch plan, VM names and CPU caps change only with its
+    placement version (``Host.set_cpu_cap`` bumps it too), so after a
+    placement change only the hosts whose version moved are re-read.
+    """
+
+    __slots__ = ("hosts", "versions", "plans", "members", "caps")
+
+    def __init__(self, hosts: List[Tuple[str, "Host"]]) -> None:
+        self.hosts = hosts
+        n = len(hosts)
+        self.versions: List[Optional[int]] = [None] * n
+        self.plans: List[Optional[HostBatchPlan]] = [None] * n
+        self.members: List[Optional[Tuple[str, Host, Tuple[str, ...]]]] = [None] * n
+        self.caps: List[Optional[np.ndarray]] = [None] * n
+
+    def refresh(self, cache_domains: int) -> ClusterLayout:
+        """Re-read the moved hosts and return the group's layout."""
+        versions = self.versions
+        for i, (host_name, host) in enumerate(self.hosts):
+            version = host.placement_version
+            if version != versions[i]:
+                versions[i] = version
+                self.plans[i] = host.batch_plan_current()
+                self.members[i] = (host_name, host, tuple(host._vms))
+                self.caps[i] = np.asarray(host.cpu_cap_values(), dtype=float)
+        return ClusterLayout.assemble(self.plans, cache_domains)
 
 
 class Cluster:
     """A set of production hosts plus the migration machinery."""
+
+    # Whole-cluster counter blocks (see :meth:`_record_block`).  They
+    # start empty on the class, so a cluster unpickled from a
+    # checkpoint written before they existed starts without blocks.
+    #: The newest batch epochs' blocks, a ring of ``_block_depth`` slots.
+    _blocks: Optional[np.ndarray] = None
+    #: Blocks kept: the largest window read so far.
+    _block_depth = 1
+    #: Consecutive resident blocks and the slot the next one fills.
+    _block_count = 0
+    _block_next = 0
+    #: (placement signature, commit stamp) right after the newest block
+    #: was written; reads serve blocks only while it holds.
+    _block_key: Optional[Tuple[Tuple[int, int], int]] = None
+    _block_tables: Optional[_BlockTables] = None
+    #: (host identities and epoch lengths, per spec group: its key and
+    #: host segments) — see :meth:`_batch_group_plan`.
+    _spec_grouping: Optional[
+        Tuple[tuple, List[Tuple[Tuple[int, float], _HostSegments]]]
+    ] = None
+    #: (signature, groups) of the current placement — see
+    #: :meth:`_batch_group_plan`.
+    _group_plans: Optional[Tuple[tuple, List[BatchGroup]]] = None
 
     def __init__(
         self,
@@ -125,8 +238,6 @@ class Cluster:
         #: signature it was built at (see :meth:`_placement_signature`).
         self._placement_cache: Optional[Dict[str, Tuple[str, VirtualMachine]]] = None
         self._placement_signature_cached: Tuple[int, int] = (-1, -1)
-        #: Cached batch-substrate spec groups + assembled layouts.
-        self._batch_groups = None
         #: Cached packed demand matrices per group (steady-load epochs).
         self._batch_matrix_cache: Dict[int, Tuple[DemandMatrix, np.ndarray]] = {}
         #: Reusable batch-substrate output buffers per group (steady
@@ -175,10 +286,13 @@ class Cluster:
         epoch; the VM's counter/performance histories are retained on
         its last host, exactly as after :meth:`Host.remove_vm`.
         """
-        host_name = self.host_of(vm_name)
-        if host_name is None:
-            raise KeyError(f"VM {vm_name!r} not placed in the cluster")
-        return self.hosts[host_name].remove_vm(vm_name)
+        # A scan of the hosts, not :meth:`host_of`: after the previous
+        # departure the placement map is stale, and rebuilding it per
+        # departure made a churn epoch quadratic in its departures.
+        for host in self.hosts.values():
+            if vm_name in host._vms:
+                return host.remove_vm(vm_name)
+        raise KeyError(f"VM {vm_name!r} not placed in the cluster")
 
     def _placement_signature(self) -> Tuple[int, int]:
         """Cheap fingerprint of the cluster's placement state.
@@ -189,7 +303,7 @@ class Cluster:
         """
         return (
             len(self.hosts),
-            sum(host.placement_version for host in self.hosts.values()),
+            sum(map(operator.attrgetter("placement_version"), self.hosts.values())),
         )
 
     def _placement(self) -> Dict[str, Tuple[str, VirtualMachine]]:
@@ -200,11 +314,11 @@ class Cluster:
             self._placement_cache is None
             or signature != self._placement_signature_cached
         ):
-            out: Dict[str, Tuple[str, VirtualMachine]] = {}
-            for host_name, host in self.hosts.items():
-                for vm_name, vm in host._vms.items():
-                    out[vm_name] = (host_name, vm)
-            self._placement_cache = out
+            self._placement_cache = {
+                vm_name: (host_name, vm)
+                for host_name, host in self.hosts.items()
+                for vm_name, vm in host._vms.items()
+            }
             self._placement_signature_cached = signature
         return self._placement_cache
 
@@ -280,29 +394,40 @@ class Cluster:
         Hosts sharing a machine spec and epoch length form one batch;
         heterogeneous clusters simply split into a few batches.
         """
-        signature = (
-            self._placement_signature(),
-            tuple(host.epoch_seconds for host in self.hosts.values()),
-        )
-        if self._batch_groups is not None and self._batch_groups[0] == signature:
-            return self._batch_groups[1]
+        epochs = tuple(host.epoch_seconds for host in self.hosts.values())
+        signature = (self._placement_signature(), epochs)
+        if self._group_plans is not None and self._group_plans[0] == signature:
+            return self._group_plans[1]
         self._batch_matrix_cache = {}
         self._batch_buffers = {}
-        grouped: Dict[Tuple[int, float], List[Tuple[str, Host]]] = {}
-        for host_name, host in self.hosts.items():
-            key = (id(host.machine.spec), host.epoch_seconds)
-            grouped.setdefault(key, []).append((host_name, host))
-        built = []
-        for (_, epoch_seconds), members in grouped.items():
-            spec = members[0][1].machine.spec
-            plans = []
-            with_names: List[Tuple[str, Host, Tuple[str, ...]]] = []
-            for host_name, host in members:
-                plans.append(host.batch_plan_current())
-                with_names.append((host_name, host, tuple(host._vms)))
-            layout = ClusterLayout.assemble(plans, spec.architecture.cache_domains)
-            built.append((spec, epoch_seconds, with_names, layout))
-        self._batch_groups = (signature, built)
+        # The spec grouping outlives placement changes: it is redone only
+        # when the host set or an epoch length changes.  Within it, only
+        # the hosts whose placement moved are re-read.
+        host_key = (tuple(map(id, self.hosts.values())), epochs)
+        grouping = self._spec_grouping
+        if grouping is None or grouping[0] != host_key:
+            grouped: Dict[Tuple[int, float], List[Tuple[str, Host]]] = {}
+            for host_name, host in self.hosts.items():
+                key = (id(host.machine.spec), host.epoch_seconds)
+                grouped.setdefault(key, []).append((host_name, host))
+            grouping = self._spec_grouping = (
+                host_key,
+                [(key, _HostSegments(hosts)) for key, hosts in grouped.items()],
+            )
+        built: List[BatchGroup] = []
+        for (_, epoch_seconds), segments in grouping[1]:
+            spec = segments.hosts[0][1].machine.spec
+            layout = segments.refresh(spec.architecture.cache_domains)
+            built.append(
+                (
+                    spec,
+                    epoch_seconds,
+                    list(segments.members),
+                    layout,
+                    np.concatenate(segments.caps),
+                )
+            )
+        self._group_plans = (signature, built)
         return built
 
     def _step_batch(
@@ -312,19 +437,16 @@ class Cluster:
         for host_name, host in self.hosts.items():
             host.collect_demand_rows(per_host_loads.get(host_name))
         results: Dict[str, Dict[str, VMPerformance]] = {}
-        for g, (spec, epoch_seconds, members, layout) in enumerate(
-            self._batch_group_plan()
-        ):
+        groups = self._batch_group_plan()
+        if len(groups) != 1:
+            # Heterogeneous clusters keep no whole-cluster block.
+            self._block_key = None
+        block_key = self._store_key()
+        for g, (spec, epoch_seconds, members, layout, caps) in enumerate(groups):
             cached = self._batch_matrix_cache.get(g)
             if cached is None or any(host.demands_changed for _, host, _ in members):
                 tables = [host.demand_row_matrix() for _, host, _ in members]
-                caps: List[float] = []
-                for _, host, _names in members:
-                    caps.extend(host.cpu_cap_values())
-                cached = (
-                    DemandMatrix.from_table(np.vstack(tables)),
-                    np.asarray(caps, dtype=float),
-                )
+                cached = (DemandMatrix.from_table(np.concatenate(tables)), caps)
                 self._batch_matrix_cache[g] = cached
             demand_matrix, cap_array = cached
             noise_rngs = [
@@ -343,6 +465,8 @@ class Cluster:
                 noise_rngs,
                 buffers=buffers,
             )
+            if len(groups) == 1:
+                self._record_block(batch.counters, block_key)
 
             offset = 0
             for host_name, host, names in members:
@@ -370,6 +494,103 @@ class Cluster:
                     results[host_name] = {}
                 offset += k
         return results
+
+    # ------------------------------------------------------------------
+    # Whole-cluster counter blocks
+    # ------------------------------------------------------------------
+    def _store_key(self) -> Tuple[Tuple[int, int], int]:
+        """(placement signature, commit stamp) of the hosts' stores.
+
+        Every epoch commit on a host bumps its ``current_epoch``, so the
+        stamp moves whenever anything writes a counter store.
+        """
+        stamp = sum(map(operator.attrgetter("current_epoch"), self.hosts.values()))
+        return self._placement_signature(), stamp
+
+    def _record_block(
+        self, counters: np.ndarray, key: Tuple[Tuple[int, int], int]
+    ) -> None:
+        """Keep a copy of one batch epoch's whole-cluster counter block.
+
+        ``key`` is :meth:`_store_key` before the epoch's commits.  The
+        block continues the resident run only if nothing but this method
+        has written the stores since the previous block, under the same
+        placement; otherwise the run restarts with this block.
+        """
+        shape = (self._block_depth,) + counters.shape
+        if self._blocks is None or self._blocks.shape != shape:
+            self._blocks = np.empty(shape, dtype=float)
+            self._block_key = None
+        if key != self._block_key:
+            self._block_count = 0
+            self._block_next = 0
+        np.copyto(self._blocks[self._block_next], counters)
+        self._block_next = (self._block_next + 1) % shape[0]
+        self._block_count = min(self._block_count + 1, shape[0])
+        # Every host commits once per batch epoch.
+        self._block_key = (key[0], key[1] + len(self.hosts))
+
+    def _resident_blocks(self, window: int) -> Optional[_BlockTables]:
+        """The block tables, if the newest ``window`` blocks are resident.
+
+        They are when the blocks hold ``window`` consecutive batch
+        epochs of the current placement and no store was written since
+        by anything else (a direct ``Host.step``, the scalar substrate).
+        A window deeper than the ring deepens it from the next epoch on.
+        """
+        if window > self._block_depth:
+            self._block_depth = window
+            return None
+        if self._block_key is None or self._block_count < window:
+            return None
+        key = self._store_key()
+        if key != self._block_key:
+            return None
+        tables = self._block_tables
+        if tables is None or tables.signature != key[0]:
+            tables = self._block_tables = self._build_block_tables(key[0])
+        return tables
+
+    def _build_block_tables(self, signature: Tuple[int, int]) -> _BlockTables:
+        """Name and slot tables of the block rows (once per placement)."""
+        _, _, members, layout, _ = self._group_plans[1][0]
+        counts = np.bincount(layout.host_of_vm, minlength=layout.n_hosts)
+        names = tuple(itertools.chain.from_iterable(names for _, _, names in members))
+        limits = [
+            host.history_limit
+            for _, host, host_names in members
+            if host_names and host.history_limit is not None
+        ]
+        return _BlockTables(
+            signature=signature,
+            vm_names=names,
+            history_limit=min(limits, default=None),
+            counts=counts[counts > 0],
+        )
+
+    def latest_counter_totals(self) -> Optional[np.ndarray]:
+        """Sum of the newest epoch's raw counters over every VM.
+
+        Same contract and bits as :func:`host_counter_totals` over the
+        cluster's hosts: zeros when no host holds a VM, ``None`` when a
+        populated host has no resident batch counter block.  Served from
+        the whole-cluster block when it is resident: each host's rows
+        are folded slot by slot, then the host sums in host order —
+        the host-by-host assembly's additions, in its order.
+        """
+        tables = self._resident_blocks(1)
+        if tables is None:
+            return host_counter_totals(self.hosts.values())
+        if not tables.slots:
+            return np.zeros(N_COUNTERS, dtype=float)
+        block = self._blocks[(self._block_next - 1) % self._blocks.shape[0]]
+        first_rows = tables.slots[0][1]
+        # Row 0 is the running total's zero start, row h + 1 host h's sum.
+        sums = np.zeros((first_rows.size + 1, N_COUNTERS), dtype=float)
+        sums[1:] = block[first_rows]
+        for hosts, rows in tables.slots[1:]:
+            sums[hosts] += block[rows]
+        return np.add.accumulate(sums, axis=0)[-1]
 
     # ------------------------------------------------------------------
     # Migration
@@ -422,8 +643,12 @@ class Cluster:
     def counter_window_view(self, window: int) -> CounterWindowView:
         """Columnar equivalent of :meth:`counter_windows`.
 
-        When a host's counter-store ring covers the requested window
-        with a stable VM placement, the view is a few array slices and
+        When the whole-cluster counter blocks of the last ``window``
+        batch epochs are resident (see :meth:`_resident_blocks`), the
+        view is a left fold over those blocks in epoch order, with the
+        VMs in the host-by-host order below.  Otherwise it is assembled
+        host by host: when a host's counter-store ring covers the
+        window with a stable VM placement, its part is a few slices and
         sums read straight from the ring; hosts where that is not the
         case (scalar substrate, recent migrations, VMs younger than the
         window) fall back to a per-VM assembly — itself served from raw
@@ -437,6 +662,25 @@ class Cluster:
         """
         if window < 1:
             raise ValueError("window must be at least 1")
+        tables = self._resident_blocks(window)
+        if tables is not None and (
+            tables.history_limit is None or tables.history_limit >= window
+        ):
+            blocks = self._blocks
+            depth = blocks.shape[0]
+            end = self._block_next
+            acc = blocks[(end - window) % depth].copy()
+            for j in range(end - window + 1, end):
+                acc += blocks[j % depth]
+            return CounterWindowView(
+                vm_names=tables.vm_names,
+                latest=blocks[(end - 1) % depth].copy(),
+                window_sum=acc,
+            )
+        return self._host_window_view(window)
+
+    def _host_window_view(self, window: int) -> CounterWindowView:
+        """:meth:`counter_window_view` assembled host by host."""
         names_parts: List[str] = []
         latest_parts: List[np.ndarray] = []
         sum_parts: List[np.ndarray] = []
@@ -466,7 +710,7 @@ class Cluster:
                     "on this host are trimmed to the retained epochs "
                     "(per-VM fallback assembly)",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             for vm_name in host._vms:
                 if vm_name not in store:

@@ -334,6 +334,27 @@ class TestCounterTotalsContract:
         )
 
 
+class TestInTransitReport:
+    def test_confirmed_rows_need_vm_names(self):
+        """A report whose name table was elided in transit cannot name
+        its confirmed rows; the error says so instead of IndexError."""
+        report = _columnar_report("s7", 6, seed=21)
+        report.confirmed[:] = False
+        report.confirmed[3] = True
+        report.epoch = 42
+        report.vm_names = None
+        with pytest.raises(ValueError, match="vm_names is elided in transit") as err:
+            report.confirmed_interference()
+        assert "'s7'" in str(err.value) and "epoch 42" in str(err.value)
+        assert report.confirmed_count() == 1
+
+    def test_no_confirmed_rows_need_no_names(self):
+        report = _columnar_report("s7", 4, seed=22)
+        report.confirmed[:] = False
+        report.vm_names = None
+        assert report.confirmed_interference() == []
+
+
 class TestWorkerFailureRecovery:
     def test_killed_worker_breaks_run_but_not_cleanup(self):
         """Kill a worker mid-run: the epoch fails, the executor stays

@@ -10,6 +10,7 @@ contract for events referencing unknown shards/hosts/VMs.
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.config import DeepDiveConfig
@@ -27,7 +28,9 @@ from repro.fleet import (
     build_fleet,
     churn_timeline,
 )
+from repro.fleet.lifecycle import ADMISSION_RESOURCES, _pressure_row_for
 from repro.fleet.timeline import ARRIVAL_WORKLOADS
+from repro.virt.vm import VirtualMachine
 from repro.workloads.traces import LoadTrace
 
 
@@ -433,6 +436,75 @@ class TestEngineSemantics:
         fleet.run_epoch(RunOptions(analyze=False))
         fleet.run_epoch(RunOptions(analyze=False))
         assert fleet.shards["shard0"].baseline_loads["tenant-a"] == 0.4
+
+
+class TestAdmissionInputs:
+    def test_cached_view_matches_a_walk_over_every_vm(self):
+        """The admission view is patched host by host between epochs;
+        it must equal a from-scratch walk over every VM (pressure as a
+        left fold of load-scaled rows, free capacity, applications,
+        drain state) through arrivals, departures, a drain and load
+        phases."""
+        timeline = churn_timeline(
+            ["shard0", "shard1"],
+            epochs=10,
+            seed=3,
+            arrivals_per_epoch=2.0,
+            mean_lifetime_epochs=3.0,
+        )
+        timeline.extend(
+            [
+                HostDrain(epoch=3, shard="shard0", host="s0pm1"),
+                LoadPhase(epoch=4, shard="shard1", scale=1.4),
+                HostReturn(epoch=6, shard="shard0", host="s0pm1"),
+                FlashCrowd(epoch=7, shard="shard0", end_epoch=9, scale=1.2),
+            ]
+        )
+        fleet = _fleet(timeline)
+        engine = fleet.lifecycle
+        for _ in range(10):
+            fleet.run_epoch(RunOptions(analyze=False))
+            for shard in fleet.shards.values():
+                state = engine._state_for(shard, {})
+                cluster = shard.cluster
+                hosts = list(cluster.hosts.values())
+                pressure = np.zeros((len(hosts), len(ADMISSION_RESOURCES)))
+                for i, host in enumerate(hosts):
+                    for name, vm in host._vms.items():
+                        row = _pressure_row_for(vm, host.epoch_seconds)
+                        np.add.at(pressure, [i], row * host.get_load(name))
+                    spec = host.machine.spec
+                    assert state.free_vcpus[i] == spec.architecture.cores - sum(
+                        vm.vcpus for vm in host._vms.values()
+                    )
+                    used_mem = 0.0
+                    for vm in host._vms.values():
+                        used_mem += vm.memory_gb
+                    assert state.free_mem[i] == spec.dram_gb - used_mem
+                    assert state.apps[i] == {vm.app_id for vm in host._vms.values()}
+                    assert state.drained_mask[i] == (
+                        host.name in cluster.drained_hosts
+                    )
+                assert np.array_equal(state.pressure, pressure)
+        assert sum(s["arrivals_admitted"] for s in fleet.lifecycle_stats().values())
+
+    def test_commit_does_not_leak_into_the_next_view(self):
+        """Admissions update their own view only; the per-host inputs
+        the next view starts from stay untouched."""
+        fleet = _fleet(FleetTimeline(events=[_arrival(0, name="tenant-a")]))
+        fleet.run_epoch(RunOptions(analyze=False))
+        shard = fleet.shards["shard0"]
+        engine = fleet.lifecycle
+        first = engine._state_for(shard, {})
+        apps, pressure = list(first.apps), first.pressure.copy()
+        probe = VirtualMachine(
+            "probe", ARRIVAL_WORKLOADS["data_serving"](seed=1), app_id="probe-app"
+        )
+        first.commit(first.host_names[0], np.ones(len(ADMISSION_RESOURCES)), probe)
+        assert "probe-app" in first.apps[0]
+        second = engine._state_for(shard, {})
+        assert second.apps == apps
+        assert np.array_equal(second.pressure, pressure)
 
 
 # ----------------------------------------------------------------------

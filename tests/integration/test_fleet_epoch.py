@@ -7,15 +7,18 @@ level equivalence of the scalar and batch engines over a full epoch
 sequence.
 """
 
+import pickle
+
 import pytest
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
     InterferenceEpisode,
-    RunOptions,
     build_fleet,
+    churn_timeline,
     synthesize_datacenter,
 )
+from repro.fleet.executor import columnar_from_report
 
 
 @pytest.fixture
@@ -105,40 +108,119 @@ class TestFleetEpochLoop:
 
         Two fleets built from the same scenario are deterministic; the
         only difference is the epoch engine, so any divergence in any
-        epoch's warning decisions is an engine bug.
+        epoch's decisions — the whole warning record, the analysis and
+        known-interference outcome, or the flattened report columns — is
+        an engine bug.
         """
-        def drive(engine):
-            scenario = synthesize_datacenter(
-                60, num_shards=2, seed=23, episodes=[EPISODES[0]]
-            )
-            fleet = build_fleet(
-                scenario, config=fast_config, engine=engine, mitigate=True
-            )
-            fleet.bootstrap()
-            trace = []
-            for _ in range(10):
-                report = fleet.run_epoch()
-                trace.append(
-                    {
-                        (shard_id, vm): (
-                            obs.warning.action.value,
-                            obs.warning.distance,
-                            obs.warning.violated_dimensions,
-                            obs.warning.siblings_consulted,
-                            obs.warning.siblings_agreeing,
-                            obs.interference_confirmed,
-                        )
-                        for shard_id, rep in report.shard_reports.items()
-                        for vm, obs in rep.observations.items()
-                    }
-                )
-            return trace, [
-                (s, m.vm_name, m.source, m.destination, m.epoch)
-                for s, m in fleet.migrations()
-            ]
+        _assert_engines_agree(fast_config, timeline=None)
 
-        scalar_trace, scalar_migrations = drive("scalar")
-        batch_trace, batch_migrations = drive("batch")
-        for epoch, (a, b) in enumerate(zip(scalar_trace, batch_trace)):
-            assert a == b, f"engines diverged at epoch {epoch}"
-        assert scalar_migrations == batch_migrations
+    def test_engines_agree_under_lifecycle_churn(self, fast_config):
+        """The same agreement while tenants arrive and depart, so the
+        placement changes under both engines."""
+        timeline = churn_timeline(
+            ["shard0", "shard1"],
+            epochs=10,
+            seed=5,
+            arrivals_per_epoch=1.0,
+            mean_lifetime_epochs=4.0,
+        )
+        _assert_engines_agree(fast_config, timeline=timeline)
+
+
+def _assert_engines_agree(config, timeline):
+    def drive(engine):
+        scenario = synthesize_datacenter(
+            60, num_shards=2, seed=23, episodes=[EPISODES[0]], timeline=timeline
+        )
+        fleet = build_fleet(scenario, config=config, engine=engine, mitigate=True)
+        fleet.bootstrap()
+        trace = []
+        columns = []
+        for _ in range(10):
+            report = fleet.run_epoch()
+            trace.append(
+                {
+                    (shard_id, vm): (
+                        obs.warning,
+                        obs.analysis is not None,
+                        obs.known_interference,
+                        obs.interference_confirmed,
+                    )
+                    for shard_id, rep in report.shard_reports.items()
+                    for vm, obs in rep.observations.items()
+                }
+            )
+            columns.append(
+                {
+                    shard_id: _columns(
+                        columnar_from_report(
+                            shard_id, report.epoch, rep, fleet.shards[shard_id]
+                        )
+                    )
+                    for shard_id, rep in report.shard_reports.items()
+                }
+            )
+        return trace, columns, [
+            (s, m.vm_name, m.source, m.destination, m.epoch)
+            for s, m in fleet.migrations()
+        ]
+
+    scalar_trace, scalar_columns, scalar_migrations = drive("scalar")
+    batch_trace, batch_columns, batch_migrations = drive("batch")
+    for epoch, (a, b) in enumerate(zip(scalar_trace, batch_trace)):
+        assert a == b, f"engines diverged at epoch {epoch}"
+    for epoch, (a, b) in enumerate(zip(scalar_columns, batch_columns)):
+        assert a == b, f"report columns diverged at epoch {epoch}"
+    assert scalar_migrations == batch_migrations
+
+
+def _columns(report):
+    """A columnar shard report as comparable plain values."""
+    return (
+        report.vm_names,
+        report.action_codes.tolist(),
+        report.distances.tolist(),
+        report.siblings_consulted.tolist(),
+        report.siblings_agreeing.tolist(),
+        report.analyzed.tolist(),
+        report.confirmed.tolist(),
+        None if report.counter_totals is None else report.counter_totals.tolist(),
+    )
+
+
+class TestBatchEpochReport:
+    @pytest.fixture
+    def reports(self, fast_config):
+        """Every shard report of a detecting, mitigating batch run."""
+        scenario = synthesize_datacenter(
+            60, num_shards=2, seed=23, episodes=[EPISODES[0]]
+        )
+        fleet = build_fleet(scenario, config=fast_config, mitigate=True)
+        fleet.bootstrap()
+        out = []
+        for _ in range(8):
+            out.extend(fleet.run_epoch().shard_reports.values())
+        return out
+
+    def test_pickle_round_trip(self, reports):
+        """Full reports cross the process pipe: pickling keeps every
+        observation, the acted-on ones with their analyses included."""
+        assert any(report.analyzer_invocations() for report in reports)
+        for report in reports:
+            copy = pickle.loads(pickle.dumps(report))
+            assert copy == report
+            assert list(copy.observations) == list(report.observations)
+            assert copy.confirmed_interference() == report.confirmed_interference()
+            assert copy.analyzer_invocations() == report.analyzer_invocations()
+            for vm_name, observation in report.observations.items():
+                restored = copy.observations[vm_name]
+                assert restored.warning == observation.warning
+                assert (restored.analysis is None) == (observation.analysis is None)
+
+    def test_observations_are_read_only(self, reports):
+        report = reports[0]
+        vm_name = next(iter(report.observations))
+        with pytest.raises(TypeError):
+            report.observations[vm_name] = report.observations[vm_name]
+        with pytest.raises(TypeError):
+            del report.observations[vm_name]

@@ -160,7 +160,9 @@ class _AppGroup:
 
     ``rows`` are the application's report rows; ``own`` and ``pool``
     are placement positions of its evaluated VMs and of its sibling
-    pool (every VM of the application with counters).
+    pool (every VM of the application with counters, so ``own`` is a
+    subset of ``pool``).  ``names`` is the placement's VM names as an
+    object array.
     """
 
     def __init__(
@@ -169,14 +171,18 @@ class _AppGroup:
         rows: np.ndarray,
         own: np.ndarray,
         pool: np.ndarray,
-        names: Tuple[str, ...],
+        names: np.ndarray,
     ) -> None:
         self.app_id = app_id
         self.rows = rows
         self.own = own
         self.pool = pool
-        self._own_names = tuple(map(names.__getitem__, own.tolist()))
-        self._pool_names = tuple(map(names.__getitem__, pool.tolist()))
+        self._own_names = tuple(names[own].tolist())
+        self._pool_names = (
+            self._own_names
+            if pool.size == own.size
+            else tuple(names[pool].tolist())
+        )
         self._own_labels = (app_id,) * len(self._own_names)
         self._pool_labels = (app_id,) * len(self._pool_names)
 
@@ -195,21 +201,38 @@ class _AppGroup:
 class _EpochLayout:
     """The batch engine's placement-derived row tables.
 
-    Built from the cluster's cached placement map and kept until that
-    map is replaced, which any placement change does.  The per-app
+    Built from the cluster's cached placement map and its application
+    ids (both assembled from per-host pieces) and kept until that map
+    is replaced, which any placement change does.  The per-app
     groups are kept while the VMs with counters and the eligible VMs
     stay the same: every epoch of a steady fleet.
     """
 
-    def __init__(self, placement: Mapping[str, Tuple[str, VirtualMachine]]) -> None:
+    def __init__(
+        self,
+        placement: Mapping[str, Tuple[str, VirtualMachine]],
+        app_of: Tuple[str, ...],
+    ) -> None:
         self.placement = placement
         self.names: Tuple[str, ...] = tuple(placement)
-        self.app_of: Tuple[str, ...] = tuple(vm.app_id for _, vm in placement.values())
-        positions: Dict[str, List[int]] = {}
-        for pos, app_id in enumerate(self.app_of):
-            positions.setdefault(app_id, []).append(pos)
-        self._app_positions = {
-            app_id: np.asarray(pos, dtype=np.intp) for app_id, pos in positions.items()
+        #: The application of every VM, in placement order.
+        self.app_of = app_of
+        # Object arrays gather the names of a row subset in one call.
+        self._name_array = np.array(self.names, dtype=object)
+        self._app_array = np.array(self.app_of, dtype=object)
+        # Each application's placement positions, ascending; applications
+        # in order of their first VM.  A stable sort of per-VM app codes
+        # keeps the per-VM work out of the interpreter.
+        apps = tuple(dict.fromkeys(self.app_of))
+        code = {app_id: i for i, app_id in enumerate(apps)}
+        codes = np.fromiter(
+            map(code.__getitem__, self.app_of), dtype=np.intp, count=len(self.app_of)
+        )
+        order = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes, minlength=len(apps))).tolist()
+        self._app_positions: Dict[str, np.ndarray] = {
+            app_id: order[start:end]
+            for app_id, start, end in zip(apps, [0] + ends, ends)
         }
         self._view_names: Optional[Tuple[str, ...]] = None
         self._view_rows = np.zeros(0, dtype=np.intp)
@@ -249,16 +272,17 @@ class _EpochLayout:
             self.vm_names = self.names
             self.app_ids = self.app_of
         else:
-            order = np.flatnonzero(eligible).tolist()
-            self.vm_names = tuple(map(self.names.__getitem__, order))
-            self.app_ids = tuple(map(self.app_of.__getitem__, order))
+            self.vm_names = tuple(self._name_array[eligible].tolist())
+            self.app_ids = tuple(self._app_array[eligible].tolist())
         report_row = np.cumsum(eligible) - 1
         groups = []
         for app_id, pos in self._app_positions.items():
             own = pos[eligible[pos]]
             if own.size:
                 pool = pos[present[pos]]
-                groups.append(_AppGroup(app_id, report_row[own], own, pool, self.names))
+                groups.append(
+                    _AppGroup(app_id, report_row[own], own, pool, self._name_array)
+                )
         # Applications in order of their first evaluated VM.
         groups.sort(key=lambda group: int(group.rows[0]))
         self.groups = groups
@@ -442,14 +466,14 @@ class DeepDive:
         # The cluster's cached placement map: never mutated in place (a
         # placement change builds a new one), so it stays the epoch-start
         # placement even if a mitigation migrates a VM below.
-        placement = self.cluster._placement()
+        _, placement, app_of = self.cluster._placement_state()
         # ------------------------------------------------------------------
         # Phase 1: evaluate every eligible VM against a frozen repository.
         # An (almost) idle VM produces no meaningful metric vector; there
         # is nothing to suffer interference yet.
         # ------------------------------------------------------------------
         if engine == "batch":
-            decisions, vectors = self._evaluate_epoch_batch(placement)
+            decisions, vectors = self._evaluate_epoch_batch(placement, app_of)
         else:
             decisions, vectors = self._evaluate_epoch_scalar(placement)
 
@@ -556,7 +580,9 @@ class DeepDive:
         return DecisionColumns.from_decisions(decisions), vectors
 
     def _evaluate_epoch_batch(
-        self, placement: Mapping[str, Tuple[str, VirtualMachine]]
+        self,
+        placement: Mapping[str, Tuple[str, VirtualMachine]],
+        app_of: Tuple[str, ...],
     ) -> Tuple[DecisionColumns, Dict[str, MetricVector]]:
         """The vectorized engine: a handful of array ops per application.
 
@@ -570,7 +596,7 @@ class DeepDive:
         view = self.cluster.counter_window_view(self.config.smoothing_epochs)
         layout = self._layout
         if layout is None or layout.placement is not placement:
-            layout = self._layout = _EpochLayout(placement)
+            layout = self._layout = _EpochLayout(placement, app_of)
         rows = layout.view_rows(view)
         present = rows >= 0
         eligible = present.copy()

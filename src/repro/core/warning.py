@@ -426,9 +426,14 @@ class WarningSystem:
         need_global = deviating[~known[deviating] & (consulted[deviating] > 0)]
         agreeing = np.zeros(n, dtype=np.int32)
         if need_global.size and m > 0:
-            pool_deviates = (
-                self.repository.distance_batch(app_id, pool.array) > acceptance_radius
-            )
+            if own.vm_names == pool.vm_names and np.array_equal(own.array, pool.array):
+                # The pool is the evaluated rows themselves (a one-epoch
+                # smoothing window): distances are row-wise, so theirs
+                # are already known.
+                pool_distances = distances
+            else:
+                pool_distances = self.repository.distance_batch(app_id, pool.array)
+            pool_deviates = pool_distances > acceptance_radius
             agreeing[:] = self._count_agreeing_batch(
                 own, pool, need_global, pool_deviates
             )

@@ -237,8 +237,9 @@ class _ShardSummary:
         self.host_index = {name: i for i, name in enumerate(self.host_names)}
         n = len(self.hosts)
         self.summaries: List[Optional[_HostSummary]] = [None] * n
-        self.versions: List[Optional[int]] = [None] * n
-        self.loads_versions: List[Optional[int]] = [None] * n
+        # Host versions at the last refresh (-1: never read).
+        self.versions = np.full(n, -1, dtype=np.int64)
+        self.loads_versions = np.full(n, -1, dtype=np.int64)
         self.pressure = np.zeros((n, len(ADMISSION_RESOURCES)), dtype=float)
         self.free_vcpus = np.zeros(n, dtype=float)
         self.free_mem = np.zeros(n, dtype=float)
@@ -254,22 +255,21 @@ class _ShardSummary:
         )
 
     def refresh(self, pressure_rows: Dict[str, np.ndarray]) -> None:
-        versions = list(map(_PLACEMENT_VERSION, self.hosts))
-        loads_versions = list(map(_LOADS_VERSION, self.hosts))
-        if versions == self.versions and loads_versions == self.loads_versions:
-            return
+        n = len(self.hosts)
+        versions = np.fromiter(map(_PLACEMENT_VERSION, self.hosts), np.int64, n)
+        loads_versions = np.fromiter(map(_LOADS_VERSION, self.hosts), np.int64, n)
+        placed = versions != self.versions
+        moved = np.flatnonzero(placed | (loads_versions != self.loads_versions))
         summaries = self.summaries
-        for i, host in enumerate(self.hosts):
-            if versions[i] != self.versions[i]:
-                summary = summaries[i] = _HostSummary(host, pressure_rows)
+        for i in moved.tolist():
+            if placed[i]:
+                summary = summaries[i] = _HostSummary(self.hosts[i], pressure_rows)
                 self.apps[i] = summary.apps
                 self.free_vcpus[i] = summary.free_vcpus
                 self.free_mem[i] = summary.free_mem
-            elif loads_versions[i] != self.loads_versions[i]:
+            else:
                 summary = summaries[i]
                 summary.sum_pressure()
-            else:
-                continue
             self.pressure[i] = summary.pressure
         self.versions = versions
         self.loads_versions = loads_versions

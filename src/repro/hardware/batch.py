@@ -18,16 +18,30 @@ Equivalence contract
 --------------------
 ``simulate_epoch_batch`` mirrors the scalar substrate operation for
 operation: same formulas, same operand order, and the same per-host
-measurement-noise draws (one :func:`numpy.random.Generator.normal` per
-counter per active VM, in VM placement order).  Counters therefore match
-the scalar substrate bit-for-bit in the common case; the only tolerated
-deviation is float-summation order in cross-VM reductions (documented
-tolerance ``1e-9`` relative), which cannot change any warning decision.
+measurement-noise stream.  Counters therefore match the scalar substrate
+bit-for-bit in the common case; the only tolerated deviation is
+float-summation order in cross-VM reductions (documented tolerance
+``1e-9`` relative), which cannot change any warning decision.
 ``tests/property/test_substrate_equivalence.py`` pins this contract.
+
+Measurement noise
+-----------------
+Each host with noise ``sigma > 0`` and at least one active row draws one
+standard-normal block of shape ``(active rows, len(COUNTER_NAMES))``
+from its own generator, in row order; every noisy counter is then
+``max(0, value * (1 + sigma * z))``.  The scalar model draws
+``normal(0, sigma)`` per counter instead, which NumPy computes as
+``0.0 + sigma * z`` on the same standard-normal stream.  ``0.0 + x``
+differs from ``x`` only at ``x = -0.0``, and the ``1.0 + ...`` that
+follows erases that difference, so the factors are the same bits and
+every generator ends the epoch in the same state.
+``tests/hardware/test_batch_noise.py`` pins this against the per-host
+loop of earlier versions.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,6 +57,9 @@ from repro.metrics.counters import COUNTER_NAMES, N_COUNTERS, CounterSample
 
 #: Column index of ``inst_retired`` in the batch counter matrix.
 INST_RETIRED_COL = COUNTER_NAMES.index("inst_retired")
+
+#: The noise level of a ``(noise, generator)`` pair.
+_NOISE = operator.itemgetter(0)
 
 #: The scalar :class:`ResourceDemand` fields packed into a DemandMatrix,
 #: in column order.
@@ -159,6 +176,33 @@ class HostBatchPlan:
     pair_weight: np.ndarray
 
 
+def splice_segments(
+    previous: Optional[np.ndarray],
+    bounds: Optional[np.ndarray],
+    moved: Sequence[int],
+    parts: Sequence[np.ndarray],
+) -> np.ndarray:
+    """A host-segmented array with the moved hosts' segments replaced.
+
+    Host ``h`` owns ``previous[bounds[h]:bounds[h + 1]]``; ``moved`` are
+    ascending host indices and ``parts`` their new segments, in the same
+    order.  Each run of unmoved hosts is copied as one slice, so the
+    Python work grows with the moved hosts, not with the host count.
+    With ``previous`` (and ``bounds``) None every host must be in
+    ``moved``.
+    """
+    pieces = []
+    start = 0
+    for h, part in zip(moved, parts):
+        if h > start:
+            pieces.append(previous[bounds[start]:bounds[h]])
+        pieces.append(part)
+        start = h + 1
+    if previous is not None:
+        pieces.append(previous[bounds[start]:])
+    return np.concatenate(pieces)
+
+
 @dataclass
 class ClusterLayout:
     """Host-segmented layout of all VM rows of one batch epoch."""
@@ -173,16 +217,31 @@ class ClusterLayout:
     pair_weight: np.ndarray
     n_hosts: int
     n_domains: int
+    #: Host ``h`` owns rows ``row_bounds[h]:row_bounds[h + 1]``.
+    row_bounds: np.ndarray
+    #: Host ``h`` owns pairs ``pair_bounds[h]:pair_bounds[h + 1]``.
+    pair_bounds: np.ndarray
 
     @classmethod
     def assemble(
-        cls, plans: Sequence[HostBatchPlan], cache_domains: int
+        cls,
+        plans: Sequence[HostBatchPlan],
+        cache_domains: int,
+        previous: Optional["ClusterLayout"] = None,
+        moved: Optional[Sequence[int]] = None,
     ) -> "ClusterLayout":
         """Concatenate per-host plans into one cluster-wide layout.
 
         ``plans[h]`` describes host ``h``; global cache-domain ids are
         ``h * cache_domains + local_domain`` so domains never alias
         across hosts.
+
+        After a placement change, ``previous`` is the layout of the same
+        hosts before it and ``moved`` the ascending indices of the hosts
+        whose plans changed since: the runs of unmoved hosts are copied
+        from ``previous`` (their pairs shifted to the runs' new row
+        offsets) and only the moved hosts' plans are read.  Without
+        ``previous`` every host counts as moved — a first build.
         """
         n = len(plans)
         if not n:
@@ -195,26 +254,59 @@ class ClusterLayout:
                 pair_weight=np.empty(0, dtype=float),
                 n_hosts=0,
                 n_domains=0,
+                row_bounds=np.zeros(1, dtype=np.intp),
+                pair_bounds=np.zeros(1, dtype=np.intp),
             )
-        # Concatenate once and shift with repeated per-host offsets: a
-        # churning placement re-assembles every epoch, and per-host
-        # array arithmetic dominated that rebuild.
+        if previous is None:
+            moved = range(n)
+            row_bounds_old = pair_bounds_old = np.zeros(n + 1, dtype=np.intp)
+        elif previous.n_hosts != n:
+            raise ValueError(f"previous layout has {previous.n_hosts} hosts, plans {n}")
+        else:
+            row_bounds_old = previous.row_bounds
+            pair_bounds_old = previous.pair_bounds
+        moved_idx = np.fromiter(moved, np.intp, count=len(moved))
+        if moved_idx.size and (
+            moved_idx[0] < 0 or moved_idx[-1] >= n or np.any(np.diff(moved_idx) <= 0)
+        ):
+            raise ValueError("moved hosts must be ascending indices into plans")
+        vm_counts = np.diff(row_bounds_old)
+        pair_counts = np.diff(pair_bounds_old)
+        vm_counts[moved_idx] = [plans[h].n_vms for h in moved]
+        pair_counts[moved_idx] = [plans[h].pair_vm.size for h in moved]
+        row_bounds = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(vm_counts, out=row_bounds[1:])
+        pair_bounds = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(pair_counts, out=pair_bounds[1:])
+
+        def splice(field: str, bounds: np.ndarray) -> np.ndarray:
+            return splice_segments(
+                getattr(previous, field, None),
+                bounds,
+                moved,
+                [getattr(plans[h], field) for h in moved],
+            )
+
+        # Unmoved pairs are already global: they shift by their run's
+        # row displacement.  Moved pairs are local: they shift by their
+        # host's row offset and domain base.
         hosts = np.arange(n, dtype=np.intp)
-        vm_counts = np.fromiter((plan.n_vms for plan in plans), np.intp, count=n)
-        pair_counts = np.fromiter(
-            (plan.pair_vm.size for plan in plans), np.intp, count=n
-        )
-        vm_offsets = np.cumsum(vm_counts) - vm_counts
+        kept_start = row_bounds_old[:-1].copy()
+        kept_start[moved_idx] = 0
+        domain_base = np.zeros(n, dtype=np.intp)
+        domain_base[moved_idx] = moved_idx * cache_domains
         return cls(
             host_of_vm=np.repeat(hosts, vm_counts),
-            n_cores=np.concatenate([plan.n_cores for plan in plans]),
-            pair_vm=np.concatenate([plan.pair_vm for plan in plans])
-            + np.repeat(vm_offsets, pair_counts),
-            pair_domain=np.concatenate([plan.pair_domain for plan in plans])
-            + np.repeat(hosts * cache_domains, pair_counts),
-            pair_weight=np.concatenate([plan.pair_weight for plan in plans]),
+            n_cores=splice("n_cores", row_bounds_old),
+            pair_vm=splice("pair_vm", pair_bounds_old)
+            + np.repeat(row_bounds[:-1] - kept_start, pair_counts),
+            pair_domain=splice("pair_domain", pair_bounds_old)
+            + np.repeat(domain_base, pair_counts),
+            pair_weight=splice("pair_weight", pair_bounds_old),
             n_hosts=n,
             n_domains=n * cache_domains,
+            row_bounds=row_bounds,
+            pair_bounds=pair_bounds,
         )
 
 
@@ -274,22 +366,33 @@ class BatchBuffers:
 
     Steady placements resolve the same VM-row count epoch after epoch;
     keeping one ``BatchBuffers`` per batch group lets the epoch write
-    its counter matrix into a preallocated buffer instead of allocating
-    (and copying via ``column_stack``) a fresh one every epoch.
+    its counter matrix and its measurement-noise draws into
+    preallocated buffers instead of allocating fresh ones every epoch.
+    A buffer is reallocated when the row count changes.
 
     A result produced with buffers is valid until the **next** epoch
     that reuses them — callers must consume (or copy) the counter block
     within the epoch, which the counter-store ring ingest does.
     """
 
+    # Buffers pickled before the noise block existed start without it.
+    _noise: Optional[np.ndarray] = None
+
     def __init__(self) -> None:
         self._counters: Optional[np.ndarray] = None
+        self._noise: Optional[np.ndarray] = None
 
     def counters(self, n: int) -> np.ndarray:
         """An ``(n, N_COUNTERS)`` float64 buffer (reallocated on resize)."""
         if self._counters is None or self._counters.shape[0] != n:
             self._counters = np.empty((n, N_COUNTERS), dtype=float)
         return self._counters
+
+    def noise(self, n: int) -> np.ndarray:
+        """An ``(n, N_COUNTERS)`` float64 buffer for the noise draws."""
+        if self._noise is None or self._noise.shape[0] != n:
+            self._noise = np.empty((n, N_COUNTERS), dtype=float)
+        return self._noise
 
 
 def simulate_epoch_batch(
@@ -317,9 +420,13 @@ def simulate_epoch_batch(
     cpu_caps:
         Per-VM CPU caps in (0, 1].
     noise_rngs:
-        One ``(noise, generator)`` pair per host, in host index order;
-        consumed exactly like the scalar substrate so counter streams
-        stay aligned between substrates.
+        One ``(noise, generator)`` pair per host, in host index order
+        (a ``ValueError`` if the count differs from ``layout.n_hosts``).
+        Every host with ``noise > 0`` and an active row makes one
+        ``standard_normal`` draw of ``(active rows, N_COUNTERS)``,
+        scaled by its noise — the same stream and bits as the scalar
+        substrate's per-counter ``normal(0, noise)`` (see the module
+        docstring), so counter streams stay aligned between substrates.
     buffers:
         Optional reusable output buffers (see :class:`BatchBuffers`);
         with them, steady-placement epochs write the counter matrix in
@@ -328,6 +435,11 @@ def simulate_epoch_batch(
     """
     if epoch_seconds <= 0:
         raise ValueError("epoch_seconds must be positive")
+    if len(noise_rngs) != layout.n_hosts:
+        raise ValueError(
+            f"noise_rngs has {len(noise_rngs)} entries for a layout of "
+            f"{layout.n_hosts} hosts"
+        )
     n = len(demands)
     arch = spec.architecture
     if n == 0:
@@ -476,20 +588,42 @@ def simulate_epoch_batch(
     counters[~active] = 0.0
 
     # ------------------------------------------------------------------
-    # 5. Measurement noise, one generator per host (scalar-aligned).
-    # Rows are host-major, so each host is one contiguous block.
+    # 5. Measurement noise: one standard-normal block per noisy host,
+    # drawn from the host's generator into its rows of one shared block
+    # (rows are host-major, so each host's active rows are contiguous
+    # there), then scaled by the host's sigma for all rows at once.
     # ------------------------------------------------------------------
-    bounds = np.searchsorted(host, np.arange(n_hosts + 1))
-    for h, (noise, rng) in enumerate(noise_rngs):
-        if noise <= 0:
-            continue
-        lo, hi = int(bounds[h]), int(bounds[h + 1])
-        if lo == hi:
-            continue
-        rows = lo + np.nonzero(active[lo:hi])[0]
-        if rows.size == 0:
-            continue
-        factors = 1.0 + rng.normal(0.0, noise, size=(rows.size, N_COUNTERS))
+    sigma = np.fromiter(map(_NOISE, noise_rngs), dtype=float, count=n_hosts)
+    row_sigma = sigma[host]
+    noisy = active & (row_sigma > 0)
+    bounds = layout.row_bounds
+    every_row = bool(noisy.all())
+    if every_row:
+        per_host = np.diff(bounds)
+    else:
+        seen = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(noisy, out=seen[1:])
+        per_host = seen[bounds[1:]] - seen[bounds[:-1]]
+    drawing = np.flatnonzero(per_host)
+    m = int(per_host.sum())
+    z = (
+        buffers.noise(m)
+        if buffers is not None
+        else np.empty((m, N_COUNTERS), dtype=float)
+    )
+    lo = 0
+    for h, k in zip(drawing.tolist(), per_host[drawing].tolist()):
+        noise_rngs[h][1].standard_normal(out=z[lo:lo + k])
+        lo += k
+    if every_row:
+        # The steady case: every row is noisy, so scale in place.
+        z *= row_sigma[:, None]
+        z += 1.0
+        counters *= z
+        np.maximum(0.0, counters, out=counters)
+    elif m:
+        rows = np.flatnonzero(noisy)
+        factors = 1.0 + row_sigma[rows, None] * z
         counters[rows] = np.maximum(0.0, counters[rows] * factors)
 
     idle_capacity = (

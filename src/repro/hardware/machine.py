@@ -38,7 +38,7 @@ from repro.hardware.disk import DiskModel, DiskOutcome
 from repro.hardware.membus import CACHE_LINE_BYTES, BusOutcome, MemoryBusModel
 from repro.hardware.network import NicModel, NicOutcome
 from repro.hardware.specs import MachineSpec, XEON_X5472
-from repro.metrics.counters import CounterSample
+from repro.metrics.counters import COUNTER_NAMES, N_COUNTERS, CounterSample
 
 
 @dataclass
@@ -580,14 +580,24 @@ class PhysicalMachine:
         )
 
     def _apply_noise(self, sample: CounterSample) -> CounterSample:
-        """Multiplicative lognormal-ish noise on every counter."""
+        """Multiplicative lognormal-ish noise on every counter.
+
+        One ``normal(0, noise)`` draw of all counters in
+        :data:`COUNTER_NAMES` order: the same stream, and the same
+        factors, as one scalar draw per counter.  The clamp is
+        ``where(v > 0, v, 0)`` because that is what ``max(0.0, v)``
+        does: ``np.maximum(0.0, -0.0)`` would keep ``-0.0``.
+        """
         if self.noise <= 0:
             return sample
-        values = {}
-        for name, value in sample.as_dict().items():
-            factor = 1.0 + self._rng.normal(0.0, self.noise)
-            values[name] = max(0.0, value * factor)
-        return CounterSample.from_mapping(values, epoch_seconds=sample.epoch_seconds)
+        values = np.array(
+            [getattr(sample, name) for name in COUNTER_NAMES], dtype=float
+        )
+        values *= 1.0 + self._rng.normal(0.0, self.noise, size=N_COUNTERS)
+        return CounterSample(
+            *np.where(values > 0.0, values, 0.0).tolist(),
+            epoch_seconds=sample.epoch_seconds,
+        )
 
     # ------------------------------------------------------------------
     def run_in_isolation(

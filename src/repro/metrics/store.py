@@ -43,11 +43,16 @@ or a migration target) grows the ring's VM axis — existing columns,
 ring contents and ``trimmed_length`` phases are preserved, and the new
 VM's history simply begins at the epoch it joined.  VMs *removed* from
 the tuple (a departure or migration source) shrink the ring after
-materialising just their own column into their retained sample list.
-Only a reordering or a combined add+remove falls back to the full
-flush-and-restart.  Lifecycle churn therefore keeps the single-array
-ingest hot path; ``tests/metrics/test_counter_store.py`` pins the
-grow/shrink semantics against the eager reference.
+copying just their own column into their retained history.  A host
+that loses and gains VMs in the same epoch shrinks to the staying VMs
+and grows by the arrivals in one copy of the ring; an add plus a remove
+no longer flushes.  Only a reordering, or a new tuple that keeps none
+of the ring's VMs, falls back to the full flush-and-restart.  Flushed
+and departed VMs keep their ring rows as a :class:`RetainedHistory`,
+which builds samples only when they are read.  Lifecycle churn
+therefore keeps the single-array ingest hot path;
+``tests/metrics/test_counter_store.py`` pins the grow/shrink semantics
+against the eager reference.
 
 ``tests/property/test_lazy_history_equivalence.py`` pins the contract
 fleet-wide; ``tests/metrics/test_counter_store.py`` pins it at the
@@ -113,6 +118,42 @@ def sample_row(sample: CounterSample) -> np.ndarray:
     )
 
 
+class RetainedHistory(Sequence):
+    """A VM's history after its ring segment ended, read on demand.
+
+    ``head`` holds samples from before the segment; ``rows`` and ``eps``
+    are the copied ring rows and epoch lengths that follow them.  A row
+    becomes a :class:`CounterSample` only when indexed (uncached, like
+    the ring's own reads), so a departure costs one array copy, not one
+    sample object per retained epoch.  Slices return plain lists.
+    """
+
+    __slots__ = ("head", "rows", "eps")
+
+    def __init__(
+        self, head: List[CounterSample], rows: np.ndarray, eps: np.ndarray
+    ) -> None:
+        self.head = head
+        self.rows = rows
+        self.eps = eps
+
+    def __len__(self) -> int:
+        return len(self.head) + len(self.eps)
+
+    def __getitem__(self, index):
+        length = len(self)
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(length))]
+        if index < 0:
+            index += length
+        if not 0 <= index < length:
+            raise IndexError(f"history index {index} out of range ({length} epochs)")
+        k = index - len(self.head)
+        if k < 0:
+            return self.head[index]
+        return CounterSample(*self.rows[k].tolist(), epoch_seconds=float(self.eps[k]))
+
+
 class HostCounterStore:
     """Per-host counter telemetry: a columnar ring plus lazy histories.
 
@@ -138,10 +179,11 @@ class HostCounterStore:
             raise ValueError("history_limit must be positive")
         self.history_limit = history_limit
         self.lazy = lazy
-        #: Materialised per-VM samples: the whole history for VMs not in
-        #: the live ring (scalar appends, flushed ring segments, eager
-        #: mode); only the pre-ring tail for live lazy-ring VMs.
-        self._prefix: Dict[str, List[CounterSample]] = {}
+        #: Per-VM samples: the whole history for VMs not in the live
+        #: ring (scalar appends, eager mode, and — as a
+        #: :class:`RetainedHistory` — flushed ring segments); only the
+        #: pre-ring tail for live lazy-ring VMs.
+        self._prefix: Dict[str, Sequence[CounterSample]] = {}
         # --- live ring segment (one per stable VM-name tuple) ---
         self._ring_names: Optional[Tuple[str, ...]] = None
         self._ring_index: Dict[str, int] = {}
@@ -189,22 +231,31 @@ class HostCounterStore:
         The hot path of the store — one array assignment into the ring
         (plus, in eager mode, the reference per-VM materialisation).
         A change in the VM-name tuple resizes the ring in place when the
-        change is a pure append (VMs arriving) or a pure removal (VMs
-        departing, order preserved); any other change flushes the
-        previous ring segment into the per-VM sample lists first.
+        new tuple is the staying VMs in ring order followed by arrivals:
+        departures shrink the ring, then arrivals grow it.  Any other
+        change (a reordering, a VM set with no VM staying) flushes the
+        previous ring segment into the per-VM histories first.
         """
         if names != self._ring_names:
             old = self._ring_names
-            if old is None or self._appended == 0:
+            # ``names`` = the staying VMs in ring order, then arrivals.
+            index = self._ring_index
+            k = 0
+            if old is not None:
+                while k < len(names) and names[k] in index:
+                    k += 1
+            kept = names[:k]
+            if (
+                old is None
+                or self._appended == 0
+                or not kept
+                or any(name in index for name in names[k:])
+                or not _is_subsequence(kept, old)
+            ):
                 self.flush()
                 self._start_ring(names, int(block.shape[0]))
-            elif len(names) > len(old) and names[: len(old)] == old:
-                self._grow_vms(names)
-            elif names and len(names) < len(old) and _is_subsequence(names, old):
-                self._shrink_vms(names)
             else:
-                self.flush()
-                self._start_ring(names, int(block.shape[0]))
+                self._resize_vms(kept, names)
         data = self._ring_data
         cap = data.shape[0]
         if self._appended >= cap:
@@ -234,14 +285,16 @@ class HostCounterStore:
         for name, sample in samples.items():
             self.ensure(name)
             history = self._prefix[name]
+            if type(history) is not list:
+                history = self._prefix[name] = list(history)
             history.append(sample)
             self._trim(history)
 
     def flush(self) -> None:
-        """Materialise the live ring segment into the per-VM lists.
+        """Move the live ring segment into the per-VM histories.
 
         Called on placement changes and scalar epochs; afterwards every
-        VM's list holds exactly its logical (trimmed) history, so the
+        VM's history holds exactly its logical (trimmed) epochs, so the
         lazy and eager representations coincide again.
         """
         names = self._ring_names
@@ -261,34 +314,30 @@ class HostCounterStore:
         self._appended = 0
 
     def _flush_vm(self, name: str) -> None:
-        """Materialise one ring VM's live samples into its prefix list.
+        """Move one ring VM's live epochs into its retained history.
 
         After the call ``self._prefix[name]`` holds exactly the VM's
-        logical (trimmed) history; the caller is responsible for taking
-        the VM out of the ring bookkeeping.  Eager stores already keep
-        the prefix lists current, so this is lazy-only work.
+        logical (trimmed) history: the live part of its previous prefix
+        followed by a copy of its live ring rows, which become samples
+        only when read (:class:`RetainedHistory`).  The caller is
+        responsible for taking the VM out of the ring bookkeeping.
+        Eager stores already keep the prefix lists current, so this is
+        lazy-only work.
         """
         if not self.lazy:
             return
         a = self._appended
-        data = self._ring_data
-        eps = self._ring_eps
-        cap = data.shape[0]
         length = self.length(name)
         live_ring = min(length, a - self._ring_start[name])
         live_prefix = length - live_ring
         prefix = self._prefix[name]
         kept = prefix[len(prefix) - live_prefix:] if live_prefix else []
-        col = self._ring_index[name]
-        for j in range(a - live_ring, a):
-            pos = j % cap
-            kept.append(
-                CounterSample(
-                    *data[pos, col].tolist(),
-                    epoch_seconds=float(eps[pos]),
-                )
-            )
-        self._prefix[name] = kept
+        slots = np.arange(a - live_ring, a) % self._ring_data.shape[0]
+        self._prefix[name] = RetainedHistory(
+            kept,
+            self._ring_data[slots, self._ring_index[name]],
+            self._ring_eps[slots],
+        )
 
     def _start_ring(self, names: Tuple[str, ...], n_vms: int) -> None:
         limit = self.history_limit
@@ -307,49 +356,38 @@ class HostCounterStore:
         self._ring_eps = np.empty(capacity, dtype=float)
         self._appended = 0
 
-    def _grow_vms(self, names: Tuple[str, ...]) -> None:
-        """Extend the ring's VM axis in place (``names`` appends VMs).
+    def _resize_vms(self, kept: Tuple[str, ...], names: Tuple[str, ...]) -> None:
+        """Resize the ring's VM axis in place for a lifecycle change.
 
-        The documented grow path for post-construction VM registration:
-        existing columns (and therefore every resident VM's ring
-        contents, ``trimmed_length`` phase and window reads) carry over
-        untouched; the appended VMs' histories begin at the current
-        epoch, recorded in ``_ring_start`` so lengths and window folds
-        never read rows from before they joined.
+        ``kept`` are the staying VMs (a subsequence of the ring's, in
+        ring order) and ``names`` is ``kept`` followed by the arrivals.
+        Each departed VM's column moves into its retained history first
+        (histories survive departure, as with a full flush).  The
+        staying VMs' ring contents, ``trimmed_length`` phases and window
+        reads carry over untouched, in one copy of the ring.  The
+        arrivals' histories begin at the current epoch, recorded in
+        ``_ring_start`` so lengths and window folds never read rows from
+        before they joined.
         """
+        old = self._ring_names
+        if len(kept) < len(old):
+            staying = set(kept)
+            for name in old:
+                if name not in staying:
+                    self._flush_vm(name)
+                    del self._ring_base[name]
+                    del self._ring_start[name]
         old_data = self._ring_data
-        capacity, n_old = old_data.shape[0], old_data.shape[1]
-        data = np.empty((capacity, len(names), N_COUNTERS), dtype=float)
-        data[:, :n_old] = old_data
+        data = np.empty((old_data.shape[0], len(names), N_COUNTERS), dtype=float)
+        if kept == old:
+            data[:, : len(kept)] = old_data
+        else:
+            data[:, : len(kept)] = old_data[:, [self._ring_index[n] for n in kept]]
         self._ring_data = data
-        for name in names[n_old:]:
+        for name in names[len(kept):]:
             self.ensure(name)
             self._ring_base[name] = len(self._prefix[name])
             self._ring_start[name] = self._appended
-        self._ring_names = tuple(names)
-        self._ring_index = {name: i for i, name in enumerate(names)}
-        self._ring_max_start = max(self._ring_start.values())
-        self._ring_all_new = all(
-            self._ring_start[n] == 0 and self._ring_base[n] == 0 for n in names
-        )
-
-    def _shrink_vms(self, names: Tuple[str, ...]) -> None:
-        """Drop departed VMs' columns in place (``names`` removes VMs).
-
-        Each departed VM's own column is materialised into its retained
-        sample list first (histories survive departure, as with a full
-        flush), then the ring keeps serving the remaining VMs without
-        interrupting the segment.
-        """
-        old = self._ring_names
-        keep = set(names)
-        for name in old:
-            if name not in keep:
-                self._flush_vm(name)
-                del self._ring_base[name]
-                del self._ring_start[name]
-        cols = [self._ring_index[name] for name in names]
-        self._ring_data = np.ascontiguousarray(self._ring_data[:, cols])
         self._ring_names = tuple(names)
         self._ring_index = {name: i for i, name in enumerate(names)}
         self._ring_max_start = max(self._ring_start.values())

@@ -40,6 +40,7 @@ from repro.hardware.batch import (
     DemandMatrix,
     HostBatchPlan,
     simulate_epoch_batch,
+    splice_segments,
 )
 from repro.hardware.machine import outcome_from_batch
 from repro.hardware.specs import MachineSpec, XEON_X5472
@@ -132,35 +133,75 @@ BatchGroup = Tuple[
 ]
 
 
+def _moved_hosts(
+    hosts: Iterable["Host"], n: int, old: Optional[np.ndarray]
+) -> Tuple[np.ndarray, List[int]]:
+    """The ``n`` hosts' placement versions, and the indices where they
+    differ from ``old`` (every index when ``old`` is None)."""
+    versions = np.fromiter(map(_PLACEMENT_VERSION, hosts), np.int64, count=n)
+    if old is None:
+        return versions, list(range(n))
+    return versions, np.flatnonzero(versions != old).tolist()
+
+
 class _HostSegments:
     """One spec group's per-host batch inputs, refreshed host by host.
 
     A host's batch plan, VM names and CPU caps change only with its
     placement version (``Host.set_cpu_cap`` bumps it too), so after a
-    placement change only the hosts whose version moved are re-read.
+    placement change only the hosts whose version moved are re-read, and
+    the group's layout and caps are spliced from the previous ones.
     """
 
-    __slots__ = ("hosts", "versions", "plans", "members", "caps")
+    __slots__ = ("hosts", "versions", "plans", "members", "caps", "layout")
 
     def __init__(self, hosts: List[Tuple[str, "Host"]]) -> None:
         self.hosts = hosts
         n = len(hosts)
-        self.versions: List[Optional[int]] = [None] * n
+        self.versions: Optional[np.ndarray] = None
         self.plans: List[Optional[HostBatchPlan]] = [None] * n
         self.members: List[Optional[Tuple[str, Host, Tuple[str, ...]]]] = [None] * n
-        self.caps: List[Optional[np.ndarray]] = [None] * n
+        #: CPU caps of every VM row, in row order.
+        self.caps: Optional[np.ndarray] = None
+        self.layout: Optional[ClusterLayout] = None
 
     def refresh(self, cache_domains: int) -> ClusterLayout:
         """Re-read the moved hosts and return the group's layout."""
-        versions = self.versions
-        for i, (host_name, host) in enumerate(self.hosts):
-            version = host.placement_version
-            if version != versions[i]:
-                versions[i] = version
-                self.plans[i] = host.batch_plan_current()
-                self.members[i] = (host_name, host, tuple(host._vms))
-                self.caps[i] = np.asarray(host.cpu_cap_values(), dtype=float)
-        return ClusterLayout.assemble(self.plans, cache_domains)
+        self.versions, moved = _moved_hosts(
+            map(_MEMBER_HOST, self.hosts), len(self.hosts), self.versions
+        )
+        caps = []
+        for i in moved:
+            host_name, host = self.hosts[i]
+            self.plans[i] = host.batch_plan_current()
+            self.members[i] = (host_name, host, tuple(host._vms))
+            caps.append(np.asarray(host.cpu_cap_values(), dtype=float))
+        previous = self.layout
+        self.caps = splice_segments(
+            self.caps,
+            None if previous is None else previous.row_bounds,
+            moved,
+            caps,
+        )
+        self.layout = ClusterLayout.assemble(
+            self.plans, cache_domains, previous, moved
+        )
+        return self.layout
+
+
+_PLACEMENT_VERSION = operator.attrgetter("placement_version")
+_HISTORY_LIMIT = operator.attrgetter("history_limit")
+_IS_SET = functools.partial(operator.is_not, None)
+#: The host of a ``(host name, host)`` pair or a :data:`BatchGroup`
+#: member, and a member's VM names.
+_MEMBER_HOST = operator.itemgetter(1)
+_MEMBER_NAMES = operator.itemgetter(2)
+
+#: (placement signature, VM -> (host name, VM) map, the map's
+#: application ids in map order) — see :meth:`Cluster._placement`.
+_PlacementView = Tuple[
+    Tuple[int, int], Dict[str, Tuple[str, VirtualMachine]], Tuple[str, ...]
+]
 
 
 class Cluster:
@@ -182,12 +223,25 @@ class Cluster:
     _block_tables: Optional[_BlockTables] = None
     #: (host identities and epoch lengths, per spec group: its key and
     #: host segments) — see :meth:`_batch_group_plan`.
-    _spec_grouping: Optional[
+    _host_segments: Optional[
         Tuple[tuple, List[Tuple[Tuple[int, float], _HostSegments]]]
     ] = None
     #: (signature, groups) of the current placement — see
     #: :meth:`_batch_group_plan`.
-    _group_plans: Optional[Tuple[tuple, List[BatchGroup]]] = None
+    _batch_groups: Optional[Tuple[tuple, List[BatchGroup]]] = None
+    #: (the ``(host name, host)`` pairs, their placement versions, each
+    #: host's ``(vm name, (host name, VM))`` items, each host's VMs'
+    #: application ids) — see :meth:`_placement`.
+    _placement_items: Optional[
+        Tuple[tuple, np.ndarray, List[tuple], List[Tuple[str, ...]]]
+    ] = None
+    #: Per spec group: (demand matrix, its packed rows, the rows' host
+    #: bounds) — see :meth:`_step_batch`.
+    _demand_tables: Optional[
+        Dict[int, Tuple[DemandMatrix, np.ndarray, np.ndarray]]
+    ] = None
+    #: The placement map of the current signature — see :meth:`_placement`.
+    _placement_view: Optional[_PlacementView] = None
 
     def __init__(
         self,
@@ -234,12 +288,6 @@ class Cluster:
         #: hosts (they may hold stranded VMs until capacity appears).
         self.drained_hosts: set = set()
         self.current_epoch = 0
-        #: Cached VM -> (host, VM) placement map plus the placement
-        #: signature it was built at (see :meth:`_placement_signature`).
-        self._placement_cache: Optional[Dict[str, Tuple[str, VirtualMachine]]] = None
-        self._placement_signature_cached: Tuple[int, int] = (-1, -1)
-        #: Cached packed demand matrices per group (steady-load epochs).
-        self._batch_matrix_cache: Dict[int, Tuple[DemandMatrix, np.ndarray]] = {}
         #: Reusable batch-substrate output buffers per group (steady
         #: placements stop reallocating the epoch's counter matrix).
         self._batch_buffers: Dict[int, BatchBuffers] = {}
@@ -260,7 +308,6 @@ class Cluster:
         if host.name in self.hosts:
             raise ValueError(f"host {host.name!r} already in cluster")
         self.hosts[host.name] = host
-        self._placement_cache = None
 
     def place_vm(
         self,
@@ -303,24 +350,50 @@ class Cluster:
         """
         return (
             len(self.hosts),
-            sum(map(operator.attrgetter("placement_version"), self.hosts.values())),
+            sum(map(_PLACEMENT_VERSION, self.hosts.values())),
         )
 
     def _placement(self) -> Dict[str, Tuple[str, VirtualMachine]]:
         """The cached VM -> (host name, VM) map, rebuilt only when the
-        placement changed (migrations, added hosts/VMs)."""
+        placement changed (migrations, added hosts/VMs).  A rebuild
+        builds a new map: a returned map is never mutated."""
+        return self._placement_state()[1]
+
+    def _placement_state(self) -> _PlacementView:
+        """The current placement signature, the :meth:`_placement` map
+        and the application id of every VM in the map's order (VMs keep
+        their application for life)."""
         signature = self._placement_signature()
-        if (
-            self._placement_cache is None
-            or signature != self._placement_signature_cached
-        ):
-            self._placement_cache = {
-                vm_name: (host_name, vm)
-                for host_name, host in self.hosts.items()
-                for vm_name, vm in host._vms.items()
-            }
-            self._placement_signature_cached = signature
-        return self._placement_cache
+        view = self._placement_view
+        if view is not None and view[0] == signature:
+            return view
+        # Each host's pieces are kept per placement version, so a
+        # placement change re-reads only the hosts that moved; the map
+        # keeps host-then-VM order (the action phase's order).
+        # Hosts are only ever added (:meth:`add_host`), at the end.
+        n = len(self.hosts)
+        cached = self._placement_items
+        if cached is None or len(cached[0]) != n:
+            entries = tuple(self.hosts.items())
+            parts: List[tuple] = [()] * n
+            apps: List[Tuple[str, ...]] = [()] * n
+            old_versions = None
+        else:
+            entries, old_versions, parts, apps = cached
+        versions, moved = _moved_hosts(self.hosts.values(), n, old_versions)
+        for i in moved:
+            host_name, host = entries[i]
+            parts[i] = tuple(
+                (vm_name, (host_name, vm)) for vm_name, vm in host._vms.items()
+            )
+            apps[i] = tuple(vm.app_id for vm in host._vms.values())
+        self._placement_items = (entries, versions, parts, apps)
+        view = self._placement_view = (
+            signature,
+            dict(itertools.chain.from_iterable(parts)),
+            tuple(itertools.chain.from_iterable(apps)),
+        )
+        return view
 
     def all_vms(self) -> Dict[str, Tuple[str, VirtualMachine]]:
         """All VMs in the cluster: vm name -> (host name, VM).
@@ -396,21 +469,21 @@ class Cluster:
         """
         epochs = tuple(host.epoch_seconds for host in self.hosts.values())
         signature = (self._placement_signature(), epochs)
-        if self._group_plans is not None and self._group_plans[0] == signature:
-            return self._group_plans[1]
-        self._batch_matrix_cache = {}
-        self._batch_buffers = {}
+        if self._batch_groups is not None and self._batch_groups[0] == signature:
+            return self._batch_groups[1]
         # The spec grouping outlives placement changes: it is redone only
         # when the host set or an epoch length changes.  Within it, only
-        # the hosts whose placement moved are re-read.
+        # the hosts whose placement moved are re-read.  (The output
+        # buffers stay: they resize when a group's row count changes.)
         host_key = (tuple(map(id, self.hosts.values())), epochs)
-        grouping = self._spec_grouping
+        grouping = self._host_segments
         if grouping is None or grouping[0] != host_key:
+            self._demand_tables = {}
             grouped: Dict[Tuple[int, float], List[Tuple[str, Host]]] = {}
             for host_name, host in self.hosts.items():
                 key = (id(host.machine.spec), host.epoch_seconds)
                 grouped.setdefault(key, []).append((host_name, host))
-            grouping = self._spec_grouping = (
+            grouping = self._host_segments = (
                 host_key,
                 [(key, _HostSegments(hosts)) for key, hosts in grouped.items()],
             )
@@ -419,15 +492,9 @@ class Cluster:
             spec = segments.hosts[0][1].machine.spec
             layout = segments.refresh(spec.architecture.cache_domains)
             built.append(
-                (
-                    spec,
-                    epoch_seconds,
-                    list(segments.members),
-                    layout,
-                    np.concatenate(segments.caps),
-                )
+                (spec, epoch_seconds, list(segments.members), layout, segments.caps)
             )
-        self._group_plans = (signature, built)
+        self._batch_groups = (signature, built)
         return built
 
     def _step_batch(
@@ -442,13 +509,28 @@ class Cluster:
             # Heterogeneous clusters keep no whole-cluster block.
             self._block_key = None
         block_key = self._store_key()
+        tables = self._demand_tables
         for g, (spec, epoch_seconds, members, layout, caps) in enumerate(groups):
-            cached = self._batch_matrix_cache.get(g)
-            if cached is None or any(host.demands_changed for _, host, _ in members):
-                tables = [host.demand_row_matrix() for _, host, _ in members]
-                cached = (DemandMatrix.from_table(np.concatenate(tables)), caps)
-                self._batch_matrix_cache[g] = cached
-            demand_matrix, cap_array = cached
+            # Only hosts whose demand rows changed are re-read; the rows
+            # of the others are copied from the previous table.
+            cached = tables.get(g)
+            if cached is None:
+                table = bounds = None
+                changed: Iterable[int] = range(len(members))
+            else:
+                demand_matrix, table, bounds = cached
+                changed = [
+                    i for i, (_, host, _) in enumerate(members) if host.demands_changed
+                ]
+            if changed:
+                table = splice_segments(
+                    table,
+                    bounds,
+                    changed,
+                    [members[i][1].demand_row_matrix() for i in changed],
+                )
+                demand_matrix = DemandMatrix.from_table(table)
+                tables[g] = (demand_matrix, table, layout.row_bounds)
             noise_rngs = [
                 (host.machine.noise, host.machine._rng) for _, host, _ in members
             ]
@@ -461,7 +543,7 @@ class Cluster:
                 demand_matrix,
                 layout,
                 epoch_seconds,
-                cap_array,
+                caps,
                 noise_rngs,
                 buffers=buffers,
             )
@@ -553,14 +635,12 @@ class Cluster:
 
     def _build_block_tables(self, signature: Tuple[int, int]) -> _BlockTables:
         """Name and slot tables of the block rows (once per placement)."""
-        _, _, members, layout, _ = self._group_plans[1][0]
-        counts = np.bincount(layout.host_of_vm, minlength=layout.n_hosts)
-        names = tuple(itertools.chain.from_iterable(names for _, _, names in members))
-        limits = [
-            host.history_limit
-            for _, host, host_names in members
-            if host_names and host.history_limit is not None
-        ]
+        _, _, members, layout, _ = self._batch_groups[1][0]
+        counts = np.diff(layout.row_bounds)
+        # Rebuilt on every placement change: iterate in C, not per host.
+        names = tuple(itertools.chain.from_iterable(map(_MEMBER_NAMES, members)))
+        populated = itertools.compress(map(_MEMBER_HOST, members), counts.tolist())
+        limits = filter(_IS_SET, map(_HISTORY_LIMIT, populated))
         return _BlockTables(
             signature=signature,
             vm_names=names,

@@ -67,6 +67,11 @@ class VMPerformance:
 class Host:
     """One physical machine plus the hypervisor that runs VMs on it."""
 
+    #: The VMs of the packed demand rows (see :meth:`collect_demand_rows`);
+    #: empty on the class, so a host pickled before it existed
+    #: regenerates every row once.
+    _demand_vms: Tuple[VirtualMachine, ...] = ()
+
     def __init__(
         self,
         name: str = "pm0",
@@ -152,6 +157,7 @@ class Host:
         #: and absolute offered loads.
         self._row_matrix: Optional[np.ndarray] = None
         self._demand_names: Tuple[str, ...] = ()
+        self._demand_vms = ()
         self._offered_array: Optional[np.ndarray] = None
         self._offered_map_cache: Optional[Dict[str, float]] = None
         #: Whether the last :meth:`collect_demands` produced any demand
@@ -327,7 +333,9 @@ class Host:
         demand for the whole host is produced group-wise through
         ``Workload.demand_batch`` (one array op per distinct workload
         configuration) instead of one Python ``demand`` call per VM, and
-        steady-load epochs reuse the cached matrix outright.  Requires
+        steady-load epochs reuse the cached matrix outright.  After a
+        placement change with no load change, the VMs that stayed keep
+        their rows and only the arrivals are generated.  Requires
         ``cache_demands`` semantics — ``Workload.demand`` must be a pure
         function of the load — so hosts constructed with
         ``cache_demands=False`` fall back to :meth:`collect_demands`.
@@ -347,6 +355,8 @@ class Host:
             self._offered_array = None
             self._offered_map_cache = dict(offered)
             self._demand_rows_key = None
+            # The rows were rebuilt (an emptied host's included).
+            self.demands_changed = True
             return
         if loads:
             for name, load in loads.items():
@@ -362,15 +372,38 @@ class Host:
         )
         offered = frac * plan.nominal
         rows = np.empty((n, len(DEMAND_FIELDS)), dtype=float)
+        vms = tuple(self._vms.values())
+        fresh = None
+        previous = self._demand_rows_key
+        if previous is not None and previous[1:] == key[1:]:
+            # Only the VM set moved (no load set, same epoch length): a
+            # staying VM at its previous offered load keeps its previous
+            # row, since demand is a pure function of the load.  Arrivals
+            # and VMs re-added at another load are generated.
+            old = {id(vm): i for i, vm in enumerate(self._demand_vms)}
+            src = np.fromiter(
+                (old.get(id(vm), -1) for vm in vms), dtype=np.intp, count=n
+            )
+            fresh = src < 0
+            stay = ~fresh
+            fresh[stay] = offered[stay] != self._offered_array[src[stay]]
+            rows[~fresh] = self._row_matrix[src[~fresh]]
         for workload, indices in plan.groups:
+            if fresh is not None:
+                indices = indices[fresh[indices]]
+                if not indices.size:
+                    continue
             rows[indices] = workload.demand_batch(
                 offered[indices], epoch_seconds=self.epoch_seconds
             )
         for i, vm in plan.scalar_vms:
+            if fresh is not None and not fresh[i]:
+                continue
             demand = vm.demand(float(offered[i]), epoch_seconds=self.epoch_seconds)
             demand.validate()
             rows[i] = pack_demand(demand)
         self._demand_names = plan.names
+        self._demand_vms = vms
         self._row_matrix = rows
         self._offered_array = offered
         self._offered_map_cache = None

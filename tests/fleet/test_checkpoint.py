@@ -5,13 +5,16 @@ The property contract (resumed == uninterrupted) lives in
 container itself: magic/header/version handling, loud metadata
 validation, deep payload cross-checks, atomicity of ``save``, the
 ``kind`` guards, and resuming older checkpoints: the ``"regional"``
-kind written by the earlier two-class runtime, and the ``"thread"``
-executor recorded before that executor was removed.
+kind written by the earlier two-class runtime, the ``"thread"``
+executor recorded before that executor was removed, and clusters
+pickled before their placement caches existed.
 """
 
+import dataclasses
 import pickle
 import struct
 
+import numpy as np
 import pytest
 
 from repro.core.config import DeepDiveConfig
@@ -24,6 +27,7 @@ from repro.fleet import (
     RunOptions,
     build_fleet,
     build_regional_fleet,
+    churn_timeline,
     synthesize_datacenter,
     validate_checkpoint_file,
 )
@@ -425,3 +429,85 @@ class TestThreadExecutorCompatibility:
             assert overridden.executor == "process"
         finally:
             overridden.shutdown()
+
+
+class TestCacheFreeClusters:
+    """A snapshot whose clusters lack the placement caches added after
+    the checkpoint format (the per-host placement pieces, the placement
+    map with its application ids, the spliced host segments, batch
+    groups and demand tables, the batch buffers' noise block, the hosts'
+    demand-row VMs) resumes by rebuilding them, with identical columns."""
+
+    COLUMNAR = RunOptions(report="columnar")
+    CLUSTER_CACHES = (
+        "_placement_items",
+        "_placement_view",
+        "_host_segments",
+        "_batch_groups",
+        "_demand_tables",
+    )
+
+    def _fleet(self):
+        timeline = churn_timeline(
+            ["shard0", "shard1"],
+            epochs=10,
+            seed=5,
+            arrivals_per_epoch=1.0,
+            mean_lifetime_epochs=4.0,
+        )
+        scenario = synthesize_datacenter(24, num_shards=2, seed=23, timeline=timeline)
+        fleet = build_fleet(scenario, config=_config())
+        fleet.bootstrap()
+        return fleet
+
+    @staticmethod
+    def _columns(report):
+        return {
+            shard_id: {
+                f.name: getattr(shard, f.name) for f in dataclasses.fields(shard)
+            }
+            for shard_id, shard in report.shard_reports.items()
+        }
+
+    def _assert_same(self, got, want):
+        assert got.keys() == want.keys()
+        for shard_id, columns in want.items():
+            for name, value in columns.items():
+                other = got[shard_id][name]
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(other, value), (shard_id, name)
+                else:
+                    assert other == value, (shard_id, name)
+
+    def test_stripped_caches_resume_identically(self):
+        reference = self._fleet()
+        try:
+            expected = [self._columns(r) for r in reference.run(8, self.COLUMNAR)]
+        finally:
+            reference.shutdown()
+
+        fleet = self._fleet()
+        try:
+            fleet.run(4, self.COLUMNAR)
+            stripped = 0
+            for shard in fleet.shards.values():
+                cluster = shard.cluster
+                for name in self.CLUSTER_CACHES:
+                    stripped += cluster.__dict__.pop(name, None) is not None
+                for buffers in cluster._batch_buffers.values():
+                    stripped += buffers.__dict__.pop("_noise", None) is not None
+                for host in cluster.hosts.values():
+                    host.__dict__.pop("_demand_vms")
+            checkpoint = fleet.snapshot()
+        finally:
+            fleet.shutdown()
+        assert stripped == 2 * (len(self.CLUSTER_CACHES) + 1)
+
+        resumed = Fleet.resume(checkpoint)
+        try:
+            continued = [self._columns(r) for r in resumed.run(4, self.COLUMNAR)]
+        finally:
+            resumed.shutdown()
+        assert len(continued) == len(expected[4:])
+        for got, want in zip(continued, expected[4:]):
+            self._assert_same(got, want)

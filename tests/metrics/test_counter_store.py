@@ -20,6 +20,7 @@ from repro.hardware.batch import N_COUNTERS
 from repro.metrics.counters import COUNTER_NAMES, CounterSample
 from repro.metrics.store import (
     HostCounterStore,
+    RetainedHistory,
     sample_row,
     trimmed_length,
 )
@@ -230,6 +231,60 @@ class TestIngestEquivalence:
         assert list(lazy.histories["b"]) == list(eager.histories["b"])
         # The survivors' ring segment kept running: exact fast windows.
         assert lazy.window_view(4, ("a", "c"), 8) is not None
+
+    @pytest.mark.parametrize("limit", [None, 3])
+    def test_arrival_and_departure_in_one_epoch(self, limit):
+        """A host that loses and gains VMs in the same epoch shrinks to
+        the staying VMs, then grows by the arrivals: the segment keeps
+        running, and every history (the departed VM's included) equals
+        the eager store's."""
+        lazy, eager = _pair(limit, lazy_names=("a", "b", "c"))
+        names = ("a", "b", "c")
+        for epoch in range(5):
+            block = _block(epoch, 3)
+            lazy.ingest(names, block, 1.0)
+            eager.ingest(names, block, 1.0)
+        for step, names in enumerate(
+            (("a", "c", "d"), ("c", "d", "e", "f"), ("c", "f", "b"))
+        ):
+            for store in (lazy, eager):
+                for name in names:
+                    store.ensure(name)
+            for epoch in range(5 + 4 * step, 9 + 4 * step):
+                block = _block(epoch, len(names))
+                lazy.ingest(names, block, 1.0)
+                eager.ingest(names, block, 1.0)
+                _assert_equal_stores(lazy, eager)
+        # Never flushed: the segment counted every epoch.
+        assert lazy._appended == 17
+        assert lazy.window_view(2, names, 17) is not None
+
+    def test_departed_history_is_retained_rows(self):
+        """A departure copies the VM's ring rows into a
+        :class:`RetainedHistory`: samples are built on read, equal to
+        the eager ones under every kind of index, and a later scalar
+        epoch turns the history back into a list it can append to."""
+        lazy, eager = _pair(3, lazy_names=("a", "b"))
+        for epoch in range(8):
+            block = _block(epoch, 2)
+            lazy.ingest(("a", "b"), block, 0.5)
+            eager.ingest(("a", "b"), block, 0.5)
+        for store in (lazy, eager):
+            store.ingest(("a",), _block(8, 1), 0.5)
+        retained = lazy._prefix["b"]
+        assert isinstance(retained, RetainedHistory)
+        want = list(eager.histories["b"])
+        assert len(retained) == len(want)
+        assert list(retained) == want
+        assert retained[-1] == want[-1] and retained[0] == want[0]
+        assert retained[1:-1] == want[1:-1]
+        with pytest.raises(IndexError):
+            retained[len(want)]
+        sample = CounterSample(inst_retired=3.0)
+        for store in (lazy, eager):
+            store.append_samples({"a": CounterSample(inst_retired=1.0), "b": sample})
+        assert lazy.histories["b"][-1] is sample
+        _assert_equal_stores(lazy, eager)
 
     def test_reorder_still_flushes(self):
         """Only pure appends/removals resize in place; a reordering is

@@ -171,6 +171,55 @@ class TestIncrementalGroupPlan:
         self._assert_plan_fresh(cluster)
 
 
+class TestPlacementMap:
+    """The placement map is rebuilt from per-host items cached on each
+    host's placement version; it must equal a walk over every host, in
+    host-then-VM order, after every kind of placement change."""
+
+    @staticmethod
+    def _assert_map_fresh(cluster):
+        fresh = [
+            (vm_name, (host_name, vm))
+            for host_name, host in cluster.hosts.items()
+            for vm_name, vm in host._vms.items()
+        ]
+        _, placement, app_of = cluster._placement_state()
+        assert cluster._placement() is placement
+        items = list(placement.items())
+        assert [name for name, _ in items] == [name for name, _ in fresh]
+        for (_, (host_a, vm_a)), (_, (host_b, vm_b)) in zip(items, fresh):
+            assert host_a == host_b and vm_a is vm_b
+        assert app_of == tuple(vm.app_id for _, (_, vm) in fresh)
+        return placement
+
+    def test_churn_and_migrations(self):
+        cluster = _cluster()
+        self._assert_map_fresh(cluster)
+        cluster.step()
+        cluster.place_vm(_vm("arrival", 40), "pm2", load=0.4)
+        self._assert_map_fresh(cluster)
+        cluster.remove_vm("vm1")
+        cluster.place_vm(_vm("swap-in", 41), "pm0", load=0.4)
+        self._assert_map_fresh(cluster)
+        cluster.step()
+        cluster.migrate_vm("vm7", "pm1")
+        cluster.migrate_vm("vm0", "pm3")
+        self._assert_map_fresh(cluster)
+        cluster.hosts["pm0"].set_cpu_cap("vm2", 0.5)
+        self._assert_map_fresh(cluster)
+        for vm_name in list(cluster.hosts["pm1"]._vms):
+            cluster.remove_vm(vm_name)
+        self._assert_map_fresh(cluster)
+        cluster.add_host(Host(name="pm9", seed=3, track_performance=False))
+        cluster.place_vm(_vm("on-new", 42), "pm9", load=0.3)
+        self._assert_map_fresh(cluster)
+        cluster.step()
+        stale = self._assert_map_fresh(cluster)
+        cluster.place_vm(_vm("late", 43), "pm0", load=0.3)
+        assert cluster._placement() is not stale
+        self._assert_map_fresh(cluster)
+
+
 class TestFallbacks:
     def test_short_history_limit_falls_back_and_warns_once(self):
         cluster = _cluster(history_limit=2)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.virt.vm import VirtualMachine
+from repro.virt.vmm import Host
 from repro.workloads.cloud import DataServingWorkload
 from repro.workloads.stress import MemoryStressWorkload
 
@@ -101,3 +102,80 @@ class TestHostStep:
         assert summary["memory_used_gb"] == pytest.approx(
             data_serving_vm.memory_gb + stress_vm.memory_gb
         )
+
+
+class TestDemandRowsAfterPlacementChange:
+    """After a placement change with no load change, the VMs that stayed
+    keep their packed demand rows and only arrivals are generated; the
+    rows must equal a fresh host's with the same VMs and loads."""
+
+    @staticmethod
+    def _host(vms):
+        host = Host(name="pm", substrate="batch", cache_demands=True, seed=1)
+        for vm, load in vms:
+            host.add_vm(vm, load=load)
+        host.collect_demand_rows()
+        return host
+
+    @staticmethod
+    def _vm(name, seed, stress=False):
+        workload = MemoryStressWorkload() if stress else DataServingWorkload(seed=seed)
+        return VirtualMachine(name, workload)
+
+    def test_staying_rows_reused_arrivals_generated(self):
+        a, b = self._vm("a", 1), self._vm("b", 2, stress=True)
+        host = self._host([(a, 0.4), (b, 0.7)])
+        c = self._vm("c", 3)
+        host.remove_vm("a")
+        host.add_vm(c, load=0.5)
+        before = host.demand_row_matrix()
+        host.collect_demand_rows()
+        assert host.demands_changed
+        rows = host.demand_row_matrix()
+        assert rows is not before
+        fresh = self._host([(b, 0.7), (c, 0.5)])
+        assert rows.tobytes() == fresh.demand_row_matrix().tobytes()
+
+    def test_a_new_vm_under_a_departed_name_is_generated(self):
+        """Rows follow VM identity, not names: a different VM that
+        takes a departed VM's name gets its own demand."""
+        host = self._host([(self._vm("a", 1), 0.4), (self._vm("b", 2), 0.6)])
+        host.remove_vm("a")
+        replacement = self._vm("a", 9, stress=True)
+        host.add_vm(replacement, load=0.4)
+        host.collect_demand_rows()
+        fresh = self._host([(host.get_vm("b"), 0.6), (replacement, 0.4)])
+        assert host.demand_row_matrix().tobytes() == fresh.demand_row_matrix().tobytes()
+
+    def test_the_same_vm_re_added_at_another_load_is_generated(self):
+        """A VM removed and placed back before the next epoch at a new
+        load (no set_load) gets the demand of its new load."""
+        a, b = self._vm("a", 1), self._vm("b", 2)
+        host = self._host([(a, 0.4), (b, 0.6)])
+        host.remove_vm("a")
+        host.add_vm(a, load=0.9)
+        host.collect_demand_rows()
+        fresh = self._host([(b, 0.6), (a, 0.9)])
+        assert host.demand_row_matrix().tobytes() == fresh.demand_row_matrix().tobytes()
+
+    def test_arrivals_on_an_emptied_host_are_generated(self):
+        a = self._vm("a", 1)
+        host = self._host([(a, 0.4)])
+        host.remove_vm("a")
+        host.collect_demand_rows()
+        assert host.demand_row_matrix().shape[0] == 0
+        b = self._vm("b", 2)
+        host.add_vm(b, load=0.6)
+        host.add_vm(a, load=0.4)
+        host.collect_demand_rows()
+        fresh = self._host([(b, 0.6), (a, 0.4)])
+        assert host.demand_row_matrix().tobytes() == fresh.demand_row_matrix().tobytes()
+
+    def test_a_load_change_regenerates_every_row(self):
+        a, b = self._vm("a", 1), self._vm("b", 2)
+        host = self._host([(a, 0.4), (b, 0.6)])
+        host.set_load("a", 0.9)
+        host.add_vm(self._vm("c", 3), load=0.2)
+        host.collect_demand_rows()
+        fresh = self._host([(a, 0.9), (b, 0.6), (host.get_vm("c"), 0.2)])
+        assert host.demand_row_matrix().tobytes() == fresh.demand_row_matrix().tobytes()

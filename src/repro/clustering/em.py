@@ -7,6 +7,18 @@ statistics the warning system needs to derive metric thresholds.
 Diagonal covariances are a deliberate choice: the paper's thresholds MT
 are per-metric, which corresponds exactly to an axis-aligned notion of
 cluster spread.
+
+Each EM iteration evaluates the mixture's log-density once, all
+components in one ``(n, k, d)`` broadcast (:func:`_e_step`).  That
+evaluation scores the new parameters (``ll = mean(log_norm)``) and is
+also the next iteration's E-step (``resp = exp(log_prob - log_norm)``);
+the final one feeds the BIC.  The fits are bit-identical to evaluating
+each component separately and the log-density twice per iteration: the
+same ufuncs run on the same operands, and every reduction runs along
+the same axis in the same order (the metric sums over a contiguous
+metric axis, the M-step's sums over points over each component's own
+contiguous ``(n, d)`` slab).  ``tests/clustering/test_em_oracle.py``
+keeps the per-component, two-evaluation loop as the oracle.
 """
 
 from __future__ import annotations
@@ -40,23 +52,13 @@ class GaussianMixtureModel:
     def log_prob_per_component(self, data: np.ndarray) -> np.ndarray:
         """Log N(x | mu_k, Sigma_k) for every point and component: (n, k)."""
         data = np.atleast_2d(np.asarray(data, dtype=float))
-        n, d = data.shape
-        k = self.n_components
-        out = np.empty((n, k))
-        for j in range(k):
-            var = self.variances[j]
-            diff = data - self.means[j]
-            out[:, j] = -0.5 * (
-                np.sum(diff * diff / var, axis=1)
-                + np.sum(np.log(2.0 * np.pi * var))
-            )
-        return out
+        return _component_log_prob(data, self.means, self.variances)
 
     def responsibilities(self, data: np.ndarray) -> np.ndarray:
         """Posterior cluster membership probabilities, shape (n, k)."""
-        log_prob = self.log_prob_per_component(data) + np.log(self.weights)
-        log_norm = _logsumexp(log_prob, axis=1, keepdims=True)
-        return np.exp(log_prob - log_norm)
+        data = np.atleast_2d(np.asarray(data, dtype=float))
+        log_prob, log_norm = _e_step(data, self.weights, self.means, self.variances)
+        return np.exp(log_prob - log_norm[:, None])
 
     def predict(self, data: np.ndarray) -> np.ndarray:
         """Hard cluster assignment for every point."""
@@ -64,8 +66,8 @@ class GaussianMixtureModel:
 
     def score_samples(self, data: np.ndarray) -> np.ndarray:
         """Per-point log-likelihood under the mixture."""
-        log_prob = self.log_prob_per_component(data) + np.log(self.weights)
-        return _logsumexp(log_prob, axis=1)
+        data = np.atleast_2d(np.asarray(data, dtype=float))
+        return _e_step(data, self.weights, self.means, self.variances)[1]
 
     def mahalanobis(self, data: np.ndarray) -> np.ndarray:
         """Per-point diagonal Mahalanobis distance to the *closest* component."""
@@ -80,19 +82,47 @@ class GaussianMixtureModel:
     def bic(self, data: np.ndarray) -> float:
         """Bayesian information criterion on ``data`` (lower is better)."""
         data = np.atleast_2d(np.asarray(data, dtype=float))
-        n, d = data.shape
-        # weights (k-1) + means (k*d) + variances (k*d)
-        n_params = (self.n_components - 1) + 2 * self.n_components * d
-        total_ll = float(np.sum(self.score_samples(data)))
-        return n_params * np.log(max(n, 1)) - 2.0 * total_ll
+        return _bic(self.n_components, data.shape, self.score_samples(data))
 
 
-def _logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+def _component_log_prob(
+    data: np.ndarray, means: np.ndarray, variances: np.ndarray
+) -> np.ndarray:
+    """Log N(x | mu_k, Sigma_k), shape (n, k), all components in one broadcast.
+
+    Each (point, component) sum runs over the contiguous metric axis of
+    the ``(n, k, d)`` block, exactly as the same sum over one
+    component's ``(n, d)`` block would.
+    """
+    diff = data[:, None, :] - means[None, :, :]
+    return -0.5 * (
+        np.sum(diff * diff / variances[None, :, :], axis=2)
+        + np.sum(np.log(2.0 * np.pi * variances), axis=1)
+    )
+
+
+def _e_step(
+    data: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Weighted component log-densities (n, k) and their per-point
+    log-normaliser (n,): the responsibilities are ``exp(log_prob -
+    log_norm)`` and the per-point log-likelihood is ``log_norm``."""
+    log_prob = _component_log_prob(data, means, variances) + np.log(weights)
+    return log_prob, _logsumexp(log_prob, axis=1)
+
+
+def _bic(n_components: int, shape: Tuple[int, int], log_norm: np.ndarray) -> float:
+    n, d = shape
+    # weights (k-1) + means (k*d) + variances (k*d)
+    n_params = (n_components - 1) + 2 * n_components * d
+    total_ll = float(np.sum(log_norm))
+    return n_params * np.log(max(n, 1)) - 2.0 * total_ll
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     m = np.max(a, axis=axis, keepdims=True)
     out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
-    return out
+    return np.squeeze(out, axis=axis)
 
 
 class GaussianMixtureEM:
@@ -141,75 +171,68 @@ class GaussianMixtureEM:
         if n == 0:
             raise ValueError("cannot fit a mixture on an empty data set")
         if self.n_components is not None:
-            return self._fit_k(data, min(self.n_components, n))
+            return self._fit_k(data, min(self.n_components, n))[0]
 
         best: Optional[GaussianMixtureModel] = None
         best_bic = np.inf
         for k in range(1, min(self.max_components, n) + 1):
-            model = self._fit_k(data, k)
-            bic = model.bic(data)
+            model, log_norm = self._fit_k(data, k)
+            bic = _bic(k, data.shape, log_norm)
             if bic < best_bic - 1e-9:
                 best, best_bic = model, bic
         assert best is not None
         return best
 
     # ------------------------------------------------------------------
-    def _fit_k(self, data: np.ndarray, k: int) -> GaussianMixtureModel:
-        n, d = data.shape
+    def _fit_k(
+        self, data: np.ndarray, k: int
+    ) -> Tuple[GaussianMixtureModel, np.ndarray]:
+        """Fit ``k`` components; returns the model and its per-point
+        log-likelihood (the final E-step's ``log_norm``)."""
         rng = np.random.default_rng(self.seed)
         means = self._init_means(data, k, rng)
         global_var = data.var(axis=0) + self.reg_covar
         variances = np.tile(global_var, (k, 1))
         weights = np.full(k, 1.0 / k)
 
+        # One E-step per iteration: the log-density that scores the new
+        # parameters is the one the next iteration's responsibilities use.
+        log_prob, log_norm = _e_step(data, weights, means, variances)
+        ll, n_iter, converged = -np.inf, 0, False
+        prev_ll = -np.inf
+        for iteration in range(1, self.max_iter + 1):
+            resp = np.exp(log_prob - log_norm[:, None])
+            weights, means, variances = self._m_step(data, resp)
+            log_prob, log_norm = _e_step(data, weights, means, variances)
+            ll = float(np.mean(log_norm))
+            n_iter = iteration
+            converged = abs(ll - prev_ll) < self.tol
+            if converged:
+                break
+            prev_ll = ll
         model = GaussianMixtureModel(
             weights=weights,
             means=means,
             variances=variances,
-            log_likelihood=-np.inf,
-            n_iter=0,
-            converged=False,
+            log_likelihood=ll,
+            n_iter=n_iter,
+            converged=converged,
         )
-        prev_ll = -np.inf
-        for iteration in range(1, self.max_iter + 1):
-            resp = model.responsibilities(data)
-            weights, means, variances = self._m_step(data, resp)
-            ll = float(
-                np.mean(
-                    _logsumexp(
-                        GaussianMixtureModel(
-                            weights, means, variances, 0.0, 0, False
-                        ).log_prob_per_component(data)
-                        + np.log(weights),
-                        axis=1,
-                    )
-                )
-            )
-            model = GaussianMixtureModel(
-                weights=weights,
-                means=means,
-                variances=variances,
-                log_likelihood=ll,
-                n_iter=iteration,
-                converged=abs(ll - prev_ll) < self.tol,
-            )
-            if model.converged:
-                break
-            prev_ll = ll
-        return model
+        return model, log_norm
 
     def _m_step(
         self, data: np.ndarray, resp: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n, d = data.shape
+        n = data.shape[0]
         nk = resp.sum(axis=0) + 1e-12
         weights = nk / n
         means = (resp.T @ data) / nk[:, None]
-        k = resp.shape[1]
-        variances = np.empty((k, d))
-        for j in range(k):
-            diff = data - means[j]
-            variances[j] = (resp[:, j][:, None] * diff * diff).sum(axis=0) / nk[j]
+        # Components lead the (k, n, d) block, so each component's (n, d)
+        # slab is contiguous and its sum over points runs in the order the
+        # same sum over that slab alone would (row by row, or pairwise
+        # when d == 1).  An (n, k, d) block would sum d == 1 row by row.
+        diff = data[None, :, :] - means[:, None, :]
+        variances = (resp.T[:, :, None] * diff * diff).sum(axis=1) / nk[:, None]
         variances += self.reg_covar
         return weights, means, variances
 

@@ -40,7 +40,6 @@ stranded only when no host can physically fit it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -75,10 +74,7 @@ from repro.virt.vm import VirtualMachine
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.fleet import FleetShard
     from repro.virt.cluster import Cluster
-    from repro.virt.vmm import Host
-
-_PLACEMENT_VERSION = operator.attrgetter("placement_version")
-_LOADS_VERSION = operator.attrgetter("_loads_version")
+    from repro.virt.vmm import Host, HostChanges
 
 #: Resource columns of the admission pressure/capacity matrices.
 ADMISSION_RESOURCES: Tuple[str, ...] = (
@@ -168,9 +164,8 @@ class _HostSummary:
     """One host's admission inputs (see :class:`_ShardSummary`).
 
     The names, pressure rows, applications and free capacity change
-    only with the host's placement version; the load-scaled pressure
-    also with its load version, and is re-summed alone when only the
-    loads moved.
+    only with the host's placement; the load-scaled pressure also with
+    its loads, and is re-summed alone when only the loads moved.
     """
 
     __slots__ = (
@@ -226,53 +221,54 @@ class _ShardSummary:
     """A shard's admission inputs, kept between admission views.
 
     The per-host summaries stacked into arrays.  A refresh re-reads only
-    the hosts whose placement or load version moved: at fleet scale an
-    admission view is built on most churn epochs, and a walk over every
-    host and VM of the shard dominated that build.
+    the hosts the cluster's change record names (placement or loads
+    changed since the previous refresh): at fleet scale an admission
+    view is built on most churn epochs, and a walk over every host and
+    VM of the shard dominated that build.
     """
 
+    #: The cluster's change record; unset on a summary pickled before it
+    #: existed, which then no longer describes its cluster.
+    changes: Optional["HostChanges"] = None
+
     def __init__(self, cluster: "Cluster") -> None:
+        self.changes = cluster._change_record()
         self.hosts: List["Host"] = list(cluster.hosts.values())
         self.host_names: List[str] = list(cluster.hosts)
         self.host_index = {name: i for i, name in enumerate(self.host_names)}
         n = len(self.hosts)
         self.summaries: List[Optional[_HostSummary]] = [None] * n
-        # Host versions at the last refresh (-1: never read).
-        self.versions = np.full(n, -1, dtype=np.int64)
-        self.loads_versions = np.full(n, -1, dtype=np.int64)
         self.pressure = np.zeros((n, len(ADMISSION_RESOURCES)), dtype=float)
         self.free_vcpus = np.zeros(n, dtype=float)
         self.free_mem = np.zeros(n, dtype=float)
         #: Per-host application sets (shared, never mutated).
         self.apps: List[FrozenSet[str]] = [frozenset()] * n
+        #: The first refresh reads every host, whatever the record holds.
+        self._built = False
 
     def describes(self, cluster: "Cluster") -> bool:
-        """Whether ``cluster`` still has exactly these hosts, in order."""
-        return (
-            len(cluster.hosts) == len(self.hosts)
-            and all(map(operator.is_, cluster.hosts.values(), self.hosts))
-            and list(cluster.hosts) == self.host_names
-        )
+        """Whether ``cluster`` still has exactly these hosts (the same
+        change record, which :meth:`Cluster.add_host` reports to)."""
+        same_record = cluster._change_record() is self.changes
+        return same_record and len(cluster.hosts) == len(self.hosts)
 
     def refresh(self, pressure_rows: Dict[str, np.ndarray]) -> None:
-        n = len(self.hosts)
-        versions = np.fromiter(map(_PLACEMENT_VERSION, self.hosts), np.int64, n)
-        loads_versions = np.fromiter(map(_LOADS_VERSION, self.hosts), np.int64, n)
-        placed = versions != self.versions
-        moved = np.flatnonzero(placed | (loads_versions != self.loads_versions))
+        placed = self.changes.take("admission")
+        loaded = self.changes.take_loads("admission")
+        if not self._built:
+            placed = loaded = range(len(self.hosts))
+            self._built = True
         summaries = self.summaries
-        for i in moved.tolist():
-            if placed[i]:
-                summary = summaries[i] = _HostSummary(self.hosts[i], pressure_rows)
-                self.apps[i] = summary.apps
-                self.free_vcpus[i] = summary.free_vcpus
-                self.free_mem[i] = summary.free_mem
-            else:
-                summary = summaries[i]
-                summary.sum_pressure()
+        for i in placed:
+            summary = summaries[i] = _HostSummary(self.hosts[i], pressure_rows)
+            self.apps[i] = summary.apps
+            self.free_vcpus[i] = summary.free_vcpus
+            self.free_mem[i] = summary.free_mem
             self.pressure[i] = summary.pressure
-        self.versions = versions
-        self.loads_versions = loads_versions
+        for i in set(loaded).difference(placed):
+            summary = summaries[i]
+            summary.sum_pressure()
+            self.pressure[i] = summary.pressure
 
 
 class _ShardAdmissionState:

@@ -20,16 +20,27 @@ Two hardware substrates drive the per-epoch simulation:
 
 Both substrates are equivalent (same formulas, same noise draws; pinned
 by ``tests/property/test_substrate_equivalence.py``).
+
+Placement changes are host events.  Every host of a cluster reports to
+the cluster's change record (:class:`~repro.virt.vmm.HostChanges`): a
+VM added or removed and a CPU cap set are placement changes, a new
+offered load is a load change, and each epoch commit is counted.  The
+placement signature and the counter stores' write stamp are the
+record's counters, and each placement-derived structure — the placement
+map, the spec groups' layouts and CPU caps, the packed demand rows, the
+admission inputs of the fleet's lifecycle engine — takes the hosts that
+changed since it last looked and re-reads only those.  A steady epoch
+therefore reads no host's placement and collects no host's demand
+(``tests/virt/test_placement_events.py``).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +58,7 @@ from repro.hardware.specs import MachineSpec, XEON_X5472
 from repro.metrics.counters import CounterSample
 from repro.virt.migration import MigrationEngine, MigrationRecord
 from repro.virt.vm import VirtualMachine
-from repro.virt.vmm import Host, VMPerformance
+from repro.virt.vmm import Host, HostChanges, VMPerformance
 
 
 @dataclass
@@ -113,12 +124,63 @@ class _BlockTables:
         than ``j`` VMs, their row in :meth:`Cluster.latest_counter_totals`'
         per-host sums (1-based) and the block row of their ``j``-th VM.
         Built on the first totals read: window reads do not need them."""
-        start = np.cumsum(self.counts) - self.counts
-        slots = []
-        for j in range(int(self.counts.max(initial=0))):
-            hosts = np.flatnonzero(self.counts > j)
-            slots.append((hosts + 1, start[hosts] + j))
-        return tuple(slots)
+        counts = self.counts
+        # Each row's host (1-based) and its index j within the host; a
+        # stable sort by j keeps host order within each slot.
+        host = np.repeat(np.arange(1, counts.size + 1), counts)
+        j = np.arange(host.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        order = np.argsort(j, kind="stable")
+        ends = np.cumsum(np.bincount(j)).tolist()
+        return tuple(
+            (host[rows], rows)
+            for rows in (order[a:b] for a, b in zip([0] + ends, ends))
+        )
+
+
+class _Grouping(NamedTuple):
+    """The cluster's hosts split into batch-substrate spec groups."""
+
+    #: Host identities and epoch lengths the grouping was made for.
+    host_key: tuple
+    #: Per spec group: its key and its hosts' segments.
+    groups: List[Tuple[Tuple[int, float], "_HostSegments"]]
+    #: Spec group and index within it of every host.
+    slots: Tuple[Tuple[int, int], ...]
+    #: Hosts whose demand rows are regenerated every epoch
+    #: (``cache_demands`` off).
+    uncached: Tuple[int, ...]
+    #: Every host's ``history_limit`` (``inf``: unlimited).
+    limits: np.ndarray
+
+    @classmethod
+    def of(cls, hosts: Mapping[str, "Host"], host_key: tuple) -> "_Grouping":
+        grouped: Dict[Tuple[int, float], List[Tuple[str, Host]]] = {}
+        keys = []
+        for host_name, host in hosts.items():
+            key = (id(host.machine.spec), host.epoch_seconds)
+            members = grouped.setdefault(key, [])
+            keys.append((key, len(members)))
+            members.append((host_name, host))
+        order = {key: g for g, key in enumerate(grouped)}
+        return cls(
+            host_key=host_key,
+            groups=[
+                (key, _HostSegments(members)) for key, members in grouped.items()
+            ],
+            slots=tuple((order[key], i) for key, i in keys),
+            uncached=tuple(
+                i
+                for i, host in enumerate(hosts.values())
+                if not host.cache_demands
+            ),
+            limits=np.array(
+                [
+                    np.inf if host.history_limit is None else host.history_limit
+                    for host in hosts.values()
+                ],
+                dtype=float,
+            ),
+        )
 
 
 #: One batch-substrate execution group: hosts sharing a machine spec and
@@ -133,52 +195,49 @@ BatchGroup = Tuple[
 ]
 
 
-def _moved_hosts(
-    hosts: Iterable["Host"], n: int, old: Optional[np.ndarray]
-) -> Tuple[np.ndarray, List[int]]:
-    """The ``n`` hosts' placement versions, and the indices where they
-    differ from ``old`` (every index when ``old`` is None)."""
-    versions = np.fromiter(map(_PLACEMENT_VERSION, hosts), np.int64, count=n)
-    if old is None:
-        return versions, list(range(n))
-    return versions, np.flatnonzero(versions != old).tolist()
-
-
 class _HostSegments:
     """One spec group's per-host batch inputs, refreshed host by host.
 
     A host's batch plan, VM names and CPU caps change only with its
-    placement version (``Host.set_cpu_cap`` bumps it too), so after a
-    placement change only the hosts whose version moved are re-read, and
-    the group's layout and caps are spliced from the previous ones.
+    placement (``Host.set_cpu_cap`` is a placement change too), so after
+    a placement change only the hosts the change record names are
+    re-read, and the group's layout and caps are spliced from the
+    previous ones.
     """
 
-    __slots__ = ("hosts", "versions", "plans", "members", "caps", "layout")
+    __slots__ = ("hosts", "plans", "members", "caps", "layout")
 
     def __init__(self, hosts: List[Tuple[str, "Host"]]) -> None:
         self.hosts = hosts
         n = len(hosts)
-        self.versions: Optional[np.ndarray] = None
         self.plans: List[Optional[HostBatchPlan]] = [None] * n
         self.members: List[Optional[Tuple[str, Host, Tuple[str, ...]]]] = [None] * n
         #: CPU caps of every VM row, in row order.
         self.caps: Optional[np.ndarray] = None
         self.layout: Optional[ClusterLayout] = None
 
-    def refresh(self, cache_domains: int) -> ClusterLayout:
-        """Re-read the moved hosts and return the group's layout."""
-        self.versions, moved = _moved_hosts(
-            map(_MEMBER_HOST, self.hosts), len(self.hosts), self.versions
-        )
+    def __setstate__(self, state) -> None:
+        # Segments pickled before the change record also carry the
+        # hosts' placement versions they were read at; drop those.
+        for name, value in state[1].items():
+            if name in self.__slots__:
+                setattr(self, name, value)
+
+    def refresh(self, cache_domains: int, moved: Optional[List[int]]) -> ClusterLayout:
+        """Re-read the ``moved`` hosts (ascending; ``None``: all of them)
+        and return the group's layout."""
+        previous = self.layout
+        if previous is None or moved is None:
+            previous = None
+            moved = list(range(len(self.hosts)))
         caps = []
         for i in moved:
             host_name, host = self.hosts[i]
             self.plans[i] = host.batch_plan_current()
             self.members[i] = (host_name, host, tuple(host._vms))
             caps.append(np.asarray(host.cpu_cap_values(), dtype=float))
-        previous = self.layout
         self.caps = splice_segments(
-            self.caps,
+            None if previous is None else self.caps,
             None if previous is None else previous.row_bounds,
             moved,
             caps,
@@ -188,14 +247,6 @@ class _HostSegments:
         )
         return self.layout
 
-
-_PLACEMENT_VERSION = operator.attrgetter("placement_version")
-_HISTORY_LIMIT = operator.attrgetter("history_limit")
-_IS_SET = functools.partial(operator.is_not, None)
-#: The host of a ``(host name, host)`` pair or a :data:`BatchGroup`
-#: member, and a member's VM names.
-_MEMBER_HOST = operator.itemgetter(1)
-_MEMBER_NAMES = operator.itemgetter(2)
 
 #: (placement signature, VM -> (host name, VM) map, the map's
 #: application ids in map order) — see :meth:`Cluster._placement`.
@@ -221,19 +272,16 @@ class Cluster:
     #: was written; reads serve blocks only while it holds.
     _block_key: Optional[Tuple[Tuple[int, int], int]] = None
     _block_tables: Optional[_BlockTables] = None
-    #: (host identities and epoch lengths, per spec group: its key and
-    #: host segments) — see :meth:`_batch_group_plan`.
-    _host_segments: Optional[
-        Tuple[tuple, List[Tuple[Tuple[int, float], _HostSegments]]]
-    ] = None
+    #: The hosts' spec grouping — see :meth:`_batch_group_plan`.
+    _host_segments: Optional[_Grouping] = None
     #: (signature, groups) of the current placement — see
     #: :meth:`_batch_group_plan`.
     _batch_groups: Optional[Tuple[tuple, List[BatchGroup]]] = None
-    #: (the ``(host name, host)`` pairs, their placement versions, each
-    #: host's ``(vm name, (host name, VM))`` items, each host's VMs'
-    #: application ids) — see :meth:`_placement`.
+    #: (the ``(host name, host)`` pairs, each host's ``(vm name, (host
+    #: name, VM))`` items, each host's VMs' application ids) — see
+    #: :meth:`_placement`.
     _placement_items: Optional[
-        Tuple[tuple, np.ndarray, List[tuple], List[Tuple[str, ...]]]
+        Tuple[tuple, List[tuple], List[Tuple[str, ...]]]
     ] = None
     #: Per spec group: (demand matrix, its packed rows, the rows' host
     #: bounds) — see :meth:`_step_batch`.
@@ -242,6 +290,10 @@ class Cluster:
     ] = None
     #: The placement map of the current signature — see :meth:`_placement`.
     _placement_view: Optional[_PlacementView] = None
+    #: The hosts' change record (see :class:`~repro.virt.vmm.HostChanges`);
+    #: a cluster restored from a checkpoint written before it existed
+    #: creates it on first use, with every host changed.
+    _changes: Optional[HostChanges] = None
 
     def __init__(
         self,
@@ -294,6 +346,7 @@ class Cluster:
         #: Hosts already warned about a history_limit shorter than a
         #: requested monitoring window (one warning per host).
         self._short_history_warned: set = set()
+        self._change_record()
 
     # ------------------------------------------------------------------
     # Topology management
@@ -308,6 +361,34 @@ class Cluster:
         if host.name in self.hosts:
             raise ValueError(f"host {host.name!r} already in cluster")
         self.hosts[host.name] = host
+        changes = self._change_record()
+        host._changes = changes
+        host._change_index = len(self.hosts) - 1
+        changes.placed(host._change_index)
+
+    def _change_record(self) -> HostChanges:
+        """The hosts' change record, created and attached on first use.
+
+        A new record has no consumers, so every placement-derived cache
+        rebuilds from all hosts on its next read.
+        """
+        changes = self._changes
+        if changes is None:
+            changes = self._changes = HostChanges()
+            for i, host in enumerate(self.hosts.values()):
+                host._changes = changes
+                host._change_index = i
+            # Placement-derived caches built before the record start over.
+            for name in (
+                "_placement_view",
+                "_placement_items",
+                "_host_segments",
+                "_batch_groups",
+                "_block_key",
+                "_block_tables",
+            ):
+                self.__dict__.pop(name, None)
+        return changes
 
     def place_vm(
         self,
@@ -327,9 +408,9 @@ class Cluster:
     def remove_vm(self, vm_name: str) -> VirtualMachine:
         """Remove a VM from the cluster entirely (a tenant departure).
 
-        The host's placement version bumps, so every placement-derived
-        cache (placement map, batch group layouts, packed demand
-        matrices, counter-store ring segment) refreshes on the next
+        The host reports the change, so every placement-derived cache
+        (placement map, batch group layouts, packed demand matrices,
+        counter-store ring segment) refreshes its part on the next
         epoch; the VM's counter/performance histories are retained on
         its last host, exactly as after :meth:`Host.remove_vm`.
         """
@@ -344,14 +425,11 @@ class Cluster:
     def _placement_signature(self) -> Tuple[int, int]:
         """Cheap fingerprint of the cluster's placement state.
 
-        Host placement versions only ever increase, so any VM add/remove
-        (including the two sides of a migration) changes the sum; the
-        host count covers :meth:`add_host`.
+        The change record counts every placement change its hosts report
+        (both sides of a migration included); the host count covers
+        :meth:`add_host`.
         """
-        return (
-            len(self.hosts),
-            sum(map(_PLACEMENT_VERSION, self.hosts.values())),
-        )
+        return len(self.hosts), self._change_record().placements
 
     def _placement(self) -> Dict[str, Tuple[str, VirtualMachine]]:
         """The cached VM -> (host name, VM) map, rebuilt only when the
@@ -367,27 +445,27 @@ class Cluster:
         view = self._placement_view
         if view is not None and view[0] == signature:
             return view
-        # Each host's pieces are kept per placement version, so a
-        # placement change re-reads only the hosts that moved; the map
-        # keeps host-then-VM order (the action phase's order).
-        # Hosts are only ever added (:meth:`add_host`), at the end.
+        # Each host's pieces are kept, so a placement change re-reads only
+        # the hosts the change record names; the map keeps host-then-VM
+        # order (the action phase's order).  Hosts are only ever added
+        # (:meth:`add_host`), at the end.
         n = len(self.hosts)
+        moved = self._change_record().take("placement")
         cached = self._placement_items
-        if cached is None or len(cached[0]) != n:
+        if cached is None or len(cached[0]) != n or moved is None:
             entries = tuple(self.hosts.items())
             parts: List[tuple] = [()] * n
             apps: List[Tuple[str, ...]] = [()] * n
-            old_versions = None
+            moved = range(n)
         else:
-            entries, old_versions, parts, apps = cached
-        versions, moved = _moved_hosts(self.hosts.values(), n, old_versions)
+            entries, parts, apps = cached
         for i in moved:
             host_name, host = entries[i]
             parts[i] = tuple(
                 (vm_name, (host_name, vm)) for vm_name, vm in host._vms.items()
             )
             apps[i] = tuple(vm.app_id for vm in host._vms.values())
-        self._placement_items = (entries, versions, parts, apps)
+        self._placement_items = (entries, parts, apps)
         view = self._placement_view = (
             signature,
             dict(itertools.chain.from_iterable(parts)),
@@ -477,20 +555,23 @@ class Cluster:
         # buffers stay: they resize when a group's row count changes.)
         host_key = (tuple(map(id, self.hosts.values())), epochs)
         grouping = self._host_segments
-        if grouping is None or grouping[0] != host_key:
+        moved = self._change_record().take("segments")
+        if grouping is None or grouping.host_key != host_key:
             self._demand_tables = {}
-            grouped: Dict[Tuple[int, float], List[Tuple[str, Host]]] = {}
-            for host_name, host in self.hosts.items():
-                key = (id(host.machine.spec), host.epoch_seconds)
-                grouped.setdefault(key, []).append((host_name, host))
-            grouping = self._host_segments = (
-                host_key,
-                [(key, _HostSegments(hosts)) for key, hosts in grouped.items()],
-            )
+            grouping = self._host_segments = _Grouping.of(self.hosts, host_key)
+            moved = None
+        per_group: List[Optional[List[int]]] = [None] * len(grouping.groups)
+        if moved is not None:
+            per_group = [[] for _ in grouping.groups]
+            for h in moved:
+                g, i = grouping.slots[h]
+                per_group[g].append(i)
         built: List[BatchGroup] = []
-        for (_, epoch_seconds), segments in grouping[1]:
+        for ((_, epoch_seconds), segments), group_moved in zip(
+            grouping.groups, per_group
+        ):
             spec = segments.hosts[0][1].machine.spec
-            layout = segments.refresh(spec.architecture.cache_domains)
+            layout = segments.refresh(spec.architecture.cache_domains, group_moved)
             built.append(
                 (spec, epoch_seconds, list(segments.members), layout, segments.caps)
             )
@@ -500,16 +581,42 @@ class Cluster:
     def _step_batch(
         self, per_host_loads: Mapping[str, Mapping[str, float]]
     ) -> Dict[str, Dict[str, VMPerformance]]:
-        """One vectorized epoch over all hosts of the cluster."""
-        for host_name, host in self.hosts.items():
-            host.collect_demand_rows(per_host_loads.get(host_name))
-        results: Dict[str, Dict[str, VMPerformance]] = {}
+        """One vectorized epoch over all hosts of the cluster.
+
+        Demand rows are collected only on the hosts the change record
+        names (placement or load changed since the previous epoch) and
+        on hosts that regenerate them every epoch; every other host's
+        rows stand, so a steady epoch skips the per-host loop.
+        """
+        for host_name, loads in per_host_loads.items():
+            host = self.hosts[host_name]
+            for vm_name, load in loads.items():
+                host.set_load(vm_name, load)
+        changes = self._change_record()
+        placed = changes.take("demand")
+        loaded = changes.take_loads("demand")
         groups = self._batch_group_plan()
+        tables = self._demand_tables
+        hosts = list(self.hosts.values())
+        if placed is None or loaded is None or not tables:
+            collect: Iterable[int] = range(len(hosts))
+        else:
+            uncached = self._host_segments.uncached
+            collect = sorted(set(placed).union(loaded, uncached))
+        # Per group: the hosts (ascending) whose demand rows changed.
+        changed_in: List[List[int]] = [[] for _ in groups]
+        slots = self._host_segments.slots
+        for h in collect:
+            host = hosts[h]
+            host.collect_demand_rows()
+            if host.demands_changed:
+                g, i = slots[h]
+                changed_in[g].append(i)
+        results: Dict[str, Dict[str, VMPerformance]] = {}
         if len(groups) != 1:
             # Heterogeneous clusters keep no whole-cluster block.
             self._block_key = None
         block_key = self._store_key()
-        tables = self._demand_tables
         for g, (spec, epoch_seconds, members, layout, caps) in enumerate(groups):
             # Only hosts whose demand rows changed are re-read; the rows
             # of the others are copied from the previous table.
@@ -519,9 +626,7 @@ class Cluster:
                 changed: Iterable[int] = range(len(members))
             else:
                 demand_matrix, table, bounds = cached
-                changed = [
-                    i for i, (_, host, _) in enumerate(members) if host.demands_changed
-                ]
+                changed = changed_in[g]
             if changed:
                 table = splice_segments(
                     table,
@@ -583,11 +688,10 @@ class Cluster:
     def _store_key(self) -> Tuple[Tuple[int, int], int]:
         """(placement signature, commit stamp) of the hosts' stores.
 
-        Every epoch commit on a host bumps its ``current_epoch``, so the
-        stamp moves whenever anything writes a counter store.
+        Every epoch commit on a host is counted by the change record, so
+        the stamp moves whenever anything writes a counter store.
         """
-        stamp = sum(map(operator.attrgetter("current_epoch"), self.hosts.values()))
-        return self._placement_signature(), stamp
+        return self._placement_signature(), self._change_record().commits
 
     def _record_block(
         self, counters: np.ndarray, key: Tuple[Tuple[int, int], int]
@@ -634,18 +738,21 @@ class Cluster:
         return tables
 
     def _build_block_tables(self, signature: Tuple[int, int]) -> _BlockTables:
-        """Name and slot tables of the block rows (once per placement)."""
-        _, _, members, layout, _ = self._batch_groups[1][0]
+        """Name and slot tables of the block rows (once per placement).
+
+        Derived from structures already patched per moved host: the
+        block rows are the placement map's VMs (one spec group, hosts in
+        order), and the group layout's bounds count each host's VMs.
+        """
+        layout = self._batch_groups[1][0][3]
         counts = np.diff(layout.row_bounds)
-        # Rebuilt on every placement change: iterate in C, not per host.
-        names = tuple(itertools.chain.from_iterable(map(_MEMBER_NAMES, members)))
-        populated = itertools.compress(map(_MEMBER_HOST, members), counts.tolist())
-        limits = filter(_IS_SET, map(_HISTORY_LIMIT, populated))
+        populated = counts > 0
+        limit = self._host_segments.limits[populated].min(initial=np.inf)
         return _BlockTables(
             signature=signature,
-            vm_names=names,
-            history_limit=min(limits, default=None),
-            counts=counts[counts > 0],
+            vm_names=tuple(self._placement()),
+            history_limit=None if limit == np.inf else int(limit),
+            counts=counts[populated],
         )
 
     def latest_counter_totals(self) -> Optional[np.ndarray]:

@@ -16,7 +16,7 @@ schedulers) and explicit core pinning, mirroring the testbed setup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -51,6 +51,54 @@ class HostDemandPlan:
     scalar_vms: List[Tuple[int, VirtualMachine]]
 
 
+class HostChanges:
+    """The change record a cluster's hosts report to.
+
+    A host records its index here on every placement change (a VM added
+    or removed, a CPU cap set) and every load change, and counts its
+    epoch commits.  Each consumer of placement-derived state takes, by
+    name, the hosts that changed since its previous take, so it patches
+    those hosts' parts instead of scanning every host for a moved
+    version.  A consumer that has never taken (its first build, or a
+    record created after a restore) is told ``None``: every host
+    changed.
+    """
+
+    __slots__ = ("placements", "commits", "_placed", "_loaded")
+
+    def __init__(self) -> None:
+        #: Placement changes so far (the placement signature's counter).
+        self.placements = 0
+        #: Epoch commits so far (the counter stores' write stamp).
+        self.commits = 0
+        #: Per consumer: hosts with a placement / load change since its
+        #: last take.
+        self._placed: Dict[str, Set[int]] = {}
+        self._loaded: Dict[str, Set[int]] = {}
+
+    def placed(self, index: int) -> None:
+        self.placements += 1
+        for hosts in self._placed.values():
+            hosts.add(index)
+
+    def loaded(self, index: int) -> None:
+        for hosts in self._loaded.values():
+            hosts.add(index)
+
+    def take(self, consumer: str) -> Optional[List[int]]:
+        """Ascending indices of the hosts placed since ``consumer``'s last
+        take, or ``None`` on its first."""
+        hosts = self._placed.get(consumer)
+        self._placed[consumer] = set()
+        return None if hosts is None else sorted(hosts)
+
+    def take_loads(self, consumer: str) -> Optional[List[int]]:
+        """:meth:`take` for load changes."""
+        hosts = self._loaded.get(consumer)
+        self._loaded[consumer] = set()
+        return None if hosts is None else sorted(hosts)
+
+
 @dataclass
 class VMPerformance:
     """Ground-truth record for one VM over one epoch."""
@@ -71,6 +119,12 @@ class Host:
     #: empty on the class, so a host pickled before it existed
     #: regenerates every row once.
     _demand_vms: Tuple[VirtualMachine, ...] = ()
+    #: The change record of the cluster the host belongs to and the
+    #: host's index in it; ``None`` outside a cluster (the analyzer's
+    #: sandbox hosts), and on a host restored from a checkpoint written
+    #: before the record existed, until its cluster attaches it.
+    _changes: Optional[HostChanges] = None
+    _change_index = -1
 
     def __init__(
         self,
@@ -206,7 +260,7 @@ class Host:
             self._pinning[vm.name] = list(cores)
         self._counter_store.ensure(vm.name)
         self.performance_history.setdefault(vm.name, [])
-        self.placement_version += 1
+        self._placed()
         vm.state = VMState.RUNNING
 
     def remove_vm(self, name: str) -> VirtualMachine:
@@ -218,8 +272,14 @@ class Host:
         self._cpu_caps.pop(name, None)
         self._pinning.pop(name, None)
         self._demand_cache.pop(name, None)
-        self.placement_version += 1
+        self._placed()
         return vm
+
+    def _placed(self) -> None:
+        """Bump the placement version and report it to the cluster."""
+        self.placement_version += 1
+        if self._changes is not None:
+            self._changes.placed(self._change_index)
 
     def set_load(self, name: str, load: float) -> None:
         """Update the offered load (fraction of nominal) for a VM."""
@@ -229,16 +289,21 @@ class Host:
         if self._loads.get(name) != load:
             self._loads[name] = load
             self._loads_version += 1
+            if self._changes is not None:
+                self._changes.loaded(self._change_index)
 
     def get_load(self, name: str) -> float:
         return self._loads[name]
 
     def set_cpu_cap(self, name: str, cap: float) -> None:
+        """Cap a placed VM's CPU allocation (a placement change)."""
+        if name not in self._vms:
+            raise KeyError(f"VM {name!r} not on host {self.name!r}")
         if not 0.0 < cap <= 1.0:
             raise ValueError("cpu_cap must be in (0, 1]")
         self._cpu_caps[name] = cap
         # Caps feed the (cached) batch-substrate inputs.
-        self.placement_version += 1
+        self._placed()
 
     # ------------------------------------------------------------------
     # Simulation
@@ -511,6 +576,8 @@ class Host:
                 self.performance_history[name].append(perf)
         self._trim_histories()
         self.current_epoch += 1
+        if self._changes is not None:
+            self._changes.commits += 1
         return performances
 
     def _trim_histories(self) -> None:
@@ -535,6 +602,8 @@ class Host:
         """
         self._counter_store.ingest(names, block, self.epoch_seconds)
         self.current_epoch += 1
+        if self._changes is not None:
+            self._changes.commits += 1
 
     def step(
         self, loads: Optional[Mapping[str, float]] = None

@@ -94,6 +94,16 @@ class TestHostStep:
         capped = host.step()[data_serving_vm.name]
         assert capped.counters.inst_retired < full.counters.inst_retired
 
+    def test_cpu_cap_of_a_vm_not_on_the_host_is_rejected(self, host, data_serving_vm):
+        host.add_vm(data_serving_vm)
+        version = host.placement_version
+        with pytest.raises(KeyError):
+            host.set_cpu_cap("ghost", 0.5)
+        # No stray cap and no phantom placement change.
+        assert host.cpu_cap_values() == [1.0]
+        assert "ghost" not in host._cpu_caps
+        assert host.placement_version == version
+
     def test_utilization_summary(self, host, data_serving_vm, stress_vm):
         host.add_vm(data_serving_vm)
         host.add_vm(stress_vm)

@@ -33,18 +33,16 @@ frozen history):
   equally.  Every process benchmark also asserts that shutdown left no
   transport segment behind in ``/dev/shm``;
 * **epoch edge** — the cost of recording one epoch's counters into the
-  hosts' telemetry: eager per-VM ``CounterSample`` materialisation +
-  history appends (``history_mode="eager"``; both modes also pay the
-  shared ring write, see ``_time_edge_mode``) versus one ring ingest
-  per host (:class:`repro.metrics.store.HostCounterStore`, the default
-  lazy mode).
+  fleet's telemetry: an eager recorder kept in this file (per-VM
+  ``CounterSample`` materialisation + history appends, the form the
+  ring replaced) versus the cluster's one counter-ring write
+  (:class:`repro.metrics.store.CounterRing`).
 
 All compared configurations produce equivalent decisions (pinned by the
 property suites); the benchmarks only measure cost.  Run the tiny-scale
 smoke variants with ``pytest -m bench_smoke``; ``FLEET_SMOKE_EXECUTOR``
-selects the executor and ``FLEET_SMOKE_HISTORY_MODE`` the counter-store
-mode the smoke fleet runs under (the CI matrix covers the ``process``
-executor and an eager-history leg).
+selects the executor the smoke fleet runs under (the CI matrix covers
+the ``process`` executor).
 ``FLEET_SMOKE_SNAPSHOT=1`` turns the snapshot smoke into a
 process-executor kill/resume roundtrip whose checkpoint file (written
 to ``FLEET_SMOKE_CKPT`` when set) the CI workflow schema-validates
@@ -83,8 +81,8 @@ from repro.fleet import (
 from repro.fleet.benchutil import run_metadata
 from repro.fleet.executor import _worker_ready
 from repro.fleet.shm import leaked_segments
-from repro.metrics.counters import N_COUNTERS
-from repro.metrics.store import HostCounterStore
+from repro.metrics.counters import N_COUNTERS, CounterSample
+from repro.metrics.store import CounterRing, HostCounterStore
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / ".benchmarks" / "BENCH_fleet.json"
@@ -162,7 +160,6 @@ def _prepare_fleet(
     max_workers: Optional[int] = None,
     executor: Optional[str] = None,
     track_performance: bool = False,
-    history_mode: str = "lazy",
     churn_epochs: Optional[int] = None,
     fault_policy=None,
     fault_plan=None,
@@ -195,7 +192,6 @@ def _prepare_fleet(
         max_workers=max_workers,
         executor=executor,
         track_performance=track_performance,
-        history_mode=history_mode,
         fault_policy=fault_policy,
         fault_plan=fault_plan,
         telemetry=telemetry,
@@ -445,14 +441,14 @@ def _run_process_comparison(
 
 # ----------------------------------------------------------------------
 # Epoch-edge comparison (counter recording only): eager sample
-# materialisation + history appends vs one ring ingest per host.
+# materialisation + history appends vs one counter-ring write.
 # ----------------------------------------------------------------------
 def _synth_host_blocks(
     num_vms: int, vms_per_host: int = 2, seed: int = 3
 ) -> list:
     """Per-host ``(names, block)`` pairs shaped like a fleet epoch.
 
-    The ingest cost depends only on the shapes (one small block per
+    The recording cost depends only on the shapes (one small block per
     host, fleet-scale host counts), not on the counter values, so the
     blocks are synthesized instead of paying a full fleet build.
     """
@@ -466,30 +462,62 @@ def _synth_host_blocks(
     return blocks
 
 
-def _time_edge_mode(blocks, lazy: bool, epochs: int, reps: int, limit: int):
+class _EagerRecorder:
+    """The eager epoch edge: one ``CounterSample`` per VM per epoch,
+    appended to the VM's history list under the amortised trim."""
+
+    def __init__(self, limit: Optional[int]) -> None:
+        self.limit = limit
+        self.histories: Dict[str, list] = {}
+
+    def record(self, names, block, epoch_seconds: float) -> None:
+        limit = self.limit
+        for name, row in zip(names, block.tolist()):
+            history = self.histories.setdefault(name, [])
+            history.append(CounterSample(*row, epoch_seconds=epoch_seconds))
+            if limit is not None and len(history) > 2 * limit:
+                del history[: len(history) - limit]
+
+
+def _ring_cluster(blocks, limit: int):
+    """One cluster-wide ring with every synthesized host's VMs placed:
+    ``(ring, per-host stores, slots in block order, the epoch block)``."""
+    ring = CounterRing(limit)
+    stores = []
+    for names, _block in blocks:
+        store = HostCounterStore(history_limit=limit)
+        store.attach(ring)
+        for name in names:
+            store.join(name)
+        stores.append(store)
+    slots = np.array(
+        [store._slots[name] for (names, _), store in zip(blocks, stores) for name in names]
+    )
+    return ring, stores, slots, np.vstack([block for _, block in blocks])
+
+
+def _time_edge_mode(blocks, eager: bool, epochs: int, reps: int, limit: int):
     """Best-of-``reps`` wall time of ``epochs`` telemetry commits.
 
-    ``lazy=False`` is the eager mode: materialise one ``CounterSample``
-    per VM, append to its history, amortised trim — the pre-store
-    per-VM work, **plus** the ring write both modes share (the old path
-    paid a cheap per-host list append there instead, so the recorded
-    eager time very slightly overstates the pre-store edge and the
-    speedup is an upper bound on the before/after ratio; the per-VM
-    term dominates it by far).  ``lazy=True`` is the ring ingest the
-    fleet hot loop now performs.
+    ``eager=True`` times the eager recorder: materialise one
+    ``CounterSample`` per VM, append to its history, amortised trim.
+    ``eager=False`` times what a cluster's epoch does: one write of the
+    whole epoch block into the counter ring through the VMs' slots.
     """
     best = float("inf")
     for _ in range(reps):
-        stores = []
-        for names, _block in blocks:
-            store = HostCounterStore(history_limit=limit, lazy=lazy)
-            for name in names:
-                store.ensure(name)
-            stores.append(store)
-        start = time.perf_counter()
-        for _ in range(epochs):
-            for store, (names, block) in zip(stores, blocks):
-                store.ingest(names, block, 1.0)
+        if eager:
+            recorder = _EagerRecorder(limit)
+            start = time.perf_counter()
+            for _ in range(epochs):
+                for names, block in blocks:
+                    recorder.record(names, block, 1.0)
+        else:
+            ring, _stores, slots, block = _ring_cluster(blocks, limit)
+            start = time.perf_counter()
+            for _ in range(epochs):
+                ring.write(slots, block, 1.0)
+                ring.advance()
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -499,10 +527,10 @@ def _run_epoch_edge_comparison(
 ) -> Dict:
     blocks = _synth_host_blocks(num_vms)
     eager_s = _time_edge_mode(
-        blocks, lazy=False, epochs=epochs, reps=reps, limit=history_limit
+        blocks, eager=True, epochs=epochs, reps=reps, limit=history_limit
     )
-    lazy_s = _time_edge_mode(
-        blocks, lazy=True, epochs=epochs, reps=reps, limit=history_limit
+    ring_s = _time_edge_mode(
+        blocks, eager=False, epochs=epochs, reps=reps, limit=history_limit
     )
     return {
         "benchmark": "fleet_epoch_edge",
@@ -512,9 +540,9 @@ def _run_epoch_edge_comparison(
         "timing_reps": reps,
         "history_limit": history_limit,
         "eager_seconds": eager_s,
-        "lazy_seconds": lazy_s,
-        "speedup": eager_s / lazy_s,
-        "lazy_vm_epochs_per_second": num_vms * epochs / lazy_s,
+        "lazy_seconds": ring_s,
+        "speedup": eager_s / ring_s,
+        "lazy_vm_epochs_per_second": num_vms * epochs / ring_s,
         "unix_time": time.time(),
     }
 
@@ -622,23 +650,22 @@ def test_fleet_substrate_smoke():
 
 @pytest.mark.bench_smoke
 def test_fleet_epoch_edge_smoke():
-    """Both telemetry modes complete and agree on recorded history at
-    tiny scale (the CI matrix also runs the whole smoke suite with
-    ``FLEET_SMOKE_HISTORY_MODE=eager``)."""
+    """Both epoch edges complete and record identical histories at tiny
+    scale."""
     record = _run_epoch_edge_comparison(num_vms=200, epochs=12, reps=2)
     assert record["eager_seconds"] > 0 and record["lazy_seconds"] > 0
     # The timed paths must also record identical histories.
-    for names, block in _synth_host_blocks(20):
-        lazy = HostCounterStore(history_limit=4, lazy=True)
-        eager = HostCounterStore(history_limit=4, lazy=False)
+    blocks = _synth_host_blocks(20)
+    ring, stores, slots, block = _ring_cluster(blocks, limit=4)
+    recorder = _EagerRecorder(4)
+    for epoch in range(12):
+        ring.write(slots, block + epoch, 1.0)
+        ring.advance()
+        for names, host_block in blocks:
+            recorder.record(names, host_block + epoch, 1.0)
+    for (names, _), store in zip(blocks, stores):
         for name in names:
-            lazy.ensure(name)
-            eager.ensure(name)
-        for epoch in range(12):
-            lazy.ingest(names, block + epoch, 1.0)
-            eager.ingest(names, block + epoch, 1.0)
-        for name in names:
-            assert list(lazy.histories[name]) == list(eager.histories[name])
+            assert list(store.histories[name]) == recorder.histories[name]
     _merge_bench_record("fleet_epoch_edge_smoke", record)
     print("\nfleet epoch edge smoke:", json.dumps(record, indent=2))
 
@@ -657,14 +684,13 @@ def test_fleet_churn_smoke():
 
 @pytest.mark.bench_smoke
 def test_fleet_executor_smoke():
-    """The env-selected executor and history mode complete an epoch and
-    agree with the serial loop (the CI matrix runs this under the
-    process executor plus eager-history and churn legs).  With
+    """The env-selected executor completes an epoch and agrees with the
+    serial loop (the CI matrix runs this under the process executor,
+    plus a churn leg).  With
     ``FLEET_SMOKE_CHURN=1`` both fleets carry the same churn timeline,
     so the fingerprint comparison covers worker-side lifecycle
     application too."""
     executor = os.environ.get("FLEET_SMOKE_EXECUTOR", "process")
-    history_mode = os.environ.get("FLEET_SMOKE_HISTORY_MODE", "lazy")
     churn_epochs = 16 if os.environ.get("FLEET_SMOKE_CHURN") == "1" else None
     serial = _prepare_fleet(
         60, num_shards=2, executor="serial", churn_epochs=churn_epochs
@@ -674,7 +700,6 @@ def test_fleet_executor_smoke():
         num_shards=2,
         executor=executor,
         max_workers=2,
-        history_mode=history_mode,
         churn_epochs=churn_epochs,
     )
     try:
@@ -689,7 +714,6 @@ def test_fleet_executor_smoke():
         record = {
             "benchmark": "fleet_executor_smoke",
             "executor": executor,
-            "history_mode": history_mode,
             "churn": churn_epochs is not None,
             # Live topology: under the process executor churn happens in
             # the workers, so the parent's total_vms() is a stale
@@ -809,8 +833,9 @@ def test_fleet_process_scale_2000_vms():
 
 
 def test_fleet_epoch_edge_2000_vms():
-    """Epoch-edge cost at 2k VMs: ring ingest vs eager materialisation
-    (recorded; the acceptance floor is asserted at 10k)."""
+    """Epoch-edge cost at 2k VMs: the ring write vs eager
+    materialisation (recorded; the acceptance floor is asserted at
+    10k)."""
     record = _run_epoch_edge_comparison(num_vms=2000, epochs=30, reps=3)
     _merge_bench_record("fleet_epoch_edge_2k", record)
     print("\nfleet epoch edge 2k:", json.dumps(record, indent=2))
@@ -818,14 +843,14 @@ def test_fleet_epoch_edge_2000_vms():
 
 
 def test_fleet_epoch_edge_10000_vms():
-    """The ring ingest is >= 1.3x the eager epoch edge at the north
+    """The ring write is >= 1.3x the eager epoch edge at the north
     star's 10k-VM fleet (sample materialisation + history appends were
     the last per-VM Python work in a batch epoch)."""
     record = _run_epoch_edge_comparison(num_vms=10_000, epochs=20, reps=3)
     _merge_bench_record("fleet_epoch_edge_10k", record)
     print("\nfleet epoch edge 10k:", json.dumps(record, indent=2))
     assert record["speedup"] >= 1.3, (
-        f"ring ingest speedup {record['speedup']:.2f}x below the 1.3x "
+        f"ring write speedup {record['speedup']:.2f}x below the 1.3x "
         f"acceptance floor (eager {record['eager_seconds']:.3f}s vs lazy "
         f"{record['lazy_seconds']:.3f}s for {record['epochs']} epochs at "
         f"{record['vms']} VMs)"

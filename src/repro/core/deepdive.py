@@ -291,11 +291,6 @@ class _EpochLayout:
 class DeepDive:
     """Transparent interference identification and management."""
 
-    #: The batch engine's row tables for the current placement (empty on
-    #: the class, so an instance unpickled from an older checkpoint
-    #: builds them on its first epoch).
-    _layout: Optional[_EpochLayout] = None
-
     def __init__(
         self,
         cluster: Cluster,
@@ -375,6 +370,8 @@ class DeepDive:
         #: away, further migrations from that host in the same epoch
         #: would evict innocent VMs, so they are rate-limited.
         self._host_migration_epoch: Dict[str, int] = {}
+        #: The batch engine's row tables for the current placement.
+        self._layout: Optional[_EpochLayout] = None
 
     # ------------------------------------------------------------------
     # Monitoring plumbing

@@ -19,7 +19,7 @@ On disk the format is::
 written atomically (write-then-rename), so a crash mid-checkpoint never
 leaves a half-written file where a resume would find it.  Everything
 about the file is validated loudly: :meth:`Checkpoint.load` refuses bad
-magic, truncated headers and future versions, and
+magic, truncated headers and any version but the current one, and
 :func:`validate_checkpoint_file` (the CI schema gate) names every
 metadata violation at once, optionally deep-checking that the payload
 unpickles and agrees with the header's shard inventory.
@@ -42,18 +42,14 @@ from repro.fleet.executor import EXECUTOR_KINDS
 CHECKPOINT_MAGIC = b"REPRO-FLEET-CKPT"
 
 #: Current checkpoint format version (bump on incompatible change).
-CHECKPOINT_VERSION = 1
+#: Version 2 pickles hosts and clusters around the cluster's counter
+#: ring; version 1 files are refused.
+CHECKPOINT_VERSION = 2
 
 #: Checkpoint kinds :meth:`~repro.fleet.fleet.Fleet.resume` reads.
 #: Every snapshot is written as ``"fleet"`` (with ``meta.regions`` set
-#: for a partitioned fleet); ``"regional"`` is the same layout as
-#: written by the earlier two-class runtime, and requires regions.
-CHECKPOINT_KINDS = ("fleet", "regional")
-
-#: Executors that older checkpoints record, mapped to the one a resumed
-#: fleet runs: ``"thread"`` (since removed) kept its shard state in the
-#: fleet process, as ``"serial"`` does.
-LEGACY_EXECUTORS = {"thread": "serial"}
+#: for a partitioned fleet).
+CHECKPOINT_KINDS = ("fleet",)
 
 #: Keys every checkpoint payload dict carries.
 PAYLOAD_KEYS = (
@@ -103,7 +99,7 @@ def _check_meta(meta: Mapping[str, object]) -> List[str]:
         problems.append(f"kind: {kind!r} not in {CHECKPOINT_KINDS}")
     _int("epoch")
     executor = meta.get("executor")
-    if executor not in EXECUTOR_KINDS and executor not in LEGACY_EXECUTORS:
+    if executor not in EXECUTOR_KINDS:
         problems.append(f"executor: {executor!r} not in {EXECUTOR_KINDS}")
     max_workers = meta.get("max_workers")
     if max_workers is not None and (
@@ -154,9 +150,7 @@ def _check_meta(meta: Mapping[str, object]) -> List[str]:
                 )
 
     regions = meta.get("regions")
-    if kind == "regional" and regions is None:
-        problems.append("regions: a regional checkpoint needs a region list")
-    elif regions is not None:
+    if regions is not None:
         if not isinstance(regions, list) or not regions:
             problems.append("regions: expected null or a non-empty region list")
         else:
@@ -290,6 +284,7 @@ class Checkpoint:
                 f"checkpoint version {version} is newer than the supported "
                 f"version {CHECKPOINT_VERSION}"
             )
+
         if len(blob) < header_len + meta_len:
             raise CheckpointError(
                 "checkpoint truncated: metadata block extends past the file"
@@ -303,6 +298,12 @@ class Checkpoint:
             raise CheckpointError(
                 f"header version {version} disagrees with metadata version "
                 f"{meta['version']}"
+            )
+        if version < CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"checkpoint version {version} is older than the supported "
+                f"version {CHECKPOINT_VERSION}; its pickled state predates "
+                "the current host and cluster layout and cannot be resumed"
             )
         return cls(meta=meta, payload=blob[header_len + meta_len :])
 

@@ -67,7 +67,6 @@ from repro.fleet.telemetry import (
     WorkerSpanBuffer,
 )
 from repro.hardware.batch import N_COUNTERS
-from repro.virt.cluster import host_counter_totals
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.deepdive import EpochReport
@@ -158,16 +157,15 @@ class ColumnarShardReport:
     analyzed: np.ndarray
     #: Whether interference was confirmed (analysis or known signature).
     confirmed: np.ndarray
-    #: Sum of the shard's raw counter block for the epoch (Table-1
-    #: column order), from :meth:`Cluster.latest_counter_totals`.
-    #: Contract: a shard whose hosts hold **no resident VMs at all**
-    #: (mass departures, full drain) reports an explicit **all-zeros
-    #: row** — the telemetry is present and genuinely zero.  ``None``
-    #: means the telemetry is **unavailable**: at least one populated
-    #: host has no resident batch counter block (scalar substrate, or a
-    #: scalar epoch flushed the ring).  Fleet-level aggregation skips
-    #: unavailable shards instead of discarding the fleet total (see
-    #: :meth:`ColumnarFleetReport.counter_totals`).
+    #: Sum of the shard's raw counters for the epoch (Table-1 column
+    #: order), from :meth:`Cluster.latest_counter_totals`, on either
+    #: substrate.  Contract: a shard whose hosts held **no resident VMs
+    #: at all** in the epoch (mass departures, full drain) reports an
+    #: explicit **all-zeros row** — the telemetry is present and
+    #: genuinely zero.  ``None`` means the telemetry is **unavailable**:
+    #: the shard's cluster has not run an epoch yet.  Fleet-level
+    #: aggregation skips unavailable shards instead of discarding the
+    #: fleet total (see :meth:`ColumnarFleetReport.counter_totals`).
     counter_totals: Optional[np.ndarray] = None
 
     def observations(self) -> int:
@@ -251,10 +249,9 @@ class ColumnarFleetReport:
     def counter_totals(self) -> Optional[np.ndarray]:
         """Fleet-wide raw counter sums over shards with telemetry.
 
-        Shards whose totals are unavailable (``None`` — a populated
-        host without a resident batch counter block, i.e. the scalar
-        substrate) are *skipped* rather than nulling the whole fleet's
-        telemetry; emptied-out shards contribute explicit zeros.
+        Shards whose totals are unavailable (``None`` — no epoch yet)
+        are *skipped* rather than nulling the whole fleet's telemetry;
+        emptied-out shards contribute explicit zeros.
         Returns ``None`` only when no shard has totals at all.
         """
         total = np.zeros(N_COUNTERS, dtype=float)
@@ -264,17 +261,6 @@ class ColumnarFleetReport:
                 total += report.counter_totals
                 available = True
         return total if available else None
-
-
-def _shard_counter_totals(shard: "FleetShard") -> Optional[np.ndarray]:
-    """One shard's epoch counter totals assembled host by host.
-
-    See :attr:`ColumnarShardReport.counter_totals` for the contract.
-    :meth:`Cluster.latest_counter_totals` serves the same totals from
-    its whole-cluster counter block and falls back to this per-host
-    assembly whenever the block cannot serve them.
-    """
-    return host_counter_totals(shard.cluster.hosts.values())
 
 
 def columnar_from_report(

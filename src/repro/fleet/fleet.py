@@ -59,7 +59,7 @@ import numpy as np
 from repro.core.config import DeepDiveConfig
 from repro.core.deepdive import DeepDive, EpochReport
 from repro.core.events import InterferenceDetectedEvent, MigrationEvent
-from repro.fleet.checkpoint import CHECKPOINT_VERSION, LEGACY_EXECUTORS, Checkpoint
+from repro.fleet.checkpoint import CHECKPOINT_VERSION, Checkpoint
 from repro.fleet.executor import (
     EXECUTOR_KINDS,
     WARNING_ACTIONS,
@@ -1030,11 +1030,7 @@ class Fleet:
         counters continue monotonically.
 
         The region partition (ids, shard grouping, per-region budgets)
-        comes back from ``meta.regions``.  Checkpoints of kind
-        ``"regional"``, written by the earlier two-class runtime, share
-        the payload layout and resume here too.  A recorded executor of
-        ``"thread"`` (removed since) resumes as ``"serial"``, the
-        in-process loop that run's state lived in.
+        comes back from ``meta.regions``.
         """
         checkpoint = (
             source if isinstance(source, Checkpoint) else Checkpoint.load(source)
@@ -1054,8 +1050,7 @@ class Fleet:
             telemetry = telemetry_state[0]
         regions = checkpoint.meta.get("regions")
         if executor is None:
-            recorded = checkpoint.meta["executor"]
-            executor = LEGACY_EXECUTORS.get(recorded, recorded)
+            executor = checkpoint.meta["executor"]
         fleet = cls(
             state["shards"],
             schedule=state["schedule"],

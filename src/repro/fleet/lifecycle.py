@@ -6,8 +6,8 @@ before each simulation epoch it applies that epoch's event batch to the
 shards it owns — departures, host drains/returns, load-phase and
 flash-crowd changes, then arrivals.  Everything it does is a
 deterministic function of the timeline and the shard state, so identical
-timelines evolve identically across hardware substrates, history modes
-and executor strategies (the engine is pickled into process workers
+timelines evolve identically across hardware substrates and executor
+strategies (the engine is pickled into process workers
 alongside their shard subset, exactly like the stress schedule).
 
 Interference-aware admission
@@ -227,12 +227,9 @@ class _ShardSummary:
     VM of the shard dominated that build.
     """
 
-    #: The cluster's change record; unset on a summary pickled before it
-    #: existed, which then no longer describes its cluster.
-    changes: Optional["HostChanges"] = None
-
     def __init__(self, cluster: "Cluster") -> None:
-        self.changes = cluster._change_record()
+        #: The cluster's change record.
+        self.changes: "HostChanges" = cluster._change_record()
         self.hosts: List["Host"] = list(cluster.hosts.values())
         self.host_names: List[str] = list(cluster.hosts)
         self.host_index = {name: i for i, name in enumerate(self.host_names)}

@@ -204,7 +204,6 @@ def build_fleet(
     executor: Optional[str] = None,
     track_performance: bool = False,
     history_limit: Optional[int] = 64,
-    history_mode: str = "lazy",
     fault_policy: Optional["FaultPolicy"] = None,
     fault_plan: Optional["FaultPlan"] = None,
     telemetry: Union["TelemetryConfig", "TelemetryRegistry", None] = None,
@@ -239,12 +238,6 @@ def build_fleet(
         Per-VM history retention in epochs (default 64, comfortably
         covering the smoothing and analyzer windows) so long fleet runs
         hold constant memory; ``None`` retains everything.
-    history_mode:
-        ``"lazy"`` (default) serves per-VM counter histories from the
-        hosts' columnar ring stores, materialising samples only on
-        access; ``"eager"`` materialises every epoch immediately (the
-        reference mode, bit-identical results — pinned by
-        ``tests/property/test_lazy_history_equivalence.py``).
     fault_policy / fault_plan:
         Worker supervision and injected fault schedule for the process
         executor (see :mod:`repro.fleet.supervisor` /
@@ -258,7 +251,7 @@ def build_fleet(
     A scenario with a ``timeline`` gets a
     :class:`~repro.fleet.lifecycle.LifecycleEngine` attached to the
     fleet: identical timelines produce bit-identical fleet evolutions
-    for every substrate/history-mode/executor combination
+    for every substrate/executor combination
     (``tests/property/test_lifecycle_equivalence.py``).
     """
     shards, schedule, lifecycle = _materialise(
@@ -269,7 +262,6 @@ def build_fleet(
         substrate=substrate,
         track_performance=track_performance,
         history_limit=history_limit,
-        history_mode=history_mode,
     )
     return Fleet(
         shards,
@@ -291,7 +283,6 @@ def _materialise(
     substrate: str,
     track_performance: bool,
     history_limit: Optional[int],
-    history_mode: str,
 ) -> Tuple[List[FleetShard], List[ScheduledStress], Optional[LifecycleEngine]]:
     """Deterministically materialise a scenario's shards + schedule.
 
@@ -321,7 +312,6 @@ def _materialise(
             track_performance=track_performance,
             cache_demands=True,
             history_limit=history_limit,
-            history_mode=history_mode,
         )
         baseline_loads: Dict[str, float] = {}
         for h in range(scenario.hosts_per_shard):
@@ -441,7 +431,6 @@ def build_regional_fleet(
     executor: Optional[str] = None,
     track_performance: bool = False,
     history_limit: Optional[int] = 64,
-    history_mode: str = "lazy",
     fault_policy: Optional["FaultPolicy"] = None,
     fault_plan: Optional["FaultPlan"] = None,
     telemetry: Union["TelemetryConfig", "TelemetryRegistry", None] = None,
@@ -465,7 +454,6 @@ def build_regional_fleet(
         substrate=substrate,
         track_performance=track_performance,
         history_limit=history_limit,
-        history_mode=history_mode,
     )
     return Fleet(
         shards,

@@ -28,8 +28,8 @@ Two generators cover the common shapes:
   events scaling every shard's baseline loads.
 
 Both are deterministic in their seeds; identical timelines produce
-bit-identical fleet evolutions across substrates, history modes and
-executor strategies (``tests/property/test_lifecycle_equivalence.py``).
+bit-identical fleet evolutions across substrates and executor
+strategies (``tests/property/test_lifecycle_equivalence.py``).
 """
 
 from __future__ import annotations

@@ -350,9 +350,9 @@ class BatchEpochResult:
 
         One bulk ``tolist`` conversion instead of one per row — used by
         ground-truth tracking, which materialises per-VM outcomes
-        anyway.  The monitoring pipeline no longer calls this: counter
-        blocks feed :class:`~repro.metrics.store.HostCounterStore` rings
-        directly and samples materialise lazily on access.
+        anyway.  The monitoring pipeline never calls this: counter
+        blocks go into the cluster's :class:`~repro.metrics.store.CounterRing`
+        and samples materialise lazily on access.
         """
         eps = self.epoch_seconds
         return [
@@ -372,11 +372,8 @@ class BatchBuffers:
 
     A result produced with buffers is valid until the **next** epoch
     that reuses them — callers must consume (or copy) the counter block
-    within the epoch, which the counter-store ring ingest does.
+    within the epoch, which the cluster's counter-ring write does.
     """
-
-    # Buffers pickled before the noise block existed start without it.
-    _noise: Optional[np.ndarray] = None
 
     def __init__(self) -> None:
         self._counters: Optional[np.ndarray] = None

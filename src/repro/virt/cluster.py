@@ -11,25 +11,36 @@ Two hardware substrates drive the per-epoch simulation:
   model (:meth:`~repro.virt.vmm.Host.step`);
 * ``substrate="batch"`` (the default) resolves one epoch for **all VMs
   on all hosts at once** through the vectorized contention substrate
-  (:mod:`repro.hardware.batch`), emitting the same counter samples and
-  additionally recording a columnar per-epoch counter block that feeds
-  the monitoring pipeline's :class:`~repro.metrics.matrix.MetricMatrix`
-  without per-VM dictionary materialisation.  The cluster keeps copies
-  of the newest whole-cluster blocks, so the monitoring window and the
-  epoch's counter totals are read without a loop over hosts.
+  (:mod:`repro.hardware.batch`), emitting the same counters as a
+  columnar block per machine-spec group, with no per-VM dictionary
+  materialisation.
 
 Both substrates are equivalent (same formulas, same noise draws; pinned
 by ``tests/property/test_substrate_equivalence.py``).
 
+Counter telemetry lives in one :class:`~repro.metrics.store.CounterRing`
+per cluster.  Each resident VM owns a ring slot (taken when placed,
+freed when it leaves, so a departure or migration keeps the VM's
+history on the host that recorded it).  The cluster writes every
+epoch's rows at once through the rows' slots: one write per spec group
+on the batch substrate, one on the scalar substrate.  The monitoring
+window (:meth:`Cluster.counter_window_view`) and the epoch's counter
+totals (:meth:`Cluster.latest_counter_totals`) gather ring rows in
+placement order through a slot table cached per placement; a window
+is a left fold over its epochs, and only VMs whose window is not
+wholly in the ring (a VM back on a host it left less than ``window``
+epochs ago, a host whose ``history_limit`` is shorter than the window)
+are folded one by one from their retained samples.
+
 Placement changes are host events.  Every host of a cluster reports to
 the cluster's change record (:class:`~repro.virt.vmm.HostChanges`): a
-VM added or removed and a CPU cap set are placement changes, a new
-offered load is a load change, and each epoch commit is counted.  The
-placement signature and the counter stores' write stamp are the
-record's counters, and each placement-derived structure — the placement
-map, the spec groups' layouts and CPU caps, the packed demand rows, the
-admission inputs of the fleet's lifecycle engine — takes the hosts that
-changed since it last looked and re-reads only those.  A steady epoch
+VM added or removed and a CPU cap set are placement changes, and a new
+offered load is a load change.  The placement signature is the
+record's counter, and each placement-derived structure — the placement
+map and ring slot table, the spec groups' layouts and CPU caps, the
+packed demand rows, the admission inputs of the fleet's lifecycle
+engine — takes the hosts that changed since it last looked and
+re-reads only those.  A steady epoch
 therefore reads no host's placement and collects no host's demand
 (``tests/virt/test_placement_events.py``).
 """
@@ -56,6 +67,7 @@ from repro.hardware.batch import (
 from repro.hardware.machine import outcome_from_batch
 from repro.hardware.specs import MachineSpec, XEON_X5472
 from repro.metrics.counters import CounterSample
+from repro.metrics.store import CounterRing, sample_row
 from repro.virt.migration import MigrationEngine, MigrationRecord
 from repro.virt.vm import VirtualMachine
 from repro.virt.vmm import Host, HostChanges, VMPerformance
@@ -85,48 +97,29 @@ class CounterWindowView:
         return vm_name in self.index
 
 
-def host_counter_totals(hosts: Iterable[Host]) -> Optional[np.ndarray]:
-    """The hosts' newest-epoch counter totals, assembled host by host.
-
-    Hosts without resident VMs contribute nothing, so hosts that are
-    all empty give an explicit all-zeros row; a *populated* host
-    without a resident batch counter block (the scalar substrate's
-    steady state) makes the totals unavailable: ``None``.
-    """
-    populated = [host for host in hosts if host.vms]
-    if not populated:
-        return np.zeros(N_COUNTERS, dtype=float)
-    total = np.zeros(N_COUNTERS, dtype=float)
-    for host in populated:
-        latest = host.counter_store.latest_block()
-        if latest is None:
-            return None
-        total += latest.sum(axis=0)
-    return total
-
-
 @dataclass(frozen=True)
-class _BlockTables:
-    """Row tables of the whole-cluster counter block for one placement."""
+class _RingTables:
+    """Ring slots of the cluster's VMs for one placement."""
 
     #: Placement signature the tables were built at.
     signature: Tuple[int, int]
-    #: Block row order: every populated host's VMs, hosts in order.
+    #: Every resident VM, in placement order (hosts in order, each
+    #: host's VMs in order).
     vm_names: Tuple[str, ...]
-    #: Smallest ``history_limit`` among populated hosts (None: unlimited).
-    history_limit: Optional[int]
-    #: VMs per populated host, hosts in order.
+    #: Each VM's ring slot.
+    slots: np.ndarray
+    #: VMs per host, hosts in order.
     counts: np.ndarray
 
     @functools.cached_property
-    def slots(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-        """``slots[j] = (sums, rows)``: for the populated hosts with more
+    def folds(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """``folds[j] = (sums, rows)``: for the populated hosts with more
         than ``j`` VMs, their row in :meth:`Cluster.latest_counter_totals`'
-        per-host sums (1-based) and the block row of their ``j``-th VM.
+        per-host sums (1-based) and the row of their ``j``-th VM.
         Built on the first totals read: window reads do not need them."""
-        counts = self.counts
+        counts = self.counts[self.counts > 0]
         # Each row's host (1-based) and its index j within the host; a
-        # stable sort by j keeps host order within each slot.
+        # stable sort by j keeps host order within each fold step.
         host = np.repeat(np.arange(1, counts.size + 1), counts)
         j = np.arange(host.size) - np.repeat(np.cumsum(counts) - counts, counts)
         order = np.argsort(j, kind="stable")
@@ -149,8 +142,6 @@ class _Grouping(NamedTuple):
     #: Hosts whose demand rows are regenerated every epoch
     #: (``cache_demands`` off).
     uncached: Tuple[int, ...]
-    #: Every host's ``history_limit`` (``inf``: unlimited).
-    limits: np.ndarray
 
     @classmethod
     def of(cls, hosts: Mapping[str, "Host"], host_key: tuple) -> "_Grouping":
@@ -172,13 +163,6 @@ class _Grouping(NamedTuple):
                 i
                 for i, host in enumerate(hosts.values())
                 if not host.cache_demands
-            ),
-            limits=np.array(
-                [
-                    np.inf if host.history_limit is None else host.history_limit
-                    for host in hosts.values()
-                ],
-                dtype=float,
             ),
         )
 
@@ -216,13 +200,6 @@ class _HostSegments:
         self.caps: Optional[np.ndarray] = None
         self.layout: Optional[ClusterLayout] = None
 
-    def __setstate__(self, state) -> None:
-        # Segments pickled before the change record also carry the
-        # hosts' placement versions they were read at; drop those.
-        for name, value in state[1].items():
-            if name in self.__slots__:
-                setattr(self, name, value)
-
     def refresh(self, cache_domains: int, moved: Optional[List[int]]) -> ClusterLayout:
         """Re-read the ``moved`` hosts (ascending; ``None``: all of them)
         and return the group's layout."""
@@ -249,7 +226,7 @@ class _HostSegments:
 
 
 #: (placement signature, VM -> (host name, VM) map, the map's
-#: application ids in map order) — see :meth:`Cluster._placement`.
+#: application ids in map order) — see :meth:`Cluster._placement_state`.
 _PlacementView = Tuple[
     Tuple[int, int], Dict[str, Tuple[str, VirtualMachine]], Tuple[str, ...]
 ]
@@ -258,30 +235,23 @@ _PlacementView = Tuple[
 class Cluster:
     """A set of production hosts plus the migration machinery."""
 
-    # Whole-cluster counter blocks (see :meth:`_record_block`).  They
-    # start empty on the class, so a cluster unpickled from a
-    # checkpoint written before they existed starts without blocks.
-    #: The newest batch epochs' blocks, a ring of ``_block_depth`` slots.
-    _blocks: Optional[np.ndarray] = None
-    #: Blocks kept: the largest window read so far.
-    _block_depth = 1
-    #: Consecutive resident blocks and the slot the next one fills.
-    _block_count = 0
-    _block_next = 0
-    #: (placement signature, commit stamp) right after the newest block
-    #: was written; reads serve blocks only while it holds.
-    _block_key: Optional[Tuple[Tuple[int, int], int]] = None
-    _block_tables: Optional[_BlockTables] = None
+    # Placement-derived caches start empty on the class.
+    #: The ring slot tables of the current placement — see
+    #: :meth:`_ring_tables`.
+    _tables: Optional[_RingTables] = None
+    #: The slot tables the newest epoch was written through (``None``
+    #: before the first epoch) — see :meth:`latest_counter_totals`.
+    _written: Optional[_RingTables] = None
     #: The hosts' spec grouping — see :meth:`_batch_group_plan`.
     _host_segments: Optional[_Grouping] = None
     #: (signature, groups) of the current placement — see
     #: :meth:`_batch_group_plan`.
     _batch_groups: Optional[Tuple[tuple, List[BatchGroup]]] = None
     #: (the ``(host name, host)`` pairs, each host's ``(vm name, (host
-    #: name, VM))`` items, each host's VMs' application ids) — see
-    #: :meth:`_placement`.
+    #: name, VM))`` items, each host's VMs' application ids, each host's
+    #: VMs' ring slots) — see :meth:`_placement_state`.
     _placement_items: Optional[
-        Tuple[tuple, List[tuple], List[Tuple[str, ...]]]
+        Tuple[tuple, List[tuple], List[Tuple[str, ...]], List[Tuple[int, ...]]]
     ] = None
     #: Per spec group: (demand matrix, its packed rows, the rows' host
     #: bounds) — see :meth:`_step_batch`.
@@ -290,9 +260,8 @@ class Cluster:
     ] = None
     #: The placement map of the current signature — see :meth:`_placement`.
     _placement_view: Optional[_PlacementView] = None
-    #: The hosts' change record (see :class:`~repro.virt.vmm.HostChanges`);
-    #: a cluster restored from a checkpoint written before it existed
-    #: creates it on first use, with every host changed.
+    #: The hosts' change record (see :class:`~repro.virt.vmm.HostChanges`),
+    #: created by the constructor's first :meth:`_change_record` call.
     _changes: Optional[HostChanges] = None
 
     def __init__(
@@ -308,7 +277,6 @@ class Cluster:
         track_performance: bool = True,
         cache_demands: bool = False,
         history_limit: Optional[int] = None,
-        history_mode: str = "lazy",
     ) -> None:
         if num_hosts < 1:
             raise ValueError("a cluster needs at least one host")
@@ -316,6 +284,8 @@ class Cluster:
             raise ValueError(f"unknown hardware substrate {substrate!r}")
         self.epoch_seconds = epoch_seconds
         self.substrate = substrate
+        #: Every resident VM's counter rows (see :mod:`repro.metrics.store`).
+        self._ring = CounterRing(history_limit)
         self.hosts: Dict[str, Host] = {}
         for i in range(num_hosts):
             name = f"{host_prefix}{i}"
@@ -329,8 +299,8 @@ class Cluster:
                 track_performance=track_performance,
                 cache_demands=cache_demands,
                 history_limit=history_limit,
-                history_mode=history_mode,
             )
+            self.hosts[name].counter_store.attach(self._ring)
         self.migration_engine = migration_engine or MigrationEngine()
         #: Hosts currently out of service for maintenance.  Every
         #: placement flow respects it: the lifecycle engine's admission
@@ -361,6 +331,7 @@ class Cluster:
         if host.name in self.hosts:
             raise ValueError(f"host {host.name!r} already in cluster")
         self.hosts[host.name] = host
+        host.counter_store.attach(self._ring)
         changes = self._change_record()
         host._changes = changes
         host._change_index = len(self.hosts) - 1
@@ -378,16 +349,6 @@ class Cluster:
             for i, host in enumerate(self.hosts.values()):
                 host._changes = changes
                 host._change_index = i
-            # Placement-derived caches built before the record start over.
-            for name in (
-                "_placement_view",
-                "_placement_items",
-                "_host_segments",
-                "_batch_groups",
-                "_block_key",
-                "_block_tables",
-            ):
-                self.__dict__.pop(name, None)
         return changes
 
     def place_vm(
@@ -456,16 +417,19 @@ class Cluster:
             entries = tuple(self.hosts.items())
             parts: List[tuple] = [()] * n
             apps: List[Tuple[str, ...]] = [()] * n
+            slots: List[Tuple[int, ...]] = [()] * n
             moved = range(n)
         else:
-            entries, parts, apps = cached
+            entries, parts, apps, slots = cached
         for i in moved:
             host_name, host = entries[i]
             parts[i] = tuple(
                 (vm_name, (host_name, vm)) for vm_name, vm in host._vms.items()
             )
             apps[i] = tuple(vm.app_id for vm in host._vms.values())
-        self._placement_items = (entries, parts, apps)
+            # The store's slots follow the host's VM order.
+            slots[i] = tuple(host.counter_store._slots.values())
+        self._placement_items = (entries, parts, apps, slots)
         view = self._placement_view = (
             signature,
             dict(itertools.chain.from_iterable(parts)),
@@ -530,11 +494,32 @@ class Cluster:
         if self.substrate == "batch":
             results = self._step_batch(per_host_loads)
         else:
-            results = {
-                host_name: host.step(per_host_loads.get(host_name))
-                for host_name, host in self.hosts.items()
-            }
+            results = self._step_scalar(per_host_loads)
+        self._ring.advance()
         self.current_epoch += 1
+        return results
+
+    def _step_scalar(
+        self, per_host_loads: Mapping[str, Mapping[str, float]]
+    ) -> Dict[str, Dict[str, VMPerformance]]:
+        """One epoch through each host's per-VM reference model; every
+        host's counter rows go into the ring in one write."""
+        tables = self._ring_tables()
+        results: Dict[str, Dict[str, VMPerformance]] = {}
+        rows: List[np.ndarray] = []
+        epoch_seconds: List[float] = []
+        for host_name, host in self.hosts.items():
+            outcomes, offered = host.simulate(per_host_loads.get(host_name))
+            rows.extend(sample_row(outcomes[name].counters) for name in host._vms)
+            epoch_seconds.append(host.epoch_seconds)
+            results[host_name] = host.record_performance(outcomes, offered)
+            host.current_epoch += 1
+        self._ring.write(
+            tables.slots,
+            np.reshape(rows, (-1, N_COUNTERS)),
+            np.repeat(epoch_seconds, tables.counts),
+        )
+        self._written = tables
         return results
 
     def _batch_group_plan(self) -> List[BatchGroup]:
@@ -586,7 +571,8 @@ class Cluster:
         Demand rows are collected only on the hosts the change record
         names (placement or load changed since the previous epoch) and
         on hosts that regenerate them every epoch; every other host's
-        rows stand, so a steady epoch skips the per-host loop.
+        rows stand, so a steady epoch skips the per-host loop.  Each spec
+        group's counter block goes into the ring in one write.
         """
         for host_name, loads in per_host_loads.items():
             host = self.hosts[host_name]
@@ -613,10 +599,7 @@ class Cluster:
                 g, i = slots[h]
                 changed_in[g].append(i)
         results: Dict[str, Dict[str, VMPerformance]] = {}
-        if len(groups) != 1:
-            # Heterogeneous clusters keep no whole-cluster block.
-            self._block_key = None
-        block_key = self._store_key()
+        ring_tables = self._ring_tables()
         for g, (spec, epoch_seconds, members, layout, caps) in enumerate(groups):
             # Only hosts whose demand rows changed are re-read; the rows
             # of the others are copied from the previous table.
@@ -652,131 +635,94 @@ class Cluster:
                 noise_rngs,
                 buffers=buffers,
             )
-            if len(groups) == 1:
-                self._record_block(batch.counters, block_key)
+            self._ring.write(
+                ring_tables.slots
+                if len(groups) == 1
+                else self._group_slots(ring_tables, g),
+                batch.counters,
+                epoch_seconds,
+            )
 
             offset = 0
             for host_name, host, names in members:
                 k = len(names)
-                block = batch.counters[offset:offset + k]
+                results[host_name] = {}
                 if host.track_performance:
                     # Ground-truth tracking materialises per-VM outcomes
-                    # (and their samples) eagerly; fleet monitoring runs
-                    # with tracking off and never enters this branch.
-                    offered = host.offered_map()
+                    # (and their samples); fleet monitoring runs with
+                    # tracking off and never enters this branch.
                     samples = batch.samples(offset, offset + k)
-                    outcomes = {
-                        name: outcome_from_batch(batch, offset + j, samples[j])
-                        for j, name in enumerate(names)
-                    }
-                    results[host_name] = host.commit_epoch(
-                        outcomes,
-                        offered,
-                        counter_block=(names, block),
+                    results[host_name] = host.record_performance(
+                        {
+                            name: outcome_from_batch(batch, offset + j, samples[j])
+                            for j, name in enumerate(names)
+                        },
+                        host.offered_map(),
                     )
-                else:
-                    # The lean epoch edge: one ring ingest per host, no
-                    # CounterSample objects, no per-VM dicts or appends.
-                    host.commit_epoch_block(names, block)
-                    results[host_name] = {}
+                host.current_epoch += 1
                 offset += k
+        self._written = ring_tables
         return results
 
-    # ------------------------------------------------------------------
-    # Whole-cluster counter blocks
-    # ------------------------------------------------------------------
-    def _store_key(self) -> Tuple[Tuple[int, int], int]:
-        """(placement signature, commit stamp) of the hosts' stores.
-
-        Every epoch commit on a host is counted by the change record, so
-        the stamp moves whenever anything writes a counter store.
-        """
-        return self._placement_signature(), self._change_record().commits
-
-    def _record_block(
-        self, counters: np.ndarray, key: Tuple[Tuple[int, int], int]
-    ) -> None:
-        """Keep a copy of one batch epoch's whole-cluster counter block.
-
-        ``key`` is :meth:`_store_key` before the epoch's commits.  The
-        block continues the resident run only if nothing but this method
-        has written the stores since the previous block, under the same
-        placement; otherwise the run restarts with this block.
-        """
-        shape = (self._block_depth,) + counters.shape
-        if self._blocks is None or self._blocks.shape != shape:
-            self._blocks = np.empty(shape, dtype=float)
-            self._block_key = None
-        if key != self._block_key:
-            self._block_count = 0
-            self._block_next = 0
-        np.copyto(self._blocks[self._block_next], counters)
-        self._block_next = (self._block_next + 1) % shape[0]
-        self._block_count = min(self._block_count + 1, shape[0])
-        # Every host commits once per batch epoch.
-        self._block_key = (key[0], key[1] + len(self.hosts))
-
-    def _resident_blocks(self, window: int) -> Optional[_BlockTables]:
-        """The block tables, if the newest ``window`` blocks are resident.
-
-        They are when the blocks hold ``window`` consecutive batch
-        epochs of the current placement and no store was written since
-        by anything else (a direct ``Host.step``, the scalar substrate).
-        A window deeper than the ring deepens it from the next epoch on.
-        """
-        if window > self._block_depth:
-            self._block_depth = window
-            return None
-        if self._block_key is None or self._block_count < window:
-            return None
-        key = self._store_key()
-        if key != self._block_key:
-            return None
-        tables = self._block_tables
-        if tables is None or tables.signature != key[0]:
-            tables = self._block_tables = self._build_block_tables(key[0])
-        return tables
-
-    def _build_block_tables(self, signature: Tuple[int, int]) -> _BlockTables:
-        """Name and slot tables of the block rows (once per placement).
-
-        Derived from structures already patched per moved host: the
-        block rows are the placement map's VMs (one spec group, hosts in
-        order), and the group layout's bounds count each host's VMs.
-        """
-        layout = self._batch_groups[1][0][3]
-        counts = np.diff(layout.row_bounds)
-        populated = counts > 0
-        limit = self._host_segments.limits[populated].min(initial=np.inf)
-        return _BlockTables(
-            signature=signature,
-            vm_names=tuple(self._placement()),
-            history_limit=None if limit == np.inf else int(limit),
-            counts=counts[populated],
+    def _group_slots(self, tables: _RingTables, group: int) -> np.ndarray:
+        """The ring slots of one spec group's rows (hosts of several
+        machine specs): its hosts' VMs, hosts in order."""
+        bounds = np.concatenate(([0], np.cumsum(tables.counts)))
+        return np.concatenate(
+            [
+                tables.slots[bounds[h] : bounds[h + 1]]
+                for h, (g, _) in enumerate(self._host_segments.slots)
+                if g == group
+            ]
         )
 
-    def latest_counter_totals(self) -> Optional[np.ndarray]:
-        """Sum of the newest epoch's raw counters over every VM.
+    # ------------------------------------------------------------------
+    # The counter ring
+    # ------------------------------------------------------------------
+    def _ring_tables(self) -> _RingTables:
+        """The ring slot tables of the current placement, rebuilt from the
+        per-host pieces of :meth:`_placement_state` when it changes."""
+        signature, placement, _ = self._placement_state()
+        tables = self._tables
+        if tables is not None and tables.signature == signature:
+            return tables
+        slots = self._placement_items[3]
+        counts = np.fromiter(map(len, slots), dtype=np.intp, count=len(slots))
+        tables = self._tables = _RingTables(
+            signature=signature,
+            vm_names=tuple(placement),
+            slots=np.fromiter(
+                itertools.chain.from_iterable(slots),
+                dtype=np.intp,
+                count=int(counts.sum()),
+            ),
+            counts=counts,
+        )
+        return tables
 
-        Same contract and bits as :func:`host_counter_totals` over the
-        cluster's hosts: zeros when no host holds a VM, ``None`` when a
-        populated host has no resident batch counter block.  Served from
-        the whole-cluster block when it is resident: each host's rows
-        are folded slot by slot, then the host sums in host order —
-        the host-by-host assembly's additions, in its order.
+    def latest_counter_totals(self) -> Optional[np.ndarray]:
+        """Sum of the newest epoch's raw counters over every VM it ran.
+
+        ``None`` before the first epoch; zeros when the epoch ran no VM.
+        Each host's rows are folded in row order, then the host sums in
+        host order (the per-host sequential fold of a host-by-host
+        ``block.sum(axis=0)`` assembly), over the ring's newest row
+        gathered through the slots the epoch was written through.
         """
-        tables = self._resident_blocks(1)
+        tables = self._written
         if tables is None:
-            return host_counter_totals(self.hosts.values())
-        if not tables.slots:
+            return None
+        folds = tables.folds
+        if not folds:
             return np.zeros(N_COUNTERS, dtype=float)
-        block = self._blocks[(self._block_next - 1) % self._blocks.shape[0]]
-        first_rows = tables.slots[0][1]
+        ring = self._ring
+        latest = ring.data[(ring.appended - 1) % ring.capacity, tables.slots]
+        first_rows = folds[0][1]
         # Row 0 is the running total's zero start, row h + 1 host h's sum.
         sums = np.zeros((first_rows.size + 1, N_COUNTERS), dtype=float)
-        sums[1:] = block[first_rows]
-        for hosts, rows in tables.slots[1:]:
-            sums[hosts] += block[rows]
+        sums[1:] = latest[first_rows]
+        for hosts, rows in folds[1:]:
+            sums[hosts] += latest[rows]
         return np.add.accumulate(sums, axis=0)[-1]
 
     # ------------------------------------------------------------------
@@ -830,62 +776,78 @@ class Cluster:
     def counter_window_view(self, window: int) -> CounterWindowView:
         """Columnar equivalent of :meth:`counter_windows`.
 
-        When the whole-cluster counter blocks of the last ``window``
-        batch epochs are resident (see :meth:`_resident_blocks`), the
-        view is a left fold over those blocks in epoch order, with the
-        VMs in the host-by-host order below.  Otherwise it is assembled
-        host by host: when a host's counter-store ring covers the
-        window with a stable VM placement, its part is a few slices and
-        sums read straight from the ring; hosts where that is not the
-        case (scalar substrate, recent migrations, VMs younger than the
-        window) fall back to a per-VM assembly — itself served from raw
-        ring rows wherever the epochs live there — so the view is always
-        exactly equivalent to the scalar window assembly.
+        The ring rows of the last ``window`` epochs are gathered in
+        placement order and left-folded in epoch order.  A VM with fewer
+        epochs on its host than the window is folded from its first
+        epoch on; a VM whose window is not wholly in the ring (it
+        returned to a host it left less than ``window`` epochs ago, or
+        its host's ``history_limit`` is shorter than the window) is
+        folded from its retained samples.  VMs without an epoch on their
+        host are absent.  The view equals the scalar window assembly
+        exactly.
 
-        A ``history_limit`` shorter than the window silently trims the
-        smoothing windows to the retained epochs; the first time that
-        happens on a host, a :class:`RuntimeWarning` names the host and
-        limit so the misconfiguration is visible.
+        A ``history_limit`` shorter than the window trims the smoothing
+        windows to the retained epochs; the first time that happens on a
+        host, a :class:`RuntimeWarning` names the host and limit so the
+        misconfiguration is visible.
         """
         if window < 1:
             raise ValueError("window must be at least 1")
-        tables = self._resident_blocks(window)
-        if tables is not None and (
-            tables.history_limit is None or tables.history_limit >= window
-        ):
-            blocks = self._blocks
-            depth = blocks.shape[0]
-            end = self._block_next
-            acc = blocks[(end - window) % depth].copy()
-            for j in range(end - window + 1, end):
-                acc += blocks[j % depth]
-            return CounterWindowView(
-                vm_names=tables.vm_names,
-                latest=blocks[(end - 1) % depth].copy(),
-                window_sum=acc,
-            )
-        return self._host_window_view(window)
+        tables = self._ring_tables()
+        ring = self._ring
+        a = ring.appended
+        slots = tables.slots
+        data, capacity = ring.data, ring.capacity
+        # The last ``window`` ring rows of every slot, left-folded (rows
+        # from before the first epoch only reach VMs fixed up below).
+        acc = data[(a - window) % capacity, slots]
+        for j in range(a - window + 1, a):
+            acc += data[j % capacity, slots]
+        latest = data[(a - 1) % capacity, slots]
+        # VMs with fewer epochs in their slot than the window, or on a
+        # host keeping fewer epochs than it.
+        n = a - ring.start[slots]
+        short = ring.limit[slots] < window
+        odd = np.flatnonzero((n < window) | short)
+        if not odd.size:
+            return CounterWindowView(tables.vm_names, latest, acc)
+        if short.any():
+            self._warn_short_histories(window)
+        keep = np.ones(slots.size, dtype=bool)
+        # A VM whose whole history on its host is in the ring folds its
+        # ``n`` rows there; the others are folded from their samples.
+        ringed = (ring.base[slots[odd]] == 0) & ~short[odd]
+        young, k = odd[ringed], n[odd[ringed]]
+        if young.size:
+            cols = slots[young]
+            young_acc = data[(a - k) % capacity, cols]
+            for d in range(1, int(k.max())):
+                more = k > d
+                young_acc[more] += data[(a - k[more] + d) % capacity, cols[more]]
+            acc[young] = young_acc
+            keep[young[k == 0]] = False
+        bounds = np.cumsum(tables.counts)
+        hosts = list(self.hosts.values())
+        for i in odd[~ringed].tolist():
+            host = hosts[int(np.searchsorted(bounds, i, side="right"))]
+            fold = host.counter_store.vm_window_fold(tables.vm_names[i], window)
+            if fold is None:
+                keep[i] = False
+            else:
+                acc[i], latest[i] = fold
+        return CounterWindowView(
+            vm_names=tuple(itertools.compress(tables.vm_names, keep.tolist())),
+            latest=latest[keep],
+            window_sum=acc[keep],
+        )
 
-    def _host_window_view(self, window: int) -> CounterWindowView:
-        """:meth:`counter_window_view` assembled host by host."""
-        names_parts: List[str] = []
-        latest_parts: List[np.ndarray] = []
-        sum_parts: List[np.ndarray] = []
+    def _warn_short_histories(self, window: int) -> None:
+        """Warn once per populated host whose ``history_limit`` trims a
+        ``window``-epoch read."""
         for host in self.hosts.values():
-            if not host._vms:
-                continue
-            store = host.counter_store
-            fast = store.window_view(
-                window, tuple(host._vms), host.current_epoch
-            )
-            if fast is not None:
-                names, latest, acc = fast
-                names_parts.extend(names)
-                latest_parts.append(latest)
-                sum_parts.append(acc)
-                continue
             if (
-                host.history_limit is not None
+                host._vms
+                and host.history_limit is not None
                 and window > host.history_limit
                 and host.name not in self._short_history_warned
             ):
@@ -894,29 +856,10 @@ class Cluster:
                     f"counter_window_view: host {host.name!r} retains only "
                     f"history_limit={host.history_limit} epochs but a "
                     f"window of {window} was requested; smoothing windows "
-                    "on this host are trimmed to the retained epochs "
-                    "(per-VM fallback assembly)",
+                    "on this host are trimmed to the retained epochs",
                     RuntimeWarning,
                     stacklevel=3,
                 )
-            for vm_name in host._vms:
-                if vm_name not in store:
-                    continue
-                fold = store.vm_window_fold(vm_name, window)
-                if fold is None:
-                    continue
-                acc_row, latest_row = fold
-                names_parts.append(vm_name)
-                latest_parts.append(latest_row)
-                sum_parts.append(acc_row)
-        if not names_parts:
-            empty = np.empty((0, N_COUNTERS), dtype=float)
-            return CounterWindowView(vm_names=(), latest=empty, window_sum=empty)
-        return CounterWindowView(
-            vm_names=tuple(names_parts),
-            latest=np.vstack(latest_parts),
-            window_sum=np.vstack(sum_parts),
-        )
 
     def latest_counters_for_app(
         self, app_id: str, exclude_vm: Optional[str] = None

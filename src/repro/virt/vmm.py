@@ -25,7 +25,8 @@ from repro.hardware.demand import ResourceDemand
 from repro.hardware.machine import PhysicalMachine, VMEpochOutcome
 from repro.hardware.specs import MachineSpec, XEON_X5472
 from repro.metrics.counters import CounterSample
-from repro.metrics.store import CounterHistoryView, HostCounterStore
+from repro.metrics.counters import N_COUNTERS
+from repro.metrics.store import CounterHistoryView, HostCounterStore, sample_row
 from repro.virt.vm import VirtualMachine, VMState
 from repro.workloads.base import PerformanceReport, Workload
 
@@ -55,8 +56,7 @@ class HostChanges:
     """The change record a cluster's hosts report to.
 
     A host records its index here on every placement change (a VM added
-    or removed, a CPU cap set) and every load change, and counts its
-    epoch commits.  Each consumer of placement-derived state takes, by
+    or removed, a CPU cap set) and every load change.  Each consumer of placement-derived state takes, by
     name, the hosts that changed since its previous take, so it patches
     those hosts' parts instead of scanning every host for a moved
     version.  A consumer that has never taken (its first build, or a
@@ -64,13 +64,11 @@ class HostChanges:
     changed.
     """
 
-    __slots__ = ("placements", "commits", "_placed", "_loaded")
+    __slots__ = ("placements", "_placed", "_loaded")
 
     def __init__(self) -> None:
         #: Placement changes so far (the placement signature's counter).
         self.placements = 0
-        #: Epoch commits so far (the counter stores' write stamp).
-        self.commits = 0
         #: Per consumer: hosts with a placement / load change since its
         #: last take.
         self._placed: Dict[str, Set[int]] = {}
@@ -115,14 +113,9 @@ class VMPerformance:
 class Host:
     """One physical machine plus the hypervisor that runs VMs on it."""
 
-    #: The VMs of the packed demand rows (see :meth:`collect_demand_rows`);
-    #: empty on the class, so a host pickled before it existed
-    #: regenerates every row once.
-    _demand_vms: Tuple[VirtualMachine, ...] = ()
     #: The change record of the cluster the host belongs to and the
-    #: host's index in it; ``None`` outside a cluster (the analyzer's
-    #: sandbox hosts), and on a host restored from a checkpoint written
-    #: before the record existed, until its cluster attaches it.
+    #: host's index in it, set by the cluster; ``None`` on a host outside
+    #: a cluster (the analyzer's sandbox hosts).
     _changes: Optional[HostChanges] = None
     _change_index = -1
 
@@ -137,14 +130,11 @@ class Host:
         track_performance: bool = True,
         cache_demands: bool = False,
         history_limit: Optional[int] = None,
-        history_mode: str = "lazy",
     ) -> None:
         if substrate not in ("scalar", "batch"):
             raise ValueError(f"unknown hardware substrate {substrate!r}")
         if history_limit is not None and history_limit < 1:
             raise ValueError("history_limit must be positive")
-        if history_mode not in ("lazy", "eager"):
-            raise ValueError(f"unknown history mode {history_mode!r}")
         self.name = name
         self.machine = PhysicalMachine(spec=spec, name=name, noise=noise, seed=seed)
         self.epoch_seconds = epoch_seconds
@@ -167,21 +157,13 @@ class Host:
         #: runs).  Must cover every window consumers read — the warning
         #: system's smoothing window and the analyzer's recent window.
         self.history_limit = history_limit
-        #: ``"lazy"`` (default) serves per-VM counter histories from the
-        #: columnar ring store, materialising ``CounterSample`` objects
-        #: only on access; ``"eager"`` is the reference mode that
-        #: materialises every epoch immediately (bit-identical contents,
-        #: pinned by ``tests/property/test_lazy_history_equivalence.py``).
-        self.history_mode = history_mode
         self._vms: Dict[str, VirtualMachine] = {}
         self._loads: Dict[str, float] = {}
         self._cpu_caps: Dict[str, float] = {}
         self._pinning: Dict[str, List[int]] = {}
-        #: Columnar counter telemetry: batch epochs land here as raw
-        #: ring-buffered blocks; per-VM sample histories are lazy views.
-        self._counter_store = HostCounterStore(
-            history_limit=history_limit, lazy=(history_mode == "lazy")
-        )
+        #: Counter telemetry: the resident VMs' ring slots (a one-host
+        #: ring until a cluster attaches its own) and lazy histories.
+        self._counter_store = HostCounterStore(history_limit=history_limit)
         #: Ground-truth performance history per VM.
         self.performance_history: Dict[str, List[VMPerformance]] = {}
         self.current_epoch = 0
@@ -258,7 +240,7 @@ class Host:
         self._cpu_caps[vm.name] = cpu_cap
         if cores is not None:
             self._pinning[vm.name] = list(cores)
-        self._counter_store.ensure(vm.name)
+        self._counter_store.join(vm.name)
         self.performance_history.setdefault(vm.name, [])
         self._placed()
         vm.state = VMState.RUNNING
@@ -272,6 +254,7 @@ class Host:
         self._cpu_caps.pop(name, None)
         self._pinning.pop(name, None)
         self._demand_cache.pop(name, None)
+        self._counter_store.leave(name)
         self._placed()
         return vm
 
@@ -540,70 +523,78 @@ class Host:
         self,
         outcomes: Mapping[str, VMEpochOutcome],
         offered: Mapping[str, float],
-        counter_block: Optional[Tuple[Tuple[str, ...], np.ndarray]] = None,
     ) -> Dict[str, VMPerformance]:
-        """Record one epoch's outcomes into the host's histories.
+        """Record one epoch of this host alone: its VMs' counters through
+        :meth:`commit_epoch_block`, then their ground truth."""
+        names = tuple(self._vms)
+        rows = np.array(
+            [sample_row(outcomes[name].counters) for name in names], dtype=float
+        ).reshape(len(names), N_COUNTERS)
+        self.commit_epoch_block(names, rows)
+        return self.record_performance(outcomes, offered)
 
-        ``counter_block`` optionally carries the epoch's raw counters as
-        one ``(vm_names, matrix)`` pair (the batch substrate provides it
-        for free): the block is ingested into the columnar counter store
-        directly and no per-VM sample is recorded — the store serves
-        bit-identical samples lazily.  Without a block (the scalar
-        substrate), the already materialised samples are appended.
-        """
+    def record_performance(
+        self,
+        outcomes: Mapping[str, VMEpochOutcome],
+        offered: Mapping[str, float],
+    ) -> Dict[str, VMPerformance]:
+        """Record one epoch's ground-truth performance (when tracked)."""
         performances: Dict[str, VMPerformance] = {}
-        if counter_block is not None:
-            names, block = counter_block
-            self._counter_store.ingest(names, block, self.epoch_seconds)
-        else:
-            self._counter_store.append_samples(
-                {name: outcomes[name].counters for name in self._vms}
+        if not self.track_performance:
+            return performances
+        for name, vm in self._vms.items():
+            outcome = outcomes[name]
+            report = vm.workload.performance(
+                load=offered[name],
+                instructions_demanded=outcome.instructions_demanded,
+                instructions_retired=outcome.instructions_retired,
+                epoch_seconds=self.epoch_seconds,
+                instructions_attainable=outcome.instructions_attainable,
             )
-        if self.track_performance:
-            for name, vm in self._vms.items():
-                outcome = outcomes[name]
-                report = vm.workload.performance(
-                    load=offered[name],
-                    instructions_demanded=outcome.instructions_demanded,
-                    instructions_retired=outcome.instructions_retired,
-                    epoch_seconds=self.epoch_seconds,
-                    instructions_attainable=outcome.instructions_attainable,
-                )
-                perf = VMPerformance(
-                    report=report, outcome=outcome, offered_load=offered[name]
-                )
-                performances[name] = perf
-                self.performance_history[name].append(perf)
-        self._trim_histories()
-        self.current_epoch += 1
-        if self._changes is not None:
-            self._changes.commits += 1
-        return performances
-
-    def _trim_histories(self) -> None:
-        """Amortised performance-history trim (counter histories trim
-        inside the columnar store); no-op without a ``history_limit``."""
+            perf = VMPerformance(
+                report=report, outcome=outcome, offered_load=offered[name]
+            )
+            performances[name] = perf
+            self.performance_history[name].append(perf)
         limit = self.history_limit
-        if limit is None:
-            return
-        for history in self.performance_history.values():
-            if len(history) > 2 * limit:
-                del history[: len(history) - limit]
+        if limit is not None:
+            # The amortised trim the counter histories replay.
+            for history in self.performance_history.values():
+                if len(history) > 2 * limit:
+                    del history[: len(history) - limit]
+        return performances
 
     def commit_epoch_block(
         self, names: Tuple[str, ...], block: np.ndarray
     ) -> None:
-        """Lean epoch commit: one ring ingest, zero per-VM work.
+        """The one-host epoch commit: ``block[i]`` is the counter row of
+        resident VM ``names[i]``.
 
-        Used by the batch substrate when ``track_performance`` is off —
-        the monitoring pipeline only ever reads counter windows, which
-        the store serves columnar, so the fleet epoch edge is a single
-        array assignment per host.
+        A cluster writes its hosts' rows into its ring itself, one write
+        per epoch; this records an epoch of this host alone (a host
+        outside a cluster, or a direct :meth:`step`).
         """
-        self._counter_store.ingest(names, block, self.epoch_seconds)
+        self._counter_store.commit(names, block, self.epoch_seconds)
         self.current_epoch += 1
-        if self._changes is not None:
-            self._changes.commits += 1
+
+    def simulate(
+        self, loads: Optional[Mapping[str, float]] = None
+    ) -> Tuple[Mapping[str, VMEpochOutcome], Dict[str, float]]:
+        """Resolve one epoch without recording it: per-VM outcomes and
+        absolute offered loads."""
+        demands, offered = self.collect_demands(loads)
+        run = (
+            self.machine.run_epoch_batch
+            if self.substrate == "batch"
+            else self.machine.run_epoch
+        )
+        result = run(
+            demands,
+            epoch_seconds=self.epoch_seconds,
+            core_assignment=self.core_assignment_for(demands),
+            cpu_caps=self._cpu_caps,
+        )
+        return result.per_vm, offered
 
     def step(
         self, loads: Optional[Mapping[str, float]] = None
@@ -622,22 +613,7 @@ class Host:
             Per-VM ground-truth performance and counters for the epoch
             (empty when ``track_performance`` is off).
         """
-        demands, offered = self.collect_demands(loads)
-        if self.substrate == "batch":
-            result = self.machine.run_epoch_batch(
-                demands,
-                epoch_seconds=self.epoch_seconds,
-                core_assignment=self.core_assignment_for(demands),
-                cpu_caps=self._cpu_caps,
-            )
-        else:
-            result = self.machine.run_epoch(
-                demands,
-                epoch_seconds=self.epoch_seconds,
-                core_assignment=self.core_assignment_for(demands),
-                cpu_caps=self._cpu_caps,
-            )
-        return self.commit_epoch(result.per_vm, offered)
+        return self.commit_epoch(*self.simulate(loads))
 
     # ------------------------------------------------------------------
     # Introspection used by DeepDive

@@ -4,10 +4,8 @@ The property contract (resumed == uninterrupted) lives in
 ``tests/property/test_checkpoint_equivalence.py``; this file pins the
 container itself: magic/header/version handling, loud metadata
 validation, deep payload cross-checks, atomicity of ``save``, the
-``kind`` guards, and resuming older checkpoints: the ``"regional"``
-kind written by the earlier two-class runtime, the ``"thread"``
-executor recorded before that executor was removed, and clusters
-pickled before their placement caches existed.
+``kind`` guards, the refusal of version-1 files, and clusters
+snapshotted without their placement caches.
 """
 
 import dataclasses
@@ -23,7 +21,6 @@ from repro.fleet import (
     Checkpoint,
     CheckpointError,
     Fleet,
-    Region,
     RunOptions,
     build_fleet,
     build_regional_fleet,
@@ -111,6 +108,17 @@ class TestFileFormat:
         with pytest.raises(CheckpointError, match="newer"):
             Checkpoint.from_bytes(bytes(blob))
 
+    def test_version_1_refused(self, fleet_checkpoint):
+        """Version 1 pickled hosts and clusters before the cluster's
+        counter ring; such a file is refused, naming both versions."""
+        assert CHECKPOINT_VERSION == 2
+        old = Checkpoint(
+            meta={**fleet_checkpoint.meta, "version": 1},
+            payload=fleet_checkpoint.payload,
+        )
+        with pytest.raises(ValueError, match="version 1 is older.*version 2"):
+            Checkpoint.from_bytes(old.to_bytes())
+
     def test_header_metadata_version_disagreement_refused(self, fleet_checkpoint):
         blob = bytearray(fleet_checkpoint.to_bytes())
         # Doctor only the binary header version; the JSON metadata keeps
@@ -181,14 +189,9 @@ class TestMetaValidation:
     ):
         assert regional_checkpoint.kind == "fleet"
         validate_checkpoint_meta(regional_checkpoint.meta)
-        for kind in ("fleet", "regional"):
-            meta = {
-                **fleet_checkpoint.meta,
-                "kind": kind,
-                "regions": [{"region_id": "r"}],
-            }
-            with pytest.raises(CheckpointError, match=r"regions\[0\]: shard_ids"):
-                validate_checkpoint_meta(meta)
+        meta = {**fleet_checkpoint.meta, "regions": [{"region_id": "r"}]}
+        with pytest.raises(CheckpointError, match=r"regions\[0\]: shard_ids"):
+            validate_checkpoint_meta(meta)
         with pytest.raises(CheckpointError, match="non-empty region list"):
             validate_checkpoint_meta({**fleet_checkpoint.meta, "regions": []})
 
@@ -241,7 +244,7 @@ class TestResumeDispatch:
                     payload=fleet_checkpoint.payload,
                 ).to_bytes()
             )
-        with pytest.raises(CheckpointError, match="regional checkpoint needs"):
+        with pytest.raises(CheckpointError, match="kind: 'regional' not in"):
             validate_checkpoint_meta({**fleet_checkpoint.meta, "kind": "regional"})
 
     def test_resume_reads_flat_and_regional(
@@ -288,155 +291,12 @@ class TestResumeDispatch:
             Checkpoint.build({"kind": "fleet"}, {"shards": []})
 
 
-def _decision_key(report):
-    return {
-        (shard_id, vm_name): (
-            obs.warning.action.value,
-            obs.warning.distance,
-            obs.interference_confirmed,
-        )
-        for shard_id, shard_report in report.shard_reports.items()
-        for vm_name, obs in shard_report.observations.items()
-    }
-
-
-class TestRegionalKindCompatibility:
-    """Checkpoints of kind ``"regional"`` (the layout the earlier
-    two-class runtime wrote) resume through :meth:`Fleet.resume`."""
-
-    REGIONS = (
-        Region("east", ("shard0", "shard1", "shard2", "shard3"), max_workers=2),
-        Region("west", ("shard4", "shard5"), max_workers=1),
-    )
-    FULL = RunOptions(report="full")
-
-    def _fleet(self, executor):
-        scenario = synthesize_datacenter(24, num_shards=6, seed=23)
-        shards = list(build_fleet(scenario, config=_config()).shards.values())
-        fleet = Fleet(shards, executor=executor, regions=self.REGIONS)
-        fleet.bootstrap()
-        return fleet
-
-    def _legacy_checkpoint(self, checkpoint):
-        """Rewrite a snapshot's header the way the two-class runtime
-        did: kind ``"regional"`` and the fleet-wide budget left
-        unresolved (each region's budget lives in its entry)."""
-        meta = dict(checkpoint.meta)
-        meta["kind"] = "regional"
-        meta["max_workers"] = None
-        return Checkpoint(meta=meta, payload=checkpoint.payload)
-
-    def test_regional_kind_resumes_bit_identically(self, tmp_path):
-        reference = self._fleet("serial")
-        try:
-            expected = [_decision_key(r) for r in reference.run(5, self.FULL)]
-        finally:
-            reference.shutdown()
-
-        fleet = self._fleet("process")
-        try:
-            fleet.run(2, self.FULL)
-            groups = fleet._worker_groups()
-            path = self._legacy_checkpoint(fleet.snapshot()).save(
-                tmp_path / "regional.ckpt"
-            )
-        finally:
-            fleet.shutdown()
-        assert groups == [
-            ["shard0", "shard2"],
-            ["shard1", "shard3"],
-            ["shard4", "shard5"],
-        ]
-        meta = validate_checkpoint_file(path, deep=True)
-        assert meta["kind"] == "regional"
-
-        resumed = Fleet.resume(path)
-        try:
-            assert resumed.regions == self.REGIONS
-            assert resumed.executor == "process"
-            assert resumed._worker_groups() == groups
-            assert resumed.current_epoch == 2
-            continued = [_decision_key(r) for r in resumed.run(3, self.FULL)]
-            assert len(resumed.worker_health()) == len(groups)
-            renewed = resumed.snapshot()
-        finally:
-            resumed.shutdown()
-        assert continued == expected[2:]
-        assert renewed.kind == "fleet"
-        assert renewed.meta["regions"] == [
-            {
-                "region_id": r.region_id,
-                "shard_ids": list(r.shard_ids),
-                "max_workers": r.max_workers,
-            }
-            for r in self.REGIONS
-        ]
-
-
-class TestThreadExecutorCompatibility:
-    """Checkpoints that record the removed ``"thread"`` executor still
-    validate and resume — as ``"serial"``, the in-process loop the
-    writer's shard state lived in."""
-
-    FULL = RunOptions(report="full")
-
-    def _fleet(self):
-        scenario = synthesize_datacenter(24, num_shards=4, seed=23)
-        fleet = build_fleet(
-            scenario, config=_config(), executor="serial", max_workers=2
-        )
-        fleet.bootstrap()
-        return fleet
-
-    def _legacy_checkpoint(self, checkpoint):
-        """Rewrite a snapshot's header the way a thread fleet wrote it."""
-        meta = dict(checkpoint.meta)
-        meta["executor"] = "thread"
-        return Checkpoint(meta=meta, payload=checkpoint.payload)
-
-    def test_thread_executor_resumes_as_serial(self, tmp_path):
-        reference = self._fleet()
-        try:
-            expected = [_decision_key(r) for r in reference.run(5, self.FULL)]
-        finally:
-            reference.shutdown()
-
-        fleet = self._fleet()
-        try:
-            fleet.run(2, self.FULL)
-            path = self._legacy_checkpoint(fleet.snapshot()).save(
-                tmp_path / "thread.ckpt"
-            )
-        finally:
-            fleet.shutdown()
-        meta = validate_checkpoint_file(path, deep=True)
-        assert meta["executor"] == "thread"
-
-        resumed = Fleet.resume(path)
-        try:
-            assert resumed.executor == "serial"
-            assert resumed.max_workers == 2
-            assert resumed.current_epoch == 2
-            continued = [_decision_key(r) for r in resumed.run(3, self.FULL)]
-            renewed = resumed.snapshot()
-        finally:
-            resumed.shutdown()
-        assert continued == expected[2:]
-        assert renewed.meta["executor"] == "serial"
-        # An explicit executor still overrides the recorded one.
-        overridden = Fleet.resume(path, executor="process")
-        try:
-            assert overridden.executor == "process"
-        finally:
-            overridden.shutdown()
-
-
 class TestCacheFreeClusters:
-    """A snapshot whose clusters lack the placement caches added after
-    the checkpoint format (the per-host placement pieces, the placement
-    map with its application ids, the spliced host segments, batch
-    groups and demand tables, the batch buffers' noise block, the hosts'
-    demand-row VMs) resumes by rebuilding them, with identical columns."""
+    """A snapshot whose clusters lack their placement caches (the
+    per-host placement pieces, the placement map with its application
+    ids, the spliced host segments, batch groups and demand tables, the
+    ring slot tables) resumes by rebuilding them, with identical
+    columns."""
 
     COLUMNAR = RunOptions(report="columnar")
     CLUSTER_CACHES = (
@@ -445,6 +305,7 @@ class TestCacheFreeClusters:
         "_host_segments",
         "_batch_groups",
         "_demand_tables",
+        "_tables",
     )
 
     def _fleet(self):
@@ -494,14 +355,10 @@ class TestCacheFreeClusters:
                 cluster = shard.cluster
                 for name in self.CLUSTER_CACHES:
                     stripped += cluster.__dict__.pop(name, None) is not None
-                for buffers in cluster._batch_buffers.values():
-                    stripped += buffers.__dict__.pop("_noise", None) is not None
-                for host in cluster.hosts.values():
-                    host.__dict__.pop("_demand_vms")
             checkpoint = fleet.snapshot()
         finally:
             fleet.shutdown()
-        assert stripped == 2 * (len(self.CLUSTER_CACHES) + 1)
+        assert stripped == 2 * len(self.CLUSTER_CACHES)
 
         resumed = Fleet.resume(checkpoint)
         try:

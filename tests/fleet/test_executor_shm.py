@@ -8,13 +8,12 @@ double-buffer validity window, churn regrow, segment cleanup) and the
 failure-path contracts: no cold worker spawn just to read template
 statistics, a named ``RuntimeError`` instead of a raw ``KeyError`` on an
 inconsistent worker shard set, recovery after a killed worker, and the
-empty-shard vs. scalar-substrate counter-totals contract.
+counter-totals contract (empty shards, both substrates).
 """
 
 import os
 import signal
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from repro.fleet.executor import (
     ColumnarFleetReport,
     ColumnarShardReport,
     ProcessShardExecutor,
-    _shard_counter_totals,
 )
 from repro.fleet.faults import FaultPlan, WorkerFault
 from repro.fleet.shm import (
@@ -274,36 +272,53 @@ class TestOrderedMergeValidation:
         assert not executor._broken
 
 
-def _host(vms, block):
-    store = SimpleNamespace(latest_block=lambda block=block: block)
-    return SimpleNamespace(vms=vms, counter_store=store)
+def _serial_fleet(substrate="batch"):
+    scenario = synthesize_datacenter(16, num_shards=2, seed=21)
+    fleet = build_fleet(scenario, config=_config(), substrate=substrate)
+    fleet.bootstrap()
+    return fleet
 
 
-def _stub_shard(hosts):
-    return SimpleNamespace(cluster=SimpleNamespace(hosts=hosts))
+_TOTALS_EPOCH = RunOptions(analyze=False, report="columnar")
 
 
 class TestCounterTotalsContract:
     def test_emptied_out_shard_reports_explicit_zeros(self):
         """Mass departures leave zeros, not 'telemetry unavailable'."""
-        shard = _stub_shard(
-            {
-                "h0": _host(vms={}, block=None),
-                "h1": _host(vms={}, block=np.ones((1, N_COUNTERS))),
-            }
-        )
-        totals = _shard_counter_totals(shard)
-        assert totals is not None
-        assert np.array_equal(totals, np.zeros(N_COUNTERS))
+        fleet = _serial_fleet()
+        try:
+            cluster = fleet.shards["shard0"].cluster
+            fleet.run_epoch(_TOTALS_EPOCH)
+            for vm_name in list(cluster.all_vms()):
+                cluster.remove_vm(vm_name)
+            report = fleet.run_epoch(_TOTALS_EPOCH)
+            totals = report.shard_reports["shard0"].counter_totals
+            assert totals is not None
+            assert np.array_equal(totals, np.zeros(N_COUNTERS))
+            assert np.any(report.shard_reports["shard1"].counter_totals > 0)
+        finally:
+            fleet.shutdown()
 
-    def test_populated_host_without_block_is_unavailable(self):
-        shard = _stub_shard(
-            {
-                "h0": _host(vms={"vm": object()}, block=None),
-                "h1": _host(vms={"vm2": object()}, block=np.ones((1, N_COUNTERS))),
-            }
-        )
-        assert _shard_counter_totals(shard) is None
+    def test_scalar_shard_totals_match_batch(self):
+        """Scalar-substrate shards report totals too, equal to the batch
+        substrate's within the substrate contract's 1e-9 relative
+        tolerance; totals are unavailable only before the first epoch."""
+        fleets = [_serial_fleet("scalar"), _serial_fleet("batch")]
+        try:
+            for fleet in fleets:
+                for shard in fleet.shards.values():
+                    assert shard.cluster.latest_counter_totals() is None
+            for _ in range(3):
+                scalar, batch = (fleet.run_epoch(_TOTALS_EPOCH) for fleet in fleets)
+                for shard_id, report in scalar.shard_reports.items():
+                    want = batch.shard_reports[shard_id].counter_totals
+                    assert report.counter_totals is not None
+                    np.testing.assert_allclose(
+                        report.counter_totals, want, rtol=1e-9, atol=0.0
+                    )
+        finally:
+            for fleet in fleets:
+                fleet.shutdown()
 
     def test_fleet_totals_skip_unavailable_shards(self):
         """One scalar-substrate shard must not null every other shard's

@@ -35,7 +35,6 @@ def _build():
         engine="batch",
         substrate="batch",
         history_limit=8,
-        history_mode="lazy",
     )
 
 

@@ -1,15 +1,17 @@
-"""Lazy/eager counter-history equivalence properties.
+"""Counter-ring / eager-history equivalence properties.
 
-The lazy columnar counter store (:mod:`repro.metrics.store`) must be a
-pure optimisation of the eager per-VM sample history: identical warning
+The cluster's counter ring (:mod:`repro.metrics.store`) must be a pure
+optimisation of the eager per-VM sample history: identical warning
 decisions, identical :class:`~repro.fleet.fleet.FleetRunSummary`
 aggregates, and **bit-identical** materialised ``CounterSample``
 windows — for every hardware substrate and shard execution strategy.
 
-The eager reference (``history_mode="eager"``) materialises every
-epoch's samples immediately, exactly like the pre-store epoch edge did;
-the lazy mode only materialises on access.  Both fleets are built from
-the same seed, so any divergence is a store bug, not noise.
+The eager reference is a fleet whose hosts track ground truth
+(``track_performance=True``): every epoch's samples are kept, under the
+same amortised trim, in ``performance_history[vm][i].counters``,
+independently of the ring (``counter_reference``).  The reference and
+the plain fleet are built from the same seed, so any divergence is a
+ring bug, not noise.
 
 The process strategy's shard state lives in worker processes, so its
 host histories are not reachable from the parent; its decisions and
@@ -18,6 +20,7 @@ already pins process == serial bit-identity at the state level.
 """
 
 import numpy as np
+from counter_reference import assert_fleet_matches_reference
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
@@ -49,7 +52,7 @@ def _config() -> DeepDiveConfig:
     )
 
 
-def _build(history_mode, substrate="batch", executor=None, max_workers=None):
+def _build(track_performance, substrate="batch", executor=None, max_workers=None):
     scenario = synthesize_datacenter(
         16, num_shards=2, seed=23, episodes=EPISODES
     )
@@ -61,7 +64,7 @@ def _build(history_mode, substrate="batch", executor=None, max_workers=None):
         substrate=substrate,
         executor=executor,
         max_workers=max_workers,
-        history_mode=history_mode,
+        track_performance=track_performance,
     )
     fleet.bootstrap()
     return fleet
@@ -106,6 +109,10 @@ def _run(fleet, epochs=8):
     return decisions, summary
 
 
+REFERENCE = True
+RING = False
+
+
 def _assert_histories_bit_identical(fleet_a, fleet_b):
     for shard_id, shard_a in fleet_a.shards.items():
         shard_b = fleet_b.shards[shard_id]
@@ -145,10 +152,10 @@ def _assert_windows_bit_identical(fleet_a, fleet_b, windows=(1, 2, 3, 5)):
 
 class TestLazyHistoryEquivalence:
     def test_batch_substrate_serial(self):
-        """The core contract: lazy == eager through bootstrap, an
+        """The core contract: ring == eager through bootstrap, an
         interference episode, analyses and mitigation migrations."""
-        eager = _build("eager")
-        lazy = _build("lazy")
+        eager = _build(REFERENCE)
+        lazy = _build(RING)
         decisions_e, summary_e = _run(eager)
         decisions_l, summary_l = _run(lazy)
         for epoch, (a, b) in enumerate(zip(decisions_e, decisions_l)):
@@ -157,18 +164,20 @@ class TestLazyHistoryEquivalence:
         assert summary_e.confirmed_interference > 0, (
             "the injected episodes must be detected"
         )
+        assert_fleet_matches_reference(eager, windows=(1, 2, 3, 5))
         _assert_histories_bit_identical(eager, lazy)
         _assert_windows_bit_identical(eager, lazy)
 
     def test_scalar_substrate_serial(self):
-        """Scalar-substrate hosts never produce counter blocks; the lazy
-        store must degrade to the plain sample lists transparently."""
-        eager = _build("eager", substrate="scalar")
-        lazy = _build("lazy", substrate="scalar")
+        """Scalar-substrate epochs write the same ring rows: histories and
+        windows equal the eager reference there too."""
+        eager = _build(REFERENCE, substrate="scalar")
+        lazy = _build(RING, substrate="scalar")
         decisions_e, summary_e = _run(eager, epochs=6)
         decisions_l, summary_l = _run(lazy, epochs=6)
         assert decisions_e == decisions_l
         assert _summary_key(summary_e) == _summary_key(summary_l)
+        assert_fleet_matches_reference(eager, windows=(1, 3))
         _assert_histories_bit_identical(eager, lazy)
         _assert_windows_bit_identical(eager, lazy, windows=(1, 3))
 
@@ -177,8 +186,8 @@ class TestLazyHistoryEquivalence:
         histories match the eager serial reference's decisions and run
         summary; worker-side state equivalence is pinned by the
         parallel-fleet suite."""
-        eager = _build("eager")
-        lazy = _build("lazy", executor="process", max_workers=2)
+        eager = _build(REFERENCE)
+        lazy = _build(RING, executor="process", max_workers=2)
         decisions_e, summary_e = _run(eager, epochs=6)
         decisions_l, summary_l = _run(lazy, epochs=6)
         for epoch, (a, b) in enumerate(zip(decisions_e, decisions_l)):
@@ -186,10 +195,11 @@ class TestLazyHistoryEquivalence:
         assert _summary_key(summary_e) == _summary_key(summary_l)
 
     def test_migration_flushes_and_stays_identical(self):
-        """An explicit mid-run migration restarts ring segments on both
-        hosts; materialised histories must remain bit-identical."""
-        eager = _build("eager")
-        lazy = _build("lazy")
+        """An explicit mid-run migration frees the VM's slot on its old
+        host and takes one on the new; materialised histories must
+        remain bit-identical."""
+        eager = _build(REFERENCE)
+        lazy = _build(RING)
         for _ in range(3):
             eager.run_epoch(RunOptions(analyze=False))
             lazy.run_epoch(RunOptions(analyze=False))
@@ -209,5 +219,6 @@ class TestLazyHistoryEquivalence:
         for _ in range(3):
             eager.run_epoch(RunOptions(analyze=False))
             lazy.run_epoch(RunOptions(analyze=False))
+        assert_fleet_matches_reference(eager, windows=(1, 2, 4))
         _assert_histories_bit_identical(eager, lazy)
         _assert_windows_bit_identical(eager, lazy, windows=(1, 2, 4))

@@ -6,7 +6,8 @@ interpreter, so an identical timeline must produce **bit-identical**
 fleet evolutions — decisions, run summaries, churned topology — across
 
 * hardware substrates (``scalar`` / ``batch``),
-* counter-history modes (``lazy`` / ``eager``),
+* the cluster counter ring against the eager sample-list reference
+  (hosts tracking ground truth keep every sample; ``counter_reference``),
 * shard executors (``serial`` / ``process``) at any worker count.
 
 The churn-heavy scenario exercised here hits every event type at once:
@@ -25,6 +26,7 @@ the full decision record, exact distances included.
 
 import numpy as np
 import pytest
+from counter_reference import assert_fleet_matches_reference
 
 from repro.core.config import DeepDiveConfig
 from repro.metrics.counters import COUNTER_NAMES
@@ -71,7 +73,9 @@ def _config() -> DeepDiveConfig:
     )
 
 
-def _build(substrate="batch", history_mode="lazy", executor=None, max_workers=None):
+def _build(
+    substrate="batch", track_performance=False, executor=None, max_workers=None
+):
     scenario = synthesize_datacenter(
         16,
         num_shards=2,
@@ -89,7 +93,7 @@ def _build(substrate="batch", history_mode="lazy", executor=None, max_workers=No
         engine="batch",
         mitigate=True,
         substrate=substrate,
-        history_mode=history_mode,
+        track_performance=track_performance,
         executor=executor,
         max_workers=max_workers,
     )
@@ -130,7 +134,7 @@ def _summary_key(summary: FleetRunSummary):
     )
 
 
-def _run(fleet, epochs=EPOCHS):
+def _run(fleet, epochs=EPOCHS, check_reference=False):
     summary = FleetRunSummary()
     decisions = []
     try:
@@ -138,6 +142,8 @@ def _run(fleet, epochs=EPOCHS):
             report = fleet.run_epoch()
             decisions.append(_decision_key(report))
             summary.accumulate(report)
+            if check_reference:
+                assert_fleet_matches_reference(fleet)
         lifecycle = fleet.lifecycle_stats()
     finally:
         fleet.shutdown()
@@ -146,7 +152,7 @@ def _run(fleet, epochs=EPOCHS):
 
 @pytest.fixture(scope="module")
 def reference():
-    """The serial / batch-substrate / lazy-history churn run."""
+    """The serial / batch-substrate churn run."""
     return _run(_build())
 
 
@@ -170,10 +176,14 @@ class TestLifecycleEquivalence:
         )
 
     def test_history_modes_bit_identical(self, reference):
-        """lazy == eager through arrivals (ring grow), departures (ring
-        shrink), drain migrations (flush + regrow) and load phases."""
+        """ring == eager through arrivals (slots taken), departures (slots
+        freed), drain migrations and load phases: every epoch's
+        histories and windows equal the eager reference, and the
+        decisions are those of the untracked run."""
         decisions_ref, summary_ref, _ = reference
-        decisions, summary, _ = _run(_build(history_mode="eager"))
+        decisions, summary, _ = _run(
+            _build(track_performance=True), check_reference=True
+        )
         for epoch, (a, b) in enumerate(zip(decisions_ref, decisions)):
             assert a == b, f"decisions diverge at epoch {epoch}"
         assert _summary_key(summary) == _summary_key(summary_ref)
@@ -189,11 +199,12 @@ class TestLifecycleEquivalence:
         assert lifecycle == lifecycle_ref
 
     def test_scalar_substrate_history_modes(self):
-        """Scalar-substrate churn (no ring blocks at all) is identical
-        across history modes too."""
+        """Scalar-substrate churn writes the same ring: identical to the
+        eager reference too."""
         decisions_a, summary_a, _ = _run(_build(substrate="scalar"))
         decisions_b, summary_b, _ = _run(
-            _build(substrate="scalar", history_mode="eager")
+            _build(substrate="scalar", track_performance=True),
+            check_reference=True,
         )
         assert decisions_a == decisions_b
         assert _summary_key(summary_a) == _summary_key(summary_b)
@@ -217,7 +228,7 @@ class TestLifecycleEquivalence:
         same placements epoch by epoch — the churned VM->host maps (and
         drained-host exclusions) are part of the contract."""
         fleet_a = _build()
-        fleet_b = _build(history_mode="eager")
+        fleet_b = _build(track_performance=True)
         try:
             for _ in range(EPOCHS):
                 fleet_a.run_epoch(RunOptions(analyze=False))

@@ -7,7 +7,8 @@ flat one — decisions, run summaries, lifecycle counters — at any
 region split, across
 
 * hardware substrates (``scalar`` / ``batch``),
-* counter-history modes (``lazy`` / ``eager``),
+* the cluster counter ring against the eager sample-list reference
+  (hosts tracking ground truth keep every sample; ``counter_reference``),
 * region executors (``serial`` / ``process``) at any per-region worker
   budget.
 
@@ -21,6 +22,7 @@ detecting.
 """
 
 import pytest
+from counter_reference import assert_fleet_matches_reference
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
@@ -83,13 +85,12 @@ def _scenario():
     )
 
 
-def _build_flat(substrate="batch", history_mode="lazy"):
+def _build_flat(substrate="batch"):
     fleet = build_fleet(
         _scenario(),
         config=_config(),
         mitigate=True,
         substrate=substrate,
-        history_mode=history_mode,
     )
     fleet.bootstrap()
     return fleet
@@ -98,7 +99,7 @@ def _build_flat(substrate="batch", history_mode="lazy"):
 def _build_regional(
     num_regions=2,
     substrate="batch",
-    history_mode="lazy",
+    track_performance=False,
     executor=None,
     region_workers=None,
 ):
@@ -108,7 +109,7 @@ def _build_regional(
         config=_config(),
         mitigate=True,
         substrate=substrate,
-        history_mode=history_mode,
+        track_performance=track_performance,
         executor=executor,
         region_workers=region_workers,
     )
@@ -141,7 +142,7 @@ def _summary_key(summary: FleetRunSummary):
     )
 
 
-def _run(fleet, epochs=EPOCHS):
+def _run(fleet, epochs=EPOCHS, check_reference=False):
     summary = FleetRunSummary()
     decisions = []
     shard_orders = []
@@ -151,6 +152,8 @@ def _run(fleet, epochs=EPOCHS):
             decisions.append(_decision_key(report))
             shard_orders.append(list(report.shard_reports))
             summary.accumulate(report)
+            if check_reference:
+                assert_fleet_matches_reference(fleet)
         lifecycle = fleet.lifecycle_stats()
         stats = fleet.stats()
     finally:
@@ -160,7 +163,7 @@ def _run(fleet, epochs=EPOCHS):
 
 @pytest.fixture(scope="module")
 def reference():
-    """The flat serial / batch-substrate / lazy-history churn run."""
+    """The flat serial / batch-substrate churn run."""
     return _run(_build_flat())
 
 
@@ -201,7 +204,11 @@ class TestRegionEquivalence:
         _assert_matches_reference(result, reference)
 
     def test_history_mode_bit_identical(self, reference):
-        result = _run(_build_regional(history_mode="eager"))
+        """A regional fleet over the eager reference: its histories and
+        windows equal the reference every epoch, its run the flat one."""
+        result = _run(
+            _build_regional(track_performance=True), check_reference=True
+        )
         _assert_matches_reference(result, reference)
 
     def test_scalar_substrate_bit_identical(self):

@@ -1,20 +1,26 @@
-"""The cluster's whole-cluster counter blocks against the per-host reads.
+"""The cluster's counter ring against the host-by-host reference reads.
 
 ``Cluster.counter_window_view`` and ``Cluster.latest_counter_totals``
-serve steady batch epochs from copies of the newest whole-cluster
-counter blocks.  Every read must equal the host-by-host assembly
-(``Cluster._host_window_view`` and ``host_counter_totals``) bit for bit,
-and every case the blocks cannot serve must fall back to it.
+gather rows of the cluster's one counter ring.  Every read must equal
+the host-by-host assembly over the eager histories
+(``counter_reference``) bit for bit, in every case: steady and changed
+placements, short history limits, hosts of two machine specs, the
+scalar substrate and a direct ``Host.step`` between cluster epochs.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from counter_reference import (
+    assert_view_matches,
+    reference_totals,
+    reference_window_view,
+)
 
 from repro.hardware.batch import ClusterLayout
 from repro.hardware.specs import CORE_I7_E5640
-from repro.virt.cluster import Cluster, host_counter_totals
+from repro.virt.cluster import Cluster
 from repro.virt.vm import VirtualMachine
 from repro.virt.vmm import Host
 from repro.workloads.cloud import (
@@ -48,37 +54,26 @@ def _cluster(substrate="batch", history_limit=None, track_performance=False):
     return cluster
 
 
-def _assert_reads_match(cluster, window, served):
-    """Block reads equal the per-host assembly; ``served`` says whether
-    the blocks (True) or the fallback (False) answered."""
-    assert (cluster._resident_blocks(window) is not None) == served
-    view = cluster.counter_window_view(window)
-    reference = cluster._host_window_view(window)
-    assert view.vm_names == reference.vm_names
-    assert np.array_equal(view.latest, reference.latest)
-    assert np.array_equal(view.window_sum, reference.window_sum)
-    totals = cluster.latest_counter_totals()
-    expected = host_counter_totals(cluster.hosts.values())
-    if expected is None:
-        assert totals is None
-    else:
-        assert np.array_equal(totals, expected)
+def _assert_reads_match(cluster, window):
+    """Ring reads equal the host-by-host reference after an epoch."""
+    assert_view_matches(cluster, window)
+    assert np.array_equal(cluster.latest_counter_totals(), reference_totals(cluster))
 
 
 def _step_and_check(cluster, epochs, window):
-    """Step ``epochs`` times; from the ``window``-th steady epoch on the
-    blocks must serve."""
-    for epoch in range(epochs):
+    """Step ``epochs`` times, checking the reads after every epoch."""
+    for _ in range(epochs):
         cluster.step()
-        _assert_reads_match(cluster, window, served=epoch + 1 >= window)
+        _assert_reads_match(cluster, window)
 
 
 class TestSteadyPlacement:
     @pytest.mark.parametrize("window", [1, 3])
     def test_blocks_serve_and_match(self, window):
         cluster = _cluster()
-        # The first read sizes the ring to the window.
-        cluster.counter_window_view(window)
+        # Before the first epoch no VM has a window and no totals exist.
+        assert cluster.counter_window_view(window).vm_names == ()
+        assert cluster.latest_counter_totals() is None
         _step_and_check(cluster, 6, window)
 
     def test_views_do_not_alias_the_ring(self):
@@ -91,36 +86,36 @@ class TestSteadyPlacement:
         assert np.array_equal(view.latest, latest)
 
     def test_tracked_hosts_match(self):
-        """Hosts materialising ground truth commit through the full
-        ``commit_epoch`` path; the block copies the same counters."""
+        """Hosts materialising ground truth hold every sample in their
+        performance histories, independently of the ring: the ring reads
+        equal them."""
         cluster = _cluster(track_performance=True)
-        cluster.counter_window_view(2)
         _step_and_check(cluster, 4, 2)
 
 
 class TestPlacementChanges:
     def test_arrivals_and_departures(self):
         cluster = _cluster()
-        cluster.counter_window_view(2)
         _step_and_check(cluster, 3, 2)
         cluster.place_vm(_vm("arrival", 40), "pm1", load=0.4)
         cluster.remove_vm("vm0")
-        # The new placement restarts the run of resident blocks.
+        # The arrival's window grows from one epoch.
         _step_and_check(cluster, 4, 2)
         assert "arrival" in cluster.counter_window_view(2)
         assert "vm0" not in cluster.counter_window_view(2)
 
     def test_migration(self):
         cluster = _cluster()
-        cluster.counter_window_view(2)
         _step_and_check(cluster, 3, 2)
         cluster.migrate_vm("vm5", "pm2")
         _step_and_check(cluster, 3, 2)
         assert cluster.host_of("vm5") == "pm2"
+        # Back on the host it left: the history it left there continues.
+        cluster.migrate_vm("vm5", "pm1")
+        _step_and_check(cluster, 3, 2)
 
     def test_drained_empty_host(self):
         cluster = _cluster()
-        cluster.counter_window_view(1)
         _step_and_check(cluster, 2, 1)
         for vm_name in ("vm5", "vm6"):
             cluster.migrate_vm(vm_name, "pm2")
@@ -223,7 +218,6 @@ class TestPlacementMap:
 class TestFallbacks:
     def test_short_history_limit_falls_back_and_warns_once(self):
         cluster = _cluster(history_limit=2)
-        cluster.counter_window_view(1)
         for _ in range(5):
             cluster.step()
         with pytest.warns(RuntimeWarning, match="history_limit=2") as caught:
@@ -232,15 +226,14 @@ class TestFallbacks:
         assert warned == {"pm0", "pm1", "pm3"}
         for _ in range(4):
             cluster.step()
-        # Three resident blocks now, yet the limit still sends the read
-        # to the per-host assembly, which stays silent the second time.
-        assert cluster._resident_blocks(3) is not None
+        # The limit still trims the windows; the second read is silent.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             view = cluster.counter_window_view(3)
-            reference = cluster._host_window_view(3)
-        assert view.vm_names == reference.vm_names
-        assert np.array_equal(view.window_sum, reference.window_sum)
+            names, latest, window_sum = reference_window_view(cluster, 3)
+        assert view.vm_names == names
+        assert np.array_equal(view.latest, latest)
+        assert np.array_equal(view.window_sum, window_sum)
 
     def test_two_spec_cluster(self):
         cluster = _cluster()
@@ -256,38 +249,47 @@ class TestFallbacks:
         cluster.place_vm(_vm("on-i7", 50), "i7", load=0.5)
         for _ in range(4):
             cluster.step()
-            _assert_reads_match(cluster, 1, served=False)
+            _assert_reads_match(cluster, 1)
+            _assert_reads_match(cluster, 2)
 
     def test_scalar_substrate_totals_unavailable(self):
+        """Scalar epochs write the same ring: windows and totals read
+        back like the batch substrate's (totals are unavailable only
+        before the first epoch)."""
         cluster = _cluster(substrate="scalar")
+        assert cluster.latest_counter_totals() is None
         for _ in range(3):
             cluster.step()
-            _assert_reads_match(cluster, 1, served=False)
-        assert cluster.latest_counter_totals() is None
+            _assert_reads_match(cluster, 1)
+            _assert_reads_match(cluster, 2)
 
     def test_direct_host_step_falls_back(self):
+        """A host stepped on its own between cluster epochs: its VMs'
+        histories gain the epoch (so do their windows), and the totals
+        stay those of the newest cluster epoch."""
         cluster = _cluster()
-        cluster.counter_window_view(2)
         _step_and_check(cluster, 3, 2)
+        totals = reference_totals(cluster)
         cluster.hosts["pm1"].step()
-        _assert_reads_match(cluster, 2, served=False)
-        _assert_reads_match(cluster, 1, served=False)
-        # The next batch epochs rebuild the run.
+        for window in (1, 2, 3):
+            assert_view_matches(cluster, window)
+        assert np.array_equal(cluster.latest_counter_totals(), totals)
+        # The next cluster epochs continue every history.
         _step_and_check(cluster, 3, 2)
+        _assert_reads_match(cluster, 4)
 
 
 def test_smoothing_window_of_three_through_deepdive():
-    """DeepDive's batch engine reads three-epoch windows off the blocks
+    """DeepDive's batch engine reads three-epoch windows off the ring
     and decides exactly as the scalar engine does."""
     from repro.core.config import DeepDiveConfig
     from repro.core.deepdive import DeepDive
 
     cluster = _cluster()
     deepdive = DeepDive(cluster, config=DeepDiveConfig(smoothing_epochs=3))
-    for epoch in range(6):
+    for _ in range(6):
         cluster.step()
         batch = deepdive.run_epoch(analyze=False, learn=False, engine="batch")
         scalar = deepdive.run_epoch(analyze=False, learn=False, engine="scalar")
         assert batch.observations == scalar.observations
-        # The first read deepens the ring; three epochs later it serves.
-        assert (cluster._resident_blocks(3) is not None) == (epoch >= 3)
+        assert_view_matches(cluster, 3)

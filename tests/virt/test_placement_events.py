@@ -15,19 +15,13 @@ import itertools
 
 import numpy as np
 import pytest
+from counter_reference import assert_view_matches, reference_totals
 
 from repro.core.deepdive import DeepDive, _EpochLayout
-from repro.fleet import (
-    Fleet,
-    RunOptions,
-    build_fleet,
-    churn_timeline,
-    synthesize_datacenter,
-)
 from repro.fleet.lifecycle import _ShardSummary
 from repro.hardware.batch import ClusterLayout, pack_demand
 from repro.metrics.store import sample_row
-from repro.virt.cluster import Cluster, _HostSegments
+from repro.virt.cluster import Cluster
 from repro.virt.vm import VirtualMachine
 from repro.virt.vmm import Host
 from repro.workloads.cloud import (
@@ -46,8 +40,7 @@ CLUSTER_CACHES = (
     "_host_segments",
     "_batch_groups",
     "_demand_tables",
-    "_block_tables",
-    "_block_key",
+    "_tables",
 )
 
 
@@ -152,40 +145,49 @@ def _assert_epoch_layout(cluster, deepdive):
         assert got._pool_names == want._pool_names
 
 
-def _assert_block_tables(cluster):
-    tables = cluster._resident_blocks(1)
-    assert tables is not None
+def _assert_ring_tables(cluster):
+    """The ring slot tables equal a walk over every host: each host's
+    VMs in order with their stores' slots, all distinct, and the totals
+    fold plan."""
+    tables = cluster._ring_tables()
     populated = [host for host in cluster.hosts.values() if host._vms]
     assert tables.vm_names == tuple(
-        itertools.chain.from_iterable(tuple(h._vms) for h in populated)
+        itertools.chain.from_iterable(tuple(h._vms) for h in cluster.hosts.values())
     )
-    assert tables.counts.tolist() == [len(h._vms) for h in populated]
-    assert tables.history_limit == min(h.history_limit for h in populated)
+    slots = [
+        host.counter_store._slots[name]
+        for host in cluster.hosts.values()
+        for name in host._vms
+    ]
+    assert tables.slots.tolist() == slots
+    assert len(set(slots)) == len(slots)
+    assert tables.counts.tolist() == [len(h._vms) for h in cluster.hosts.values()]
     start = 0
     for h, host in enumerate(populated):
         for j in range(len(host._vms)):
-            sums, rows = tables.slots[j]
+            sums, rows = tables.folds[j]
             assert start + j in rows.tolist()
             assert sums[rows.tolist().index(start + j)] == h + 1
         start += len(host._vms)
 
 
 def _assert_ring_columns(cluster):
-    """Each host's ring holds its VMs' columns in name order, and each VM
-    reads back its own newest counters."""
+    """Each VM's slot holds its own newest counters, every history reads
+    back at its length, and the reads equal the host-by-host reference."""
+    ring = cluster._ring
     for host in cluster.hosts.values():
         store = host.counter_store
-        names = tuple(host._vms)
-        if not names:
-            continue
-        assert store._ring_names == names
-        assert store._ring_index == {name: i for i, name in enumerate(names)}
-        assert store._ring_data.shape[1] == len(names)
-        latest = store.latest_block()
-        assert latest.shape[0] == len(names)
-        for i, name in enumerate(names):
-            assert np.array_equal(latest[i], sample_row(store.latest_sample(name)))
+        assert store.ring is ring
+        assert tuple(store._slots) == tuple(host._vms)
+        for name, slot in store._slots.items():
+            latest = store.latest_sample(name)
+            if latest is not None and ring.start[slot] < ring.appended:
+                row = ring.data[(ring.appended - 1) % ring.capacity, slot]
+                assert np.array_equal(row, sample_row(latest))
             assert store.length(name) == len(store.histories[name])
+    assert_view_matches(cluster, 1)
+    assert_view_matches(cluster, 3)
+    assert np.array_equal(cluster.latest_counter_totals(), reference_totals(cluster))
 
 
 def _assert_admission_summary(cluster, summary):
@@ -315,7 +317,7 @@ def test_cached_structures_equal_fresh_builds(cache_demands, seed, fast_config):
         _assert_placement(cluster)
         _assert_group_layout(cluster)
         _assert_epoch_layout(cluster, deepdive)
-        _assert_block_tables(cluster)
+        _assert_ring_tables(cluster)
         _assert_ring_columns(cluster)
         _assert_admission_summary(cluster, summary)
 
@@ -338,114 +340,20 @@ def test_a_host_outside_a_cluster_reports_nowhere():
 
 
 def test_every_commit_moves_the_store_stamp():
-    """A lean commit outside the cluster's epoch still counts as a store
-    write, so the whole-cluster blocks stop being served."""
+    """A lean commit on one host outside the cluster's epoch lands in
+    that host's histories: every read equals the reference afterwards,
+    and the totals stay those of the cluster's newest epoch."""
     cluster = _cluster(True)
     cluster.step()
-    assert cluster._resident_blocks(1) is not None
-    key = cluster._store_key()
+    totals = reference_totals(cluster)
     host = cluster.hosts["pm0"]
     names = tuple(host._vms)
-    host.commit_epoch_block(names, host.counter_store.latest_block().copy())
-    assert cluster._store_key() == (key[0], key[1] + 1)
-    assert cluster._resident_blocks(1) is None
-
-
-# ----------------------------------------------------------------------
-# Checkpoints written before the change record
-# ----------------------------------------------------------------------
-def test_segments_pickled_with_placement_versions_load():
-    cluster = _cluster(True)
+    block = np.array([sample_row(host.latest_counters(n)) for n in names]) + 1.0
+    host.commit_epoch_block(names, block)
+    for name, row in zip(names, block):
+        assert np.array_equal(sample_row(host.latest_counters(name)), row)
+    assert_view_matches(cluster, 1)
+    assert_view_matches(cluster, 2)
+    assert np.array_equal(cluster.latest_counter_totals(), totals)
     cluster.step()
-    segments = cluster._host_segments.groups[0][1]
-    state = {name: getattr(segments, name) for name in segments.__slots__}
-    state["versions"] = np.arange(len(segments.hosts))
-    loaded = _HostSegments.__new__(_HostSegments)
-    loaded.__setstate__((None, state))
-    assert loaded.layout is segments.layout and loaded.hosts is segments.hosts
-
-
-COLUMNAR = RunOptions(report="columnar")
-
-
-def _fleet(fast_config):
-    timeline = churn_timeline(
-        ["shard0", "shard1"],
-        epochs=12,
-        seed=9,
-        arrivals_per_epoch=1.5,
-        mean_lifetime_epochs=4.0,
-    )
-    scenario = synthesize_datacenter(24, num_shards=2, seed=31, timeline=timeline)
-    fleet = build_fleet(scenario, config=fast_config)
-    fleet.bootstrap()
-    return fleet
-
-
-def _columns(report):
-    return {
-        shard_id: {f.name: getattr(shard, f.name) for f in dataclasses.fields(shard)}
-        for shard_id, shard in report.shard_reports.items()
-    }
-
-
-def _strip_new_attributes(fleet):
-    """Turn a live fleet into what a checkpoint written before the change
-    record held: no record, the older spec grouping, and admission
-    summaries that knew no record."""
-    stripped = 0
-    for shard in fleet.shards.values():
-        cluster = shard.cluster
-        stripped += cluster.__dict__.pop("_changes", None) is not None
-        # The older grouping: a (host key, groups) pair.
-        grouping = cluster.__dict__.pop("_host_segments")
-        cluster._host_segments = (grouping.host_key, grouping.groups)
-        for host in cluster.hosts.values():
-            host.__dict__.pop("_changes")
-            host.__dict__.pop("_change_index")
-    if fleet.lifecycle is not None:
-        for summary in fleet.lifecycle._summaries.values():
-            summary.__dict__.pop("changes")
-            summary.__dict__.pop("_built")
-    return stripped
-
-
-def _retune(fleet):
-    """A direct baseline write still pending at the snapshot."""
-    shard = fleet.shards["shard1"]
-    shard.baseline_loads[sorted(shard.baseline_loads)[0]] = 0.123
-
-
-def test_checkpoint_without_the_new_attributes_resumes_identically(fast_config):
-    reference = _fleet(fast_config)
-    try:
-        expected = [_columns(r) for r in reference.run(5, COLUMNAR)]
-        _retune(reference)
-        expected += [_columns(r) for r in reference.run(5, COLUMNAR)]
-    finally:
-        reference.shutdown()
-
-    fleet = _fleet(fast_config)
-    try:
-        fleet.run(5, COLUMNAR)
-        _retune(fleet)
-        assert _strip_new_attributes(fleet) == 2
-        checkpoint = fleet.snapshot()
-    finally:
-        fleet.shutdown()
-
-    resumed = Fleet.resume(checkpoint)
-    try:
-        continued = [_columns(r) for r in resumed.run(5, COLUMNAR)]
-    finally:
-        resumed.shutdown()
-    assert len(continued) == len(expected[5:])
-    for got, want in zip(continued, expected[5:]):
-        assert got.keys() == want.keys()
-        for shard_id, columns in want.items():
-            for name, value in columns.items():
-                other = got[shard_id][name]
-                if isinstance(value, np.ndarray):
-                    assert np.array_equal(other, value), (shard_id, name)
-                else:
-                    assert other == value, (shard_id, name)
+    _assert_ring_columns(cluster)

@@ -55,7 +55,7 @@ class TestHostStep:
         perf = results[data_serving_vm.name]
         assert perf.counters.inst_retired > 0
         assert perf.report.throughput > 0
-        assert host.latest_counters(data_serving_vm.name) is perf.counters
+        assert host.latest_counters(data_serving_vm.name) == perf.counters
         assert host.latest_performance(data_serving_vm.name) is perf
         assert host.current_epoch == 1
 

@@ -12,6 +12,12 @@ reported by pytest-benchmark then measure the cost of regenerating the
 figure, not statistical run-to-run variation.
 """
 
+import sys
+from pathlib import Path
+
+# The fleet decision keys and the scoped shared-memory leak probe live
+# with the test suite (``tests/fleet_reference.py``).
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -68,6 +68,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 import pytest
+from fleet_reference import WorkerPids, decision_key, without_distances
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
@@ -88,7 +89,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / ".benchmarks" / "BENCH_fleet.json"
 
 #: The columnar hot-loop options every executor comparison times.
-_COLUMNAR = RunOptions(analyze=False, report="columnar")
+_COLUMNAR = RunOptions(analyze=False)
 
 #: Two shards of ~500 VMs keep per-application sibling pools large — the
 #: regime where the scalar loop's per-VM sibling handling dominates.
@@ -269,18 +270,6 @@ def _time_fleet_epoch(fleet, reps: int) -> float:
     return best
 
 
-def _decision_fingerprint(report) -> Dict:
-    return {
-        (shard_id, vm_name): (
-            obs.warning.action.value,
-            obs.warning.siblings_consulted,
-            obs.warning.siblings_agreeing,
-        )
-        for shard_id, shard_report in report.shard_reports.items()
-        for vm_name, obs in shard_report.observations.items()
-    }
-
-
 def _run_substrate_comparison(
     num_vms: int,
     num_shards: int,
@@ -294,9 +283,9 @@ def _run_substrate_comparison(
     )
     batch = _prepare_fleet(num_vms, num_shards, substrate="batch")
     # Same epoch count so far -> the substrates must agree on decisions.
-    assert _decision_fingerprint(
-        baseline.run_epoch(RunOptions(analyze=False))
-    ) == _decision_fingerprint(batch.run_epoch(RunOptions(analyze=False))), (
+    scalar_key = decision_key(baseline.run_epoch(RunOptions(analyze=False)))
+    batch_key = decision_key(batch.run_epoch(RunOptions(analyze=False)))
+    assert without_distances(scalar_key) == without_distances(batch_key), (
         "scalar and batch substrates must produce identical warning decisions"
     )
     scalar_s = _time_fleet_epoch(baseline, scalar_reps)
@@ -347,19 +336,6 @@ def _time_fleet_epochs_columnar(fleets, reps: int) -> list:
     return best
 
 
-def _columnar_fingerprint(report) -> Dict:
-    return {
-        (shard_id, vm_name): (
-            int(shard_report.action_codes[i]),
-            float(shard_report.distances[i]),
-            int(shard_report.siblings_consulted[i]),
-            int(shard_report.siblings_agreeing[i]),
-        )
-        for shard_id, shard_report in report.shard_reports.items()
-        for i, vm_name in enumerate(shard_report.vm_names)
-    }
-
-
 def _run_process_comparison(
     num_vms: int,
     num_shards: int,
@@ -378,13 +354,13 @@ def _run_process_comparison(
     )
     try:
         # All fleets are at the same epoch; executors must agree exactly.
-        reference = _columnar_fingerprint(
+        reference = decision_key(
             serial.run_epoch(_COLUMNAR)
         )
-        assert reference == _columnar_fingerprint(
+        assert reference == decision_key(
             single.run_epoch(_COLUMNAR)
         ), "single-worker process execution diverges from serial"
-        assert reference == _columnar_fingerprint(
+        assert reference == decision_key(
             multi.run_epoch(_COLUMNAR)
         ), f"{multi_workers}-worker process execution diverges from serial"
         serial_s, single_s, multi_s = _time_fleet_epochs_columnar(
@@ -407,7 +383,7 @@ def _run_process_comparison(
         multi.shutdown()
         single.shutdown()
         serial.shutdown()
-    assert leaked_segments() == [], (
+    assert WorkerPids(single, multi).leaked() == [], (
         "process fleets left shared-memory transport segments in /dev/shm"
     )
     vms = serial.total_vms()
@@ -703,10 +679,10 @@ def test_fleet_executor_smoke():
         churn_epochs=churn_epochs,
     )
     try:
-        reference = _columnar_fingerprint(
+        reference = decision_key(
             serial.run_epoch(_COLUMNAR)
         )
-        assert reference == _columnar_fingerprint(
+        assert reference == decision_key(
             fleet.run_epoch(_COLUMNAR)
         ), f"executor {executor!r} diverges from serial"
         elapsed = _time_fleet_epoch_columnar(fleet, reps=2)
@@ -731,7 +707,7 @@ def test_fleet_executor_smoke():
     if executor == "process":
         # The CI process leg re-checks /dev/shm from the workflow too;
         # failing here names the leaked segments.
-        assert leaked_segments() == [], (
+        assert WorkerPids(fleet).leaked() == [], (
             "process smoke run left shared-memory segments in /dev/shm"
         )
 
@@ -998,11 +974,11 @@ def _run_telemetry_comparison(
         telemetry=TelemetryConfig(enabled=True, profile_every=8),
     )
     try:
-        reference = _columnar_fingerprint(off.run_epoch(_COLUMNAR))
-        assert reference == _columnar_fingerprint(
+        reference = decision_key(off.run_epoch(_COLUMNAR))
+        assert reference == decision_key(
             on.run_epoch(_COLUMNAR)
         ), "fully-profiled telemetry changed the decision columns"
-        assert reference == _columnar_fingerprint(
+        assert reference == decision_key(
             sampled.run_epoch(_COLUMNAR)
         ), "sampled telemetry changed the decision columns"
         off_s, on_s, sampled_s = _time_fleet_epochs_columnar(
@@ -1023,7 +999,7 @@ def _run_telemetry_comparison(
         sampled.shutdown()
         on.shutdown()
         off.shutdown()
-    assert leaked_segments() == [], (
+    assert WorkerPids(off, on, sampled).leaked() == [], (
         "telemetry benchmark left shared-memory segments in /dev/shm"
     )
     vms = off.total_vms()
@@ -1077,9 +1053,9 @@ def test_fleet_telemetry_smoke(tmp_path):
     try:
         epochs = 4
         for _ in range(epochs):
-            assert _columnar_fingerprint(
+            assert decision_key(
                 plain.run_epoch(_COLUMNAR)
-            ) == _columnar_fingerprint(profiled.run_epoch(_COLUMNAR)), (
+            ) == decision_key(profiled.run_epoch(_COLUMNAR)), (
                 f"profiled {executor} fleet diverges from the plain serial loop"
             )
         registry = profiled.telemetry
@@ -1094,7 +1070,7 @@ def test_fleet_telemetry_smoke(tmp_path):
         profiled.shutdown()
         plain.shutdown()
     if telemetry_leg:
-        assert leaked_segments() == [], (
+        assert WorkerPids(profiled).leaked() == [], (
             "telemetry smoke run left shared-memory segments in /dev/shm"
         )
     record = {
@@ -1302,7 +1278,7 @@ def test_fleet_snapshot_smoke(tmp_path):
     reference = _prepare_fleet(60, num_shards=2, executor="serial")
     try:
         expected = [
-            _columnar_fingerprint(
+            decision_key(
                 reference.run_epoch(_COLUMNAR)
             )
             for _ in range(epochs)
@@ -1314,7 +1290,7 @@ def test_fleet_snapshot_smoke(tmp_path):
     ckpt_path = Path(os.environ.get("FLEET_SMOKE_CKPT") or tmp_path / "smoke.ckpt")
     try:
         got = [
-            _columnar_fingerprint(
+            decision_key(
                 fleet.run_epoch(_COLUMNAR)
             )
             for _ in range(split)
@@ -1325,7 +1301,7 @@ def test_fleet_snapshot_smoke(tmp_path):
     finally:
         fleet.shutdown()  # the "kill": the original fleet is gone.
     if executor == "process":
-        assert leaked_segments() == [], (
+        assert WorkerPids(fleet).leaked() == [], (
             "interrupted process fleet left shared-memory segments in /dev/shm"
         )
 
@@ -1335,7 +1311,7 @@ def test_fleet_snapshot_smoke(tmp_path):
     resume_s = time.perf_counter() - t0
     try:
         got += [
-            _columnar_fingerprint(
+            decision_key(
                 resumed.run_epoch(_COLUMNAR)
             )
             for _ in range(epochs - split)
@@ -1346,7 +1322,7 @@ def test_fleet_snapshot_smoke(tmp_path):
         f"resumed {executor} run diverged from the uninterrupted serial run"
     )
     if executor == "process":
-        assert leaked_segments() == [], (
+        assert WorkerPids(resumed).leaked() == [], (
             "resumed process fleet left shared-memory segments in /dev/shm"
         )
     record = {
@@ -1384,7 +1360,7 @@ def test_fleet_snapshot_2000_vms(tmp_path):
             snapshot_s = min(snapshot_s, time.perf_counter() - start)
         # The epoch the original fleet runs next is the epoch the
         # resumed fleet must reproduce exactly.
-        expected = _columnar_fingerprint(
+        expected = decision_key(
             fleet.run_epoch(_COLUMNAR)
         )
     finally:
@@ -1395,12 +1371,12 @@ def test_fleet_snapshot_2000_vms(tmp_path):
     resume_s = time.perf_counter() - start
     try:
         assert resumed.executor == "process"
-        assert _columnar_fingerprint(
+        assert decision_key(
             resumed.run_epoch(_COLUMNAR)
         ) == expected, "resumed 2k fleet diverged from the snapshotted one"
     finally:
         resumed.shutdown()
-    assert leaked_segments() == [], (
+    assert WorkerPids(fleet, resumed).leaked() == [], (
         "2k snapshot benchmark left shared-memory segments in /dev/shm"
     )
     record = {
@@ -1456,7 +1432,7 @@ def test_fleet_chaos_smoke():
     serial = _prepare_fleet(60, num_shards=2, executor="serial")
     try:
         expected = [
-            _columnar_fingerprint(serial.run_epoch(_COLUMNAR))
+            decision_key(serial.run_epoch(_COLUMNAR))
             for _ in range(epochs)
         ]
     finally:
@@ -1470,12 +1446,13 @@ def test_fleet_chaos_smoke():
         fault_policy=policy,
         fault_plan=FaultPlan(faults=tuple(faults)),
     )
+    pids = WorkerPids(fleet)
     try:
         start = time.perf_counter()
-        got = [
-            _columnar_fingerprint(fleet.run_epoch(_COLUMNAR))
-            for _ in range(epochs)
-        ]
+        got = []
+        for _ in range(epochs):
+            got.append(decision_key(fleet.run_epoch(_COLUMNAR)))
+            pids.note(fleet)
         run_s = time.perf_counter() - start
         restarts = [row["restarts"] for row in fleet.worker_health()]
     finally:
@@ -1484,7 +1461,7 @@ def test_fleet_chaos_smoke():
     assert sum(restarts) == len(faults), (
         f"expected one restart per injected fault, got {restarts}"
     )
-    assert leaked_segments() == [], (
+    assert pids.leaked() == [], (
         "chaos smoke left shared-memory segments in /dev/shm"
     )
     record = {
@@ -1527,6 +1504,7 @@ def test_fleet_recovery_2000_vms():
             )
         ),
     )
+    pids = WorkerPids(fleet)
     try:
         epoch_s = _time_fleet_epoch_columnar(fleet, reps=3)
         start = time.perf_counter()
@@ -1535,8 +1513,9 @@ def test_fleet_recovery_2000_vms():
         restarts = [row["restarts"] for row in fleet.worker_health()]
     finally:
         fleet.shutdown()
+    pids.note(fleet)
     assert restarts == [1, 0, 0, 0]
-    assert leaked_segments() == [], (
+    assert pids.leaked() == [], (
         "2k recovery benchmark left shared-memory segments in /dev/shm"
     )
 
@@ -1561,7 +1540,7 @@ def test_fleet_recovery_2000_vms():
         degraded_s = _time_fleet_epoch_columnar(quarantined, reps=3)
     finally:
         quarantined.shutdown()
-    assert leaked_segments() == [], (
+    assert WorkerPids(quarantined).leaked() == [], (
         "2k quarantine benchmark left shared-memory segments in /dev/shm"
     )
 

@@ -30,7 +30,6 @@ from repro.core.events import (
 from repro.core.placement import PlacementDecision, PlacementManager
 from repro.core.repository import BehaviorRepository
 from repro.core.warning import (
-    ACTIONS,
     NORMAL_CODE,
     DecisionColumns,
     WarningAction,
@@ -103,18 +102,6 @@ class EpochReport:
     def confirmed_interference(self) -> List[str]:
         names = self.decisions.vm_names
         return [names[i] for i in np.flatnonzero(self.confirmed).tolist()]
-
-    def confirmed_count(self) -> int:
-        return int(np.count_nonzero(self.confirmed))
-
-    def action_counts(self) -> np.ndarray:
-        """Per-action decision counts (:data:`ACTIONS` order)."""
-        return np.bincount(self.decisions.action_codes, minlength=len(ACTIONS))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EpochReport):
-            return NotImplemented
-        return self.epoch == other.epoch and self.observations == other.observations
 
 
 class ObservationView(collections.abc.Mapping):

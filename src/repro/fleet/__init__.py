@@ -20,7 +20,10 @@ Long-lived service operation goes through one run surface on
 :class:`Fleet`: epoch streaming (``stream``), buffered/summarised runs
 (``run``, ``run_summaries``) configured by typed :class:`RunOptions`,
 and versioned :class:`Checkpoint` snapshot/resume (``snapshot()`` /
-``Fleet.resume()``) with a bit-identical continuation guarantee.  A
+``Fleet.resume()``) with a bit-identical continuation guarantee.  Every
+epoch, on every executor, reports one :class:`ColumnarFleetReport` of
+per-shard decision columns; per-VM observations stay at the shard level
+(:meth:`FleetShard.run_epoch`).  A
 :class:`FleetDashboard` renders live per-shard/per-region telemetry off
 the stream (see ``examples/run_service.py``).
 
@@ -60,7 +63,6 @@ from repro.fleet.executor import (
 from repro.fleet.faults import FaultPlan, WorkerFault
 from repro.fleet.fleet import (
     Fleet,
-    FleetEpochReport,
     FleetRunSummary,
     FleetShard,
     Region,
@@ -110,7 +112,6 @@ __all__ = [
     "Fleet",
     "FleetDashboard",
     "RunOptions",
-    "FleetEpochReport",
     "FleetRunSummary",
     "FleetShard",
     "FleetTimeline",

@@ -34,7 +34,6 @@ from __future__ import annotations
 import io
 import json
 import multiprocessing
-import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -45,7 +44,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.config import DeepDiveConfig
-from repro.fleet.checkpoint import Checkpoint, CheckpointError
+from repro.fleet.checkpoint import Checkpoint, CheckpointError, _atomic_write_bytes
 from repro.fleet.executor import WARNING_ACTIONS
 from repro.fleet.lifecycle import AdmissionPolicy
 from repro.fleet.fleet import Fleet, RunOptions
@@ -332,13 +331,6 @@ def _percentiles(values: np.ndarray) -> Dict[str, float]:
     }
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write-then-rename, so resume never sees a half-written file."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
-
-
 def _load_cell_checkpoint(
     ckpt_path: Path,
     cell: CampaignCell,
@@ -460,7 +452,7 @@ def run_cell(
         run_seconds_so_far = float(extra.get("run_seconds_so_far", 0.0))
 
     executed_here = 0
-    options = RunOptions(analyze=True, report="columnar")
+    options = RunOptions(analyze=True)
     t_cell = time.perf_counter()
     try:
         if fleet is None:

@@ -42,9 +42,10 @@ from repro.fleet.executor import EXECUTOR_KINDS
 CHECKPOINT_MAGIC = b"REPRO-FLEET-CKPT"
 
 #: Current checkpoint format version (bump on incompatible change).
-#: Version 2 pickles hosts and clusters around the cluster's counter
-#: ring; version 1 files are refused.
-CHECKPOINT_VERSION = 2
+#: Version 3 summaries hold a columnar final report; version 2 files
+#: (whose summaries pickle the removed per-VM fleet report) and version
+#: 1 files (hosts and clusters before the counter ring) are refused.
+CHECKPOINT_VERSION = 3
 
 #: Checkpoint kinds :meth:`~repro.fleet.fleet.Fleet.resume` reads.
 #: Every snapshot is written as ``"fleet"`` (with ``meta.regions`` set
@@ -303,7 +304,8 @@ class Checkpoint:
             raise CheckpointError(
                 f"checkpoint version {version} is older than the supported "
                 f"version {CHECKPOINT_VERSION}; its pickled state predates "
-                "the current host and cluster layout and cannot be resumed"
+                "the current fleet state and report layout and cannot be "
+                "resumed"
             )
         return cls(meta=meta, payload=blob[header_len + meta_len :])
 

@@ -8,8 +8,7 @@ health alerts — and renders either an auto-refreshing terminal view
 (:meth:`FleetDashboard.render`) or a JSON document
 (:meth:`FleetDashboard.snapshot`) for scraping.  It never buffers
 reports and never drives the simulation itself, so watching a fleet
-costs O(shards) memory whatever the run length, and both report kinds
-(full and columnar) feed it equally — exactly what
+costs O(shards) memory whatever the run length — exactly what
 ``examples/run_service.py`` wires together.
 """
 
@@ -20,25 +19,8 @@ import time
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional
 
-from repro.fleet.fleet import Fleet, FleetReport, RunOptions
-
-
-def _shard_numbers(shard_report: object) -> Dict[str, int]:
-    """One shard report (full or columnar) as plain counters.
-
-    Both kinds expose ``analyzer_invocations()`` and
-    ``confirmed_count()``; the observation count is a method of the
-    columnar report and the length of an ``EpochReport``'s lazy
-    observation mapping, which this adapter hides from the dashboard.
-    """
-    observations = shard_report.observations
-    return {
-        "observations": (
-            int(observations()) if callable(observations) else len(observations)
-        ),
-        "analyzer_invocations": int(shard_report.analyzer_invocations()),
-        "confirmed": int(shard_report.confirmed_count()),
-    }
+from repro.fleet.executor import ColumnarFleetReport
+from repro.fleet.fleet import Fleet, RunOptions
 
 
 class FleetDashboard:
@@ -89,12 +71,16 @@ class FleetDashboard:
 
     # ------------------------------------------------------------------
     def observe(
-        self, report: FleetReport, epoch_seconds: Optional[float] = None
+        self, report: ColumnarFleetReport, epoch_seconds: Optional[float] = None
     ) -> None:
         """Fold one epoch report into the rolling telemetry."""
         self.epochs_observed += 1
         self._last_shards = {
-            shard_id: _shard_numbers(shard_report)
+            shard_id: {
+                "observations": shard_report.observations(),
+                "analyzer_invocations": shard_report.analyzer_invocations(),
+                "confirmed": shard_report.confirmed_count(),
+            }
             for shard_id, shard_report in report.shard_reports.items()
         }
         for numbers in self._last_shards.values():
@@ -111,7 +97,7 @@ class FleetDashboard:
 
     def watch(
         self, epochs: int, options: Optional[RunOptions] = None
-    ) -> Iterator[FleetReport]:
+    ) -> Iterator[ColumnarFleetReport]:
         """Stream the fleet through the dashboard, timing every epoch.
 
         A thin wrapper over ``fleet.stream``: each epoch is timed,

@@ -8,7 +8,7 @@ epochs run:
   :class:`~concurrent.futures.ProcessPoolExecutor` per shard group.
   Each worker process receives its shards' **full simulation state once**
   (pickled at start-up), owns it for the rest of the run, and publishes
-  its columnar epoch results through double-buffered
+  its epoch results through double-buffered
   :mod:`multiprocessing.shared_memory` segments
   (:mod:`repro.fleet.shm`): decision arrays and counter-total rows are
   written in place and only a tiny descriptor crosses the pool pipe, so
@@ -19,9 +19,13 @@ Both run the same per-epoch loop, :func:`step_shards` (lifecycle
 events, then the stress schedule, then every shard's epoch in
 insertion order) — the serial strategy in the fleet process, the
 process strategy inside each worker against its own shard subset.
-Results merge in shard insertion order and every shard evolves from its
-own pickled RNG state, so a fleet run is **bit-identical for any worker
-count** (pinned by ``tests/integration/test_parallel_fleet.py``).
+Each converts every shard's :class:`~repro.core.deepdive.EpochReport`
+with :func:`columnar_from_report` — the serial strategy as it returns
+them, a worker before its shared-memory write — so the fleet always
+receives :class:`ColumnarShardReport` columns.  Results merge in shard
+insertion order and every shard evolves from its own pickled RNG
+state, so a fleet run is **bit-identical for any worker count**
+(pinned by ``tests/integration/test_parallel_fleet.py``).
 
 The process strategy deliberately uses *dedicated* single-worker pools
 instead of one shared pool: task-to-worker affinity is what lets each
@@ -123,7 +127,7 @@ def apply_stress_schedule(
 
 
 # ----------------------------------------------------------------------
-# Columnar epoch results (the process strategy's wire format)
+# Columnar epoch results (every executor's fleet report)
 # ----------------------------------------------------------------------
 @dataclass
 class ColumnarShardReport:
@@ -134,7 +138,9 @@ class ColumnarShardReport:
     everything the fleet aggregates — actions, analyzer invocations,
     confirmations, distances and sibling counts — without materialising
     per-VM observation objects, which is what keeps the parent/worker
-    exchange cheap at 10k VMs.
+    exchange cheap at 10k VMs.  Per-VM observations stay available at
+    the shard level (:meth:`~repro.fleet.fleet.FleetShard.run_epoch`
+    returns the full :class:`~repro.core.deepdive.EpochReport`).
 
     ``vm_names`` may be ``None`` in transit when the shard's VM set is
     unchanged since the previously shipped epoch (the common steady
@@ -197,15 +203,30 @@ class ColumnarShardReport:
     def action_histogram(self) -> Dict[str, int]:
         return action_histogram(self.action_counts())
 
+    def copy(self) -> "ColumnarShardReport":
+        """The same report over arrays of its own (no shared memory)."""
+        return dataclass_replace(
+            self,
+            action_codes=self.action_codes.copy(),
+            distances=self.distances.copy(),
+            siblings_consulted=self.siblings_consulted.copy(),
+            siblings_agreeing=self.siblings_agreeing.copy(),
+            analyzed=self.analyzed.copy(),
+            confirmed=self.confirmed.copy(),
+            counter_totals=(
+                None if self.counter_totals is None else self.counter_totals.copy()
+            ),
+        )
+
 
 @dataclass
 class ColumnarFleetReport:
-    """Fleet-wide columnar epoch outcome (mirrors ``FleetEpochReport``).
+    """The fleet-wide outcome of one monitoring epoch, one
+    :class:`ColumnarShardReport` per shard in shard insertion order.
 
-    Exposes the same aggregate API as
-    :class:`~repro.fleet.fleet.FleetEpochReport`, so
-    :meth:`~repro.fleet.fleet.FleetRunSummary.accumulate` consumes either
-    interchangeably; only the per-VM observation objects are absent.
+    Under the process executor the arrays are views into the workers'
+    shared-memory buffers, valid for two further epochs; :meth:`copy`
+    gives a report that may be held for longer.
     """
 
     epoch: int
@@ -262,6 +283,16 @@ class ColumnarFleetReport:
                 available = True
         return total if available else None
 
+    def copy(self) -> "ColumnarFleetReport":
+        """The same report over arrays of its own (no shared memory)."""
+        return dataclass_replace(
+            self,
+            shard_reports={
+                shard_id: report.copy()
+                for shard_id, report in self.shard_reports.items()
+            },
+        )
+
 
 def columnar_from_report(
     shard_id: str, epoch: int, report: "EpochReport", shard: "FleetShard"
@@ -282,40 +313,22 @@ def columnar_from_report(
     )
 
 
-#: A strategy's per-shard epoch result: the full report or its columns.
-ShardEpochResult = Union["EpochReport", ColumnarShardReport]
-
-
-def _shard_epoch(
-    shard_id: str,
-    shard: "FleetShard",
-    epoch: int,
-    analyze: bool,
-    report: str,
-    telemetry: Union[TelemetryRegistry, WorkerSpanBuffer, None] = None,
-) -> ShardEpochResult:
-    epoch_report = shard.run_epoch(analyze=analyze, telemetry=telemetry, epoch=epoch)
-    if report == "full":
-        return epoch_report
-    return columnar_from_report(shard_id, epoch, epoch_report, shard)
-
-
 def step_shards(
     shards: Mapping[str, "FleetShard"],
     schedule: Sequence["ScheduledStress"],
     lifecycle: Optional["LifecycleEngine"],
     epoch: int,
     analyze: bool,
-    report: str,
     telemetry: Union[TelemetryRegistry, WorkerSpanBuffer, None] = None,
-) -> Dict[str, ShardEpochResult]:
+) -> Dict[str, "EpochReport"]:
     """Advance ``shards`` by one epoch, wherever their state lives.
 
     Lifecycle events run first (they may move or remove the very VMs
     the stress schedule addresses), then the stress schedule, then each
     shard's epoch in insertion order.  ``telemetry`` is the fleet's
     registry or a worker's span buffer; deep spans are recorded only on
-    its sampled epochs.
+    its sampled epochs.  Each executor converts the returned reports
+    with :func:`columnar_from_report` at its own boundary.
     """
     deep = telemetry.deep(epoch) if telemetry is not None else None
     with deep.span("lifecycle", epoch) if deep is not None else nullcontext():
@@ -323,7 +336,7 @@ def step_shards(
             lifecycle.apply(shards, epoch)
         apply_stress_schedule(shards, schedule, epoch)
     return {
-        shard_id: _shard_epoch(shard_id, shard, epoch, analyze, report, deep)
+        shard_id: shard.run_epoch(analyze=analyze, telemetry=deep, epoch=epoch)
         for shard_id, shard in shards.items()
     }
 
@@ -346,17 +359,22 @@ class SerialShardExecutor:
         self._telemetry = telemetry
 
     def run_shard_epochs(
-        self, epoch: int, analyze: bool, report: str
-    ) -> Dict[str, ShardEpochResult]:
-        return step_shards(
+        self, epoch: int, analyze: bool
+    ) -> Dict[str, ColumnarShardReport]:
+        reports = step_shards(
             self._shards,
             self._schedule,
             self._lifecycle,
             epoch,
             analyze,
-            report,
             self._telemetry,
         )
+        return {
+            shard_id: columnar_from_report(
+                shard_id, epoch, report, self._shards[shard_id]
+            )
+            for shard_id, report in reports.items()
+        }
 
     def bootstrap(self) -> None:
         for shard in self._shards.values():
@@ -399,9 +417,7 @@ def _worker_bootstrap() -> None:
         shard.bootstrap()
 
 
-def _worker_run_epoch(
-    epoch: int, analyze: bool, report: str
-) -> Union[ShmEpochDescriptor, List[Tuple[str, ShardEpochResult]]]:
+def _worker_run_epoch(epoch: int, analyze: bool) -> ShmEpochDescriptor:
     shards: Dict[str, "FleetShard"] = _WORKER_STATE["shards"]
     sent_names: Dict[str, Tuple[str, ...]] = _WORKER_STATE["sent_names"]
     faults: Optional[FaultPlan] = _WORKER_STATE.get("faults")
@@ -410,64 +426,53 @@ def _worker_run_epoch(
         faults.fire(epoch, "before")
     # Each worker owns its shards' lifecycle subset; churn therefore
     # happens where the state lives, epochs before the stress toggle.
-    results = step_shards(
+    reports = step_shards(
         shards,
         _WORKER_STATE["schedule"],
         _WORKER_STATE.get("lifecycle"),
         epoch,
         analyze,
-        report,
         buffer,
     )
-    out: List[Tuple[str, ShardEpochResult]] = []
-    for shard_id, result in results.items():
-        if isinstance(result, ColumnarShardReport):
-            # Ship the VM-name table only when it changed — steady-state
-            # epochs are pure arrays on the wire.
-            if sent_names.get(shard_id) == result.vm_names:
-                result.vm_names = None
-            else:
-                sent_names[shard_id] = result.vm_names
-        out.append((shard_id, result))
+    results: List[ColumnarShardReport] = []
+    for shard_id, report in reports.items():
+        result = columnar_from_report(shard_id, epoch, report, shards[shard_id])
+        # Ship the VM-name table only when it changed — steady-state
+        # epochs are pure arrays on the wire.
+        if sent_names.get(shard_id) == result.vm_names:
+            result.vm_names = None
+        else:
+            sent_names[shard_id] = result.vm_names
+        results.append(result)
     if faults:
         # "mid": state advanced, results not yet shipped.
         faults.fire(epoch, "mid")
-    if report == "columnar":
-        # Columnar epochs travel through shared memory: the decision
-        # arrays and counter rows are written in place and only the
-        # descriptor (plus any changed VM-name tables) hits the pipe.
-        writer = _WORKER_STATE.get("shm_writer")
-        if writer is None:
-            writer = ShmBlockWriter(len(shards))
-            _WORKER_STATE["shm_writer"] = writer
-        descriptor = writer.write(epoch, [result for _, result in out])
-        if buffer is not None:
-            # Worker spans ride the columnar descriptor — a few dozen
-            # bytes on sampled epochs — so the pipe stays tiny.
-            descriptor = dataclass_replace(descriptor, spans=buffer.drain())
-        if faults:
-            faults.fire(epoch, "after")
-            descriptor = faults.mangle(epoch, descriptor)
-        return descriptor
+    # The decision arrays and counter rows are written in place in
+    # shared memory; only the descriptor (plus any changed VM-name
+    # tables) hits the pipe.
+    writer = _WORKER_STATE.get("shm_writer")
+    if writer is None:
+        writer = ShmBlockWriter(len(shards))
+        _WORKER_STATE["shm_writer"] = writer
+    descriptor = writer.write(epoch, results)
+    if buffer is not None:
+        # Worker spans ride the descriptor — a few dozen bytes on
+        # sampled epochs — so the pipe stays tiny.
+        descriptor = dataclass_replace(descriptor, spans=buffer.drain())
     if faults:
         faults.fire(epoch, "after")
-    if buffer is not None:
-        # Full-report epochs have no descriptor to carry spans on;
-        # discard instead of letting the buffer grow (the coarse parent
-        # spans still cover these epochs).
-        buffer.drain()
-    return out
+        descriptor = faults.mangle(epoch, descriptor)
+    return descriptor
 
 
 def _worker_replay(steps: Sequence[Tuple[int, bool]]) -> int:
     """Re-run epochs state-only during supervised recovery.
 
     Runs :func:`_worker_run_epoch`'s loop, :func:`step_shards`, with the
-    recorded ``analyze`` flags, full reports (no flattening) and no
-    spans, and ships nothing: the discarded reports are pure reads, so
-    the missed epochs replay bit-identically.  Injected faults never
-    fire during replay (the respawn payload already dropped the fired
-    ones).
+    recorded ``analyze`` flags and no spans, and ships nothing: the
+    discarded reports are pure reads, so the missed epochs replay
+    bit-identically.  Injected faults never fire during replay (the
+    respawn payload already dropped the fired ones).
     """
     for epoch, analyze in steps:
         step_shards(
@@ -476,7 +481,6 @@ def _worker_replay(steps: Sequence[Tuple[int, bool]]) -> int:
             _WORKER_STATE.get("lifecycle"),
             epoch,
             analyze,
-            "full",
         )
     return len(steps)
 
@@ -540,17 +544,16 @@ class ProcessShardExecutor:
     results in shard insertion order, so results are identical to serial
     execution for any worker count.
 
-    Columnar epochs are exchanged through each worker's double-buffered
+    Epochs are exchanged through each worker's double-buffered
     shared-memory segments (:mod:`repro.fleet.shm`): the worker writes
     decision arrays and counter rows in place and ships only a
     descriptor, and the parent serves NumPy views straight off the
     segments.  Such views stay valid until the worker rewrites the same
-    buffer — two further columnar epochs — which the hot
-    ``keep_reports=False`` loop never outlives; copy the arrays to hold
-    a columnar report longer.  The parent owns segment cleanup: shutdown
-    (or interpreter exit, via ``weakref.finalize``) closes and unlinks
-    every attached segment, so no ``/dev/shm`` entries survive a run,
-    killed workers included.
+    buffer — two further epochs; :meth:`ColumnarFleetReport.copy` gives
+    a report that may be held longer.  The parent owns segment cleanup:
+    shutdown (or interpreter exit, via ``weakref.finalize``) closes and
+    unlinks every attached segment, so no ``/dev/shm`` entries survive a
+    run, killed workers included.
 
     The parent's shard objects are only the start-of-run template: once
     workers hold the state, mutating them (or the schedule) from the
@@ -724,20 +727,15 @@ class ProcessShardExecutor:
         return pool
 
     def _receive(
-        self,
-        index: int,
-        result: Union[ShmEpochDescriptor, List[Tuple[str, ShardEpochResult]]],
-    ) -> List[Tuple[str, ShardEpochResult]]:
-        """One group's epoch result as ``(shard_id, result)`` pairs.
+        self, index: int, result: ShmEpochDescriptor
+    ) -> List[Tuple[str, ColumnarShardReport]]:
+        """One group's epoch result as ``(shard_id, report)`` pairs.
 
-        Full-report epochs arrive as the pairs themselves.  A columnar
-        epoch's payload lives in the worker's shared segments: the
+        The payload lives in the worker's shared segments: the
         descriptor is read into views (remapping on a regrow handshake)
         and folded into the telemetry bus — its pipe cost, any regrow,
         and the worker's spans.
         """
-        if not isinstance(result, ShmEpochDescriptor):
-            return result
         reader = self._readers[index]
         regrows_before = reader.regrows
         pairs = reader.read(result)
@@ -756,23 +754,20 @@ class ProcessShardExecutor:
 
     def _commit_pairs(
         self,
-        pairs: Sequence[Tuple[str, ShardEpochResult]],
-        merged: Dict[str, ShardEpochResult],
+        pairs: Sequence[Tuple[str, ColumnarShardReport]],
+        merged: Dict[str, ColumnarShardReport],
     ) -> None:
-        for shard_id, shard_result in pairs:
-            merged[shard_id] = shard_result
+        for shard_id, shard_report in pairs:
+            merged[shard_id] = shard_report
             # Commit name tables as they arrive, before the ordered
             # merge, so a later worker's failure cannot desync the
             # elision caches.
-            if (
-                isinstance(shard_result, ColumnarShardReport)
-                and shard_result.vm_names is not None
-            ):
-                self._names_cache[shard_id] = shard_result.vm_names
+            if shard_report.vm_names is not None:
+                self._names_cache[shard_id] = shard_report.vm_names
 
     def run_shard_epochs(
-        self, epoch: int, analyze: bool, report: str
-    ) -> Dict[str, ShardEpochResult]:
+        self, epoch: int, analyze: bool
+    ) -> Dict[str, ColumnarShardReport]:
         if self._broken:
             raise RuntimeError(
                 "a previous fleet epoch failed mid-flight, so the worker-side "
@@ -786,7 +781,7 @@ class ProcessShardExecutor:
         timeout = (
             supervisor.policy.heartbeat_timeout if supervisor is not None else None
         )
-        merged: Dict[str, ShardEpochResult] = {}
+        merged: Dict[str, ColumnarShardReport] = {}
         futures: List[Optional[object]] = [None] * len(pools)
         failures: List[Tuple[int, BaseException]] = []
         telemetry = self._telemetry
@@ -802,9 +797,7 @@ class ProcessShardExecutor:
                 try:
                     # A pool that already noticed a dead worker raises
                     # BrokenProcessPool at submit time.
-                    futures[index] = pool.submit(
-                        _worker_run_epoch, epoch, analyze, report
-                    )
+                    futures[index] = pool.submit(_worker_run_epoch, epoch, analyze)
                 except BaseException as exc:  # noqa: BLE001 - classified below
                     failures.append((index, exc))
             for index, future in enumerate(futures):
@@ -834,7 +827,7 @@ class ProcessShardExecutor:
             self._drain_descriptors(futures)
             raise failures[0][1]
         for index, exc in failures:
-            pairs = supervisor.recover(index, epoch, analyze, report, exc)
+            pairs = supervisor.recover(index, epoch, analyze, exc)
             if pairs is not None:
                 self._commit_pairs(pairs, merged)
         if supervisor is not None:
@@ -922,14 +915,13 @@ class ProcessShardExecutor:
         index: int,
         epoch: int,
         analyze: bool,
-        report: str,
         timeout: Optional[float],
-    ) -> List[Tuple[str, ShardEpochResult]]:
+    ) -> List[Tuple[str, ColumnarShardReport]]:
         """Run one epoch on one group (the recovery re-run)."""
         return self._receive(
             index,
             self._pools[index]
-            .submit(_worker_run_epoch, epoch, analyze, report)
+            .submit(_worker_run_epoch, epoch, analyze)
             .result(timeout=timeout),
         )
 
@@ -990,9 +982,7 @@ class ProcessShardExecutor:
             if future is None:
                 continue
             try:
-                result = future.result(timeout=5.0)
-                if isinstance(result, ShmEpochDescriptor):
-                    reader.read(result)
+                reader.read(future.result(timeout=5.0))
             except BaseException:
                 continue
         attached = {
@@ -1005,8 +995,8 @@ class ProcessShardExecutor:
                 unlink_worker_segments(health.pid, skip=attached)
 
     def _ordered_merge(
-        self, epoch: int, merged: Dict[str, ShardEpochResult]
-    ) -> Dict[str, ShardEpochResult]:
+        self, epoch: int, merged: Dict[str, ColumnarShardReport]
+    ) -> Dict[str, ColumnarShardReport]:
         """Validate the collected shard set and merge in insertion order.
 
         A worker returning an unexpected or incomplete shard set (or a
@@ -1030,12 +1020,12 @@ class ProcessShardExecutor:
                 f"{unexpected or 'none'}); the worker states are no longer "
                 "in lock step — build a new Fleet"
             )
-        out: Dict[str, ShardEpochResult] = {}
+        out: Dict[str, ColumnarShardReport] = {}
         for shard_id in self._shard_order:
             if shard_id in quarantined:
                 continue
             result = merged[shard_id]
-            if isinstance(result, ColumnarShardReport) and result.vm_names is None:
+            if result.vm_names is None:
                 names = self._names_cache.get(shard_id)
                 if names is None:
                     self._broken = True

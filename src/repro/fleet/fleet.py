@@ -27,13 +27,13 @@ bit-identical to the flat one (``tests/property/test_region_equivalence.py``).
 One run surface serves every topology: :meth:`Fleet.stream` is the
 primitive (one report per epoch, nothing buffered), configured by a
 typed :class:`RunOptions`, and ``run`` / ``run_epoch`` /
-``run_summaries`` are built on it.  The ``"auto"`` report mode encodes
-the hot-loop heuristic as data: streamed epochs travel columnar under
-the process executor except the final one, which is a full report;
-buffered runs and other executors resolve to full reports.  Columnar
-reports from a process fleet are shared-memory views valid for two
-further columnar epochs — exactly why ``"auto"`` never hands them to a
-buffering caller.
+``run_summaries`` are built on it.  Every epoch reports one
+:class:`~repro.fleet.executor.ColumnarFleetReport` of per-shard
+decision columns, whatever the executor; per-VM observations stay at
+the shard level (:meth:`FleetShard.run_epoch`).  Reports from a process
+fleet are shared-memory views valid for two further epochs, so ``run``
+copies the reports it buffers and :class:`FleetRunSummary` copies the
+final report it keeps.
 """
 
 from __future__ import annotations
@@ -54,19 +54,16 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from repro.core.config import DeepDiveConfig
 from repro.core.deepdive import DeepDive, EpochReport
 from repro.core.events import InterferenceDetectedEvent, MigrationEvent
 from repro.fleet.checkpoint import CHECKPOINT_VERSION, Checkpoint
 from repro.fleet.executor import (
     EXECUTOR_KINDS,
-    WARNING_ACTIONS,
     ColumnarFleetReport,
+    ColumnarShardReport,
     ProcessShardExecutor,
     SerialShardExecutor,
-    action_histogram,
 )
 from repro.fleet.faults import FaultPlan
 from repro.fleet.lifecycle import LifecycleEngine, LifecycleStats
@@ -82,10 +79,6 @@ from repro.fleet.telemetry import (
 from repro.virt.cluster import Cluster
 from repro.virt.sandbox import SandboxEnvironment
 
-#: Report modes accepted by :class:`RunOptions`.
-REPORT_MODES = ("full", "columnar", "auto")
-
-
 @dataclass(frozen=True)
 class RunOptions:
     """Typed per-run configuration of :meth:`Fleet.stream` and friends.
@@ -97,13 +90,10 @@ class RunOptions:
     analyze:
         Whether warning suspicions may invoke the analyzer.
     report:
-        ``"full"`` — per-VM :class:`FleetEpochReport` every epoch;
-        ``"columnar"`` — flat decision arrays
-        (:class:`~repro.fleet.executor.ColumnarFleetReport`, the process
-        executor's native exchange format); ``"auto"`` (default) — the
-        right one per epoch: streamed epochs under the process executor
-        travel columnar except the last (which is full), everything else
-        resolves to full.
+        Only ``"columnar"``: every epoch reports a
+        :class:`~repro.fleet.executor.ColumnarFleetReport`.  Any other
+        value, the removed full and auto modes included, raises
+        :class:`ValueError`.
     keep_reports:
         Only read by :meth:`Fleet.run`: ``True`` buffers one report per
         epoch, ``False`` folds the stream into a constant-memory
@@ -111,13 +101,16 @@ class RunOptions:
     """
 
     analyze: bool = True
-    report: str = "auto"
+    report: str = "columnar"
     keep_reports: bool = True
 
     def __post_init__(self) -> None:
-        if self.report not in REPORT_MODES:
+        if self.report != "columnar":
             raise ValueError(
-                f"unknown report mode {self.report!r}; choose from {REPORT_MODES}"
+                f"report mode {self.report!r} is not supported: the 'full' "
+                "and 'auto' modes were removed, and every fleet epoch "
+                "reports columnar (per-VM observations stay available from "
+                "FleetShard.run_epoch)"
             )
 
 
@@ -319,60 +312,13 @@ class FleetShard:
 
 
 @dataclass
-class FleetEpochReport:
-    """The fleet-wide outcome of one monitoring epoch."""
-
-    epoch: int
-    #: Per-shard epoch reports (shard id -> report).
-    shard_reports: Dict[str, EpochReport] = field(default_factory=dict)
-    #: Shards excluded this epoch by quarantined workers (graceful
-    #: degradation) — explicit, so a degraded fleet never just shrinks.
-    missing_shards: Tuple[str, ...] = ()
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.missing_shards)
-
-    def observations(self) -> int:
-        return sum(len(r.observations) for r in self.shard_reports.values())
-
-    def analyzer_invocations(self) -> int:
-        return sum(r.analyzer_invocations() for r in self.shard_reports.values())
-
-    def confirmed_interference(self) -> List[Tuple[str, str]]:
-        """(shard id, vm name) pairs with confirmed interference this epoch."""
-        return [
-            (shard_id, vm_name)
-            for shard_id, report in self.shard_reports.items()
-            for vm_name in report.confirmed_interference()
-        ]
-
-    def confirmed_count(self) -> int:
-        """Number of confirmed-interference observations this epoch,
-        counted off the reports' columns."""
-        return sum(r.confirmed_count() for r in self.shard_reports.values())
-
-    def action_histogram(self) -> Dict[str, int]:
-        """Warning-action counts across the whole fleet."""
-        counts = np.zeros(len(WARNING_ACTIONS), dtype=np.int64)
-        for report in self.shard_reports.values():
-            counts += report.action_counts()
-        return action_histogram(counts)
-
-
-#: A fleet-wide epoch report of either kind (both expose the same
-#: aggregate API, so summaries and dashboards consume them alike).
-FleetReport = Union[FleetEpochReport, ColumnarFleetReport]
-
-
-@dataclass
 class FleetRunSummary:
     """Memory-bounded aggregate of a multi-epoch fleet run.
 
     Returned by :meth:`Fleet.run` with ``keep_reports=False``: instead of
-    one :class:`FleetEpochReport` per epoch (every VM observation of
-    every epoch stays alive), only running totals and the final epoch's
-    report are retained — constant memory regardless of run length.
+    one report per epoch, only running totals and a copy of the final
+    epoch's report are retained — constant memory regardless of run
+    length.
     """
 
     epochs: int = 0
@@ -382,8 +328,9 @@ class FleetRunSummary:
     confirmed_interference: int = 0
     #: Warning-action counts accumulated over the whole run.
     action_histogram: Dict[str, int] = field(default_factory=dict)
-    #: The last epoch's full report (steady-state snapshot).
-    final_report: Optional[FleetEpochReport] = None
+    #: A copy of the last epoch's report (steady-state snapshot); it
+    #: owns its arrays, so it outlives the shared-memory views.
+    final_report: Optional[ColumnarFleetReport] = None
     #: Union of the shards any epoch ran without (quarantined workers),
     #: in first-seen order — a degraded run manifests its gaps.
     missing_shards: Tuple[str, ...] = ()
@@ -397,7 +344,7 @@ class FleetRunSummary:
             if shard_id not in self.missing_shards:
                 self.missing_shards = self.missing_shards + (shard_id,)
 
-    def accumulate(self, report: FleetEpochReport) -> None:
+    def accumulate(self, report: ColumnarFleetReport) -> None:
         """Fold one epoch report into the running totals."""
         self.epochs += 1
         self.observations += report.observations()
@@ -407,8 +354,8 @@ class FleetRunSummary:
             self.action_histogram[action] = (
                 self.action_histogram.get(action, 0) + count
             )
-        self._note_missing(getattr(report, "missing_shards", ()))
-        self.final_report = report
+        self._note_missing(report.missing_shards)
+        self.final_report = report.copy()
 
     def extend(self, later: "FleetRunSummary") -> "FleetRunSummary":
         """Append a continuation run's totals to this summary, in place.
@@ -467,14 +414,13 @@ class FleetRunSummary:
                 )
         finals = [s.final_report for s in summaries]
         if all(final is not None for final in finals):
-            kinds = {type(final) for final in finals}
             final_epochs = {final.epoch for final in finals}
-            if len(kinds) != 1 or len(final_epochs) != 1:
+            if len(final_epochs) != 1:
                 raise ValueError(
-                    "final reports disagree on epoch or report kind; "
-                    "summaries are not partitions of one run"
+                    "final reports disagree on epoch; summaries are not "
+                    "partitions of one run"
                 )
-            merged_shards: Dict[str, object] = {}
+            merged_shards: Dict[str, ColumnarShardReport] = {}
             for final in finals:
                 for shard_id, report in final.shard_reports.items():
                     if shard_id in merged_shards:
@@ -485,10 +431,10 @@ class FleetRunSummary:
                     merged_shards[shard_id] = report
             merged_missing: List[str] = []
             for final in finals:
-                for shard_id in getattr(final, "missing_shards", ()):
+                for shard_id in final.missing_shards:
                     if shard_id not in merged_missing:
                         merged_missing.append(shard_id)
-            out.final_report = kinds.pop()(
+            out.final_report = ColumnarFleetReport(
                 epoch=final_epochs.pop(),
                 shard_reports=merged_shards,
                 missing_shards=tuple(merged_missing),
@@ -699,63 +645,42 @@ class Fleet:
                 self._last_collected = strategy.collect()
         return self._last_collected
 
-    def _step_epoch(
-        self, analyze: bool, report: str
-    ) -> Union[FleetEpochReport, ColumnarFleetReport]:
+    def _step_epoch(self, analyze: bool) -> ColumnarFleetReport:
         """Advance the whole fleet by one epoch (the stream primitive).
 
         Shards run under the configured execution strategy; reports
         always merge in shard insertion order, so the outcome is
-        identical to the serial loop for any worker count.  ``report``
-        is the resolved mode: ``"full"`` returns a
-        :class:`FleetEpochReport` with per-VM observations,
-        ``"columnar"`` a
-        :class:`~repro.fleet.executor.ColumnarFleetReport` of flat
-        decision arrays — the process strategy's native exchange format.
-        Under the process strategy the columnar arrays are NumPy views
-        into the workers' double-buffered shared-memory segments
+        identical to the serial loop for any worker count.  Under the
+        process strategy the report's arrays are NumPy views into the
+        workers' double-buffered shared-memory segments
         (:mod:`repro.fleet.shm`), valid until the same buffer's next
-        turn — two further columnar epochs; copy them to hold a report
-        longer.
+        turn — two further epochs; :meth:`ColumnarFleetReport.copy`
+        holds a report longer.
         """
-        if report not in ("full", "columnar"):
-            raise ValueError(f"unknown report mode {report!r}")
         strategy = self._shard_strategy()
-        shard_reports = strategy.run_shard_epochs(
-            self.current_epoch, analyze=analyze, report=report
-        )
+        shard_reports = strategy.run_shard_epochs(self.current_epoch, analyze=analyze)
         # Worker-side state advanced; drop the cached statistics snapshot.
         self._last_collected = None
-        missing = tuple(getattr(strategy, "quarantined_shards", ()) or ())
-        if report == "full":
-            out: Union[FleetEpochReport, ColumnarFleetReport] = FleetEpochReport(
-                epoch=self.current_epoch,
-                shard_reports=shard_reports,
-                missing_shards=missing,
-            )
-        else:
-            out = ColumnarFleetReport(
-                epoch=self.current_epoch,
-                shard_reports=shard_reports,
-                missing_shards=missing,
-            )
+        out = ColumnarFleetReport(
+            epoch=self.current_epoch,
+            shard_reports=shard_reports,
+            missing_shards=tuple(getattr(strategy, "quarantined_shards", ()) or ()),
+        )
         self.current_epoch += 1
         return out
 
     def stream(
         self, epochs: int, options: Optional[RunOptions] = None
-    ) -> Iterator[FleetReport]:
+    ) -> Iterator[ColumnarFleetReport]:
         """Advance the fleet epoch by epoch, yielding each report.
 
         The single primitive every other run entry point builds on:
         nothing is buffered, so a stream consumes constant memory for
         any run length — fold reports into running aggregates (a
-        :class:`FleetRunSummary`, a dashboard) as they arrive.  With
-        ``report="auto"`` (default) epochs under the process executor
-        travel as columnar shared-memory views (valid for two further
-        columnar epochs — consume promptly or copy) and the final epoch
-        materialises a full report; other executors stream full reports
-        throughout.
+        :class:`FleetRunSummary`, a dashboard) as they arrive.  Under
+        the process executor each report is a shared-memory view valid
+        for two further epochs: consume it promptly or
+        :meth:`~repro.fleet.executor.ColumnarFleetReport.copy` it.
 
         The stream is lazy: epochs run as the iterator is advanced, and
         abandoning it mid-run simply stops the clock — the fleet can
@@ -767,32 +692,22 @@ class Fleet:
             raise ValueError("epochs must be non-negative")
         options = _check_options(options)
 
-        def _generate() -> Iterator[FleetReport]:
-            for i in range(epochs):
-                mode = options.report
-                if mode == "auto":
-                    columnar = self.executor == "process" and i < epochs - 1
-                    mode = "columnar" if columnar else "full"
+        def _generate() -> Iterator[ColumnarFleetReport]:
+            for _ in range(epochs):
                 telemetry = self.telemetry
                 if telemetry is None:
-                    yield self._step_epoch(analyze=options.analyze, report=mode)
+                    yield self._step_epoch(analyze=options.analyze)
                     continue
                 with telemetry.span("epoch", self.current_epoch):
-                    report = self._step_epoch(
-                        analyze=options.analyze, report=mode
-                    )
+                    report = self._step_epoch(analyze=options.analyze)
                 telemetry.inc(C_EPOCHS)
                 telemetry.inc(C_VM_EPOCHS, report.observations())
                 yield report
 
         return _generate()
 
-    def run_epoch(self, options: Optional[RunOptions] = None) -> FleetReport:
-        """Advance the whole fleet by one epoch (``stream(1)``).
-
-        A single ``"auto"`` epoch is its own final epoch, so it resolves
-        to a full report.
-        """
+    def run_epoch(self, options: Optional[RunOptions] = None) -> ColumnarFleetReport:
+        """Advance the whole fleet by one epoch (``stream(1)``)."""
         stream = self.stream(1, options)
         try:
             return next(stream)
@@ -801,22 +716,18 @@ class Fleet:
 
     def run(
         self, epochs: int, options: Optional[RunOptions] = None
-    ) -> Union[List[FleetReport], FleetRunSummary]:
+    ) -> Union[List[ColumnarFleetReport], FleetRunSummary]:
         """Run several epochs off one stream.
 
         With ``options.keep_reports=True`` (default) the stream is
-        buffered into one report per epoch (``"auto"`` then resolves to
-        full reports — columnar shared-memory views must not outlive
-        their validity window in a buffer).  With ``keep_reports=False``
-        the stream folds into a constant-memory :class:`FleetRunSummary`;
-        under the process executor ``"auto"`` then keeps the columnar
-        hot loop — columnar intermediates, one full final epoch.
+        buffered into one copied report per epoch (shared-memory views
+        must not outlive their validity window in a buffer).  With
+        ``keep_reports=False`` the stream folds into a constant-memory
+        :class:`FleetRunSummary`.
         """
         options = _check_options(options)
         if options.keep_reports:
-            if options.report == "auto":
-                options = replace(options, report="full")
-            return list(self.stream(epochs, options))
+            return [report.copy() for report in self.stream(epochs, options)]
         summary = FleetRunSummary()
         for report in self.stream(epochs, options):
             summary.accumulate(report)
@@ -842,7 +753,7 @@ class Fleet:
         for report in self.stream(epochs, options):
             for region_id, shard_ids in members.items():
                 out[region_id].accumulate(
-                    type(report)(
+                    ColumnarFleetReport(
                         epoch=report.epoch,
                         shard_reports={
                             sid: shard_report

@@ -8,8 +8,8 @@ single-worker process executor measurably *slower* than the serial loop
 the bulk payload into :mod:`multiprocessing.shared_memory`:
 
 * Each worker owns a **double-buffered pair of shared segments**, sized
-  from its shards' VM counts (plus slack for churn).  Every columnar
-  epoch the worker writes its shards' decision arrays — action codes,
+  from its shards' VM counts (plus slack for churn).  Every epoch the
+  worker writes its shards' decision arrays — action codes,
   distances, sibling counts, analyzed/confirmed flags — and the
   per-shard ``N_COUNTERS`` counter-total rows into the buffer whose turn
   it is, alternating buffers epoch over epoch.
@@ -27,9 +27,9 @@ epochs synchronously, so the worker never rewrites a buffer until the
 parent has submitted (at least) the next epoch.  Double buffering
 therefore gives parent-side views a documented validity window — the
 arrays of epoch ``e`` stay intact until the worker writes epoch
-``e + 2``.  Callers that hold a columnar report across epochs must copy
-(the hot ``Fleet.run(keep_reports=False)`` loop consumes each report
-immediately).
+``e + 2``.  Callers that hold a report across epochs must copy it
+(``ColumnarFleetReport.copy``), as ``Fleet.run`` does for the reports it
+buffers and ``FleetRunSummary`` for its final report.
 
 Cleanup is owned by the parent, which always learns every live segment
 name from the descriptors: :meth:`ShmBlockReader.close` (called from
@@ -218,7 +218,7 @@ class ShmEpochDescriptor:
 class ShmBlockWriter:
     """Worker-side double-buffered segment writer.
 
-    Created lazily on the first columnar epoch (by then churn may
+    Created lazily on the first epoch (by then churn may
     already have changed the shard sizes the segments are sized from).
     ``write`` alternates buffers and regrows the active buffer's segment
     when the shards outgrew it; replaced segments are closed locally and

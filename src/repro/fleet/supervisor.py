@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.fleet.telemetry import C_QUARANTINED, C_RECOVERIES, C_RESTARTS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fleet.executor import ProcessShardExecutor, ShardEpochResult
+    from repro.fleet.executor import ColumnarShardReport, ProcessShardExecutor
 
 #: Terminal behaviours once a worker's restart budget is exhausted.
 EXHAUSTION_MODES = ("raise", "quarantine")
@@ -209,9 +209,8 @@ class WorkerSupervisor:
         group: int,
         epoch: int,
         analyze: bool,
-        report: str,
         cause: BaseException,
-    ) -> Optional[List[Tuple[str, "ShardEpochResult"]]]:
+    ) -> Optional[List[Tuple[str, "ColumnarShardReport"]]]:
         """Recover one failed worker group and re-run the failed epoch.
 
         Returns the epoch's shard results on success, ``None`` when the
@@ -248,7 +247,6 @@ class WorkerSupervisor:
                         group,
                         epoch,
                         analyze,
-                        report,
                         timeout=self.policy.heartbeat_timeout,
                     )
                 except Exception as exc:  # noqa: BLE001 - retried, then surfaced

@@ -111,12 +111,23 @@ class TestFileFormat:
     def test_version_1_refused(self, fleet_checkpoint):
         """Version 1 pickled hosts and clusters before the cluster's
         counter ring; such a file is refused, naming both versions."""
-        assert CHECKPOINT_VERSION == 2
+        assert CHECKPOINT_VERSION == 3
         old = Checkpoint(
             meta={**fleet_checkpoint.meta, "version": 1},
             payload=fleet_checkpoint.payload,
         )
-        with pytest.raises(ValueError, match="version 1 is older.*version 2"):
+        with pytest.raises(ValueError, match="version 1 is older.*version 3"):
+            Checkpoint.from_bytes(old.to_bytes())
+
+    def test_version_2_refused(self, fleet_checkpoint):
+        """Version 2 summaries pickled the removed per-VM fleet report;
+        such a file is refused with a CheckpointError naming both
+        versions."""
+        old = Checkpoint(
+            meta={**fleet_checkpoint.meta, "version": 2},
+            payload=fleet_checkpoint.payload,
+        )
+        with pytest.raises(CheckpointError, match="version 2 is older.*version 3"):
             Checkpoint.from_bytes(old.to_bytes())
 
     def test_header_metadata_version_disagreement_refused(self, fleet_checkpoint):
@@ -298,7 +309,7 @@ class TestCacheFreeClusters:
     ring slot tables) resumes by rebuilding them, with identical
     columns."""
 
-    COLUMNAR = RunOptions(report="columnar")
+    COLUMNAR = RunOptions()
     CLUSTER_CACHES = (
         "_placement_items",
         "_placement_view",

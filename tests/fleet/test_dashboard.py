@@ -1,9 +1,9 @@
 """The live ops dashboard: telemetry folding, rendering, alerts.
 
 The dashboard is a pure stream consumer — it must track totals
-correctly off both report kinds, degrade gracefully when the fleet can
-no longer answer statistics, raise the documented health alerts, and
-emit a JSON-serialisable snapshot.
+correctly off every executor's reports, degrade gracefully when the
+fleet can no longer answer statistics, raise the documented health
+alerts, and emit a JSON-serialisable snapshot.
 """
 
 import json
@@ -68,9 +68,9 @@ class TestObserve:
         assert doc["throughput"]["last_epoch_seconds"] is not None
         assert doc["throughput"]["vm_epochs_per_second"] > 0
 
-    def test_columnar_and_full_reports_feed_alike(self):
-        """Under process+auto the stream mixes columnar and full epochs;
-        the dashboard's totals must not care."""
+    def test_process_fleet_feeds_the_dashboard(self):
+        """A process fleet's shared-memory reports fold into the same
+        totals as every other epoch report."""
         fleet = _fleet(executor="process", max_workers=2)
         dashboard = FleetDashboard(fleet)
         try:

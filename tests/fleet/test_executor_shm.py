@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 import pytest
+from fleet_reference import WorkerPids
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import RunOptions, build_fleet, synthesize_datacenter
@@ -30,7 +31,6 @@ from repro.fleet.shm import (
     SEGMENT_PREFIX,
     ShmBlockReader,
     ShmBlockWriter,
-    leaked_segments,
     unlink_worker_segments,
 )
 from repro.fleet.supervisor import FaultPolicy
@@ -112,7 +112,7 @@ class TestShmTransport:
         finally:
             reader.close()
             writer.close()
-        assert leaked_segments() == []
+        assert WorkerPids().leaked() == []
 
     def test_double_buffering_keeps_previous_epoch_valid(self):
         """Epoch ``e`` views must survive epoch ``e + 1`` (the documented
@@ -140,7 +140,7 @@ class TestShmTransport:
         finally:
             reader.close()
             writer.close()
-        assert leaked_segments() == []
+        assert WorkerPids().leaked() == []
 
     def test_regrow_handshake_replaces_and_unlinks_segment(self):
         """Growing past capacity allocates a fresh segment; the parent
@@ -154,7 +154,7 @@ class TestShmTransport:
             desc1 = writer.write(1, [small])
             reader.read(desc1)
             # Two live segments (one per buffer), zero slack.
-            assert len(leaked_segments()) == 2
+            assert len(WorkerPids().leaked()) == 2
             grown = _columnar_report("s0", 9, seed=8)
             desc2 = writer.write(2, [grown])
             assert desc2.buffer_index == desc0.buffer_index
@@ -164,20 +164,20 @@ class TestShmTransport:
             _assert_report_equal(got, grown)
             # The replaced segment is gone from /dev/shm; the pair of
             # live ones remains.
-            live = leaked_segments()
+            live = WorkerPids().leaked()
             assert len(live) == 2
             assert not any(desc0.segment == name for name in live)
         finally:
             reader.close()
             writer.close()
-        assert leaked_segments() == []
+        assert WorkerPids().leaked() == []
 
     def test_segment_names_carry_the_leak_probe_prefix(self):
         writer = ShmBlockWriter(n_shards=1)
         try:
             desc = writer.write(0, [_columnar_report("s0", 2, seed=9)])
             assert desc.segment.startswith(SEGMENT_PREFIX)
-            assert desc.segment in leaked_segments()
+            assert desc.segment in WorkerPids().leaked()
         finally:
             # Creator-side close releases the handle; the name must
             # still be unlinkable by the (here: same-process) reader.
@@ -185,7 +185,7 @@ class TestShmTransport:
             reader.read(desc)
             reader.close()
             writer.close()
-        assert leaked_segments() == []
+        assert WorkerPids().leaked() == []
 
 
 class TestCollectWithoutWorkers:
@@ -245,7 +245,7 @@ class TestOrderedMergeValidation:
             executor._ordered_merge(3, merged)
         assert executor._broken
         with pytest.raises(RuntimeError, match="lock step"):
-            executor.run_shard_epochs(4, analyze=False, report="columnar")
+            executor.run_shard_epochs(4, analyze=False)
 
     def test_unexpected_shard_raises_named_runtime_error(self):
         executor = self._executor()
@@ -279,7 +279,7 @@ def _serial_fleet(substrate="batch"):
     return fleet
 
 
-_TOTALS_EPOCH = RunOptions(analyze=False, report="columnar")
+_TOTALS_EPOCH = RunOptions(analyze=False)
 
 
 class TestCounterTotalsContract:
@@ -376,29 +376,31 @@ class TestWorkerFailureRecovery:
         broken, shutdown still succeeds and no shared-memory segments
         leak."""
         fleet = _tiny_process_fleet(max_workers=2, num_vms=16)
+        pids = WorkerPids()
         try:
-            fleet.run_epoch(RunOptions(analyze=False, report="columnar"))
+            fleet.run_epoch(RunOptions(analyze=False))
+            pids.note(fleet)
             strategy = fleet._strategy
-            assert leaked_segments(), "columnar epochs must use shm transport"
+            assert pids.leaked(), "epochs must use shm transport"
             victim = strategy.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
             # Give the pool's management thread a moment to notice.
             deadline = time.monotonic() + 5.0
             with pytest.raises(RuntimeError):
                 while True:
-                    fleet.run_epoch(RunOptions(analyze=False, report="columnar"))
+                    fleet.run_epoch(RunOptions(analyze=False))
                     assert time.monotonic() < deadline, (
                         "epochs kept succeeding after the worker was killed"
                     )
             # The run is now refused deterministically.
             with pytest.raises(RuntimeError, match="lock step"):
-                fleet.run_epoch(RunOptions(analyze=False, report="columnar"))
+                fleet.run_epoch(RunOptions(analyze=False))
         finally:
             fleet.shutdown()
         # Cleanup must be complete despite the kill: pools released,
         # every transport segment unlinked, statistics still served
         # (from the template fallback, without raising).
-        assert leaked_segments() == []
+        assert pids.leaked() == []
         assert fleet.stats()["shards"] == 2.0
 
 
@@ -413,15 +415,17 @@ class TestShutdownHardening:
 
     def test_double_shutdown_after_worker_death_is_noop(self):
         fleet = _tiny_process_fleet(max_workers=2, num_vms=16)
+        pids = WorkerPids()
         try:
-            fleet.run_epoch(options=RunOptions(analyze=False, report="columnar"))
+            fleet.run_epoch(options=RunOptions(analyze=False))
+            pids.note(fleet)
             victim = fleet._strategy.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
             deadline = time.monotonic() + 5.0
             with pytest.raises(RuntimeError):
                 while True:
                     fleet.run_epoch(
-                        options=RunOptions(analyze=False, report="columnar")
+                        options=RunOptions(analyze=False)
                     )
                     assert time.monotonic() < deadline
         finally:
@@ -429,7 +433,7 @@ class TestShutdownHardening:
         # Shutdown again (and again): both must be clean no-ops.
         fleet.shutdown()
         fleet.shutdown()
-        assert leaked_segments() == []
+        assert pids.leaked() == []
         assert fleet.stats()["shards"] == 2.0
 
     def test_shutdown_survives_non_runtime_collect_failure(self, monkeypatch):
@@ -437,9 +441,10 @@ class TestShutdownHardening:
         pool (unpicklable result, OSError...) must not leak the pools or
         the shm segments — the old code only caught RuntimeError."""
         fleet = _tiny_process_fleet(max_workers=2, num_vms=16)
-        fleet.run_epoch(options=RunOptions(analyze=False, report="columnar"))
+        fleet.run_epoch(options=RunOptions(analyze=False))
+        pids = WorkerPids(fleet)
         strategy = fleet._strategy
-        assert leaked_segments(), "columnar epochs must use shm transport"
+        assert pids.leaked(), "epochs must use shm transport"
 
         def explode():
             raise ValueError("worker result did not unpickle")
@@ -447,28 +452,30 @@ class TestShutdownHardening:
         monkeypatch.setattr(strategy, "collect", explode)
         fleet.shutdown()  # must not raise
         assert strategy._pools is None, "pools must be released"
-        assert leaked_segments() == []
+        assert pids.leaked() == []
         fleet.shutdown()  # and stay a no-op afterwards
 
     def test_snapshot_refused_after_worker_death(self):
         """A broken executor cannot vouch for its state: snapshotting it
         must fail loudly instead of checkpointing garbage."""
         fleet = _tiny_process_fleet(max_workers=2, num_vms=16)
+        pids = WorkerPids()
         try:
-            fleet.run_epoch(options=RunOptions(analyze=False, report="columnar"))
+            fleet.run_epoch(options=RunOptions(analyze=False))
+            pids.note(fleet)
             os.kill(fleet._strategy.worker_pids()[0], signal.SIGKILL)
             deadline = time.monotonic() + 5.0
             with pytest.raises(RuntimeError):
                 while True:
                     fleet.run_epoch(
-                        options=RunOptions(analyze=False, report="columnar")
+                        options=RunOptions(analyze=False)
                     )
                     assert time.monotonic() < deadline
             with pytest.raises(RuntimeError, match="snapshot|checkpoint"):
                 fleet.snapshot()
         finally:
             fleet.shutdown()
-        assert leaked_segments() == []
+        assert pids.leaked() == []
 
     def test_snapshot_before_start_uses_parent_template(self):
         """A never-started process fleet snapshots its local template
@@ -479,15 +486,16 @@ class TestShutdownHardening:
         assert checkpoint.meta["executor"] == "process"
         assert list(checkpoint.meta["shard_ids"]) == list(fleet.shards)
         fleet.shutdown()
-        assert leaked_segments() == []
+        assert fleet.worker_health() == []
+        assert WorkerPids().leaked() == []
 
     def test_snapshot_after_shutdown_is_refused(self):
         fleet = _tiny_process_fleet(max_workers=2, num_vms=16)
-        fleet.run_epoch(options=RunOptions(analyze=False, report="columnar"))
+        fleet.run_epoch(options=RunOptions(analyze=False))
         fleet.shutdown()
         with pytest.raises(RuntimeError, match="shut.?down"):
             fleet.snapshot()
-        assert leaked_segments() == []
+        assert WorkerPids(fleet).leaked() == []
 
 
 class TestOrphanSegmentSweep:
@@ -513,24 +521,24 @@ class TestOrphanSegmentSweep:
             removed = unlink_worker_segments(os.getpid(), skip=attached)
             assert removed == [orphan.segment]
             # The reader-owned names survived the sweep untouched.
-            assert leaked_segments() == sorted(attached)
+            assert WorkerPids().leaked() == sorted(attached)
         finally:
             reader.close()
             writer.close()
-        assert leaked_segments() == []
+        assert WorkerPids().leaked() == []
 
     def test_sweep_only_touches_the_given_pid(self):
         writer = ShmBlockWriter(n_shards=1)
         try:
             desc = writer.write(0, [_columnar_report("s0", 3, seed=33)])
             assert unlink_worker_segments(os.getpid() + 1) == []
-            assert desc.segment in leaked_segments()
+            assert desc.segment in WorkerPids().leaked()
         finally:
             reader = ShmBlockReader()
             reader.read(desc)
             reader.close()
             writer.close()
-        assert leaked_segments() == []
+        assert WorkerPids().leaked() == []
 
 
 class TestUnsupervisedFaultPaths:
@@ -545,21 +553,23 @@ class TestUnsupervisedFaultPaths:
                 faults=(WorkerFault(kind="kill", worker=0, epoch=1, point="after"),)
             ),
         )
+        pids = WorkerPids()
         try:
-            fleet.run_epoch(options=RunOptions(analyze=False, report="columnar"))
-            # The kill fires after the columnar buffers are written:
+            fleet.run_epoch(options=RunOptions(analyze=False))
+            pids.note(fleet)
+            # The kill fires after the buffers are written:
             # the orphaned segments must be swept with the failure.
             with pytest.raises(RuntimeError):
                 fleet.run_epoch(
-                    options=RunOptions(analyze=False, report="columnar")
+                    options=RunOptions(analyze=False)
                 )
             with pytest.raises(RuntimeError, match="lock step"):
                 fleet.run_epoch(
-                    options=RunOptions(analyze=False, report="columnar")
+                    options=RunOptions(analyze=False)
                 )
         finally:
             fleet.shutdown()
-        assert leaked_segments() == []
+        assert pids.leaked() == []
 
     def test_snapshot_error_names_dead_shards_and_resume_path(self):
         """The broken-fleet snapshot refusal tells the operator *which*
@@ -570,11 +580,13 @@ class TestUnsupervisedFaultPaths:
                 faults=(WorkerFault(kind="kill", worker=0, epoch=1, point="mid"),)
             ),
         )
+        pids = WorkerPids()
         try:
-            fleet.run_epoch(options=RunOptions(analyze=False, report="columnar"))
+            fleet.run_epoch(options=RunOptions(analyze=False))
+            pids.note(fleet)
             with pytest.raises(RuntimeError):
                 fleet.run_epoch(
-                    options=RunOptions(analyze=False, report="columnar")
+                    options=RunOptions(analyze=False)
                 )
             with pytest.raises(RuntimeError) as excinfo:
                 fleet.snapshot()
@@ -583,7 +595,7 @@ class TestUnsupervisedFaultPaths:
             assert "Fleet.resume" in message
         finally:
             fleet.shutdown()
-        assert leaked_segments() == []
+        assert pids.leaked() == []
 
 
 class TestHeartbeatHangDetection:
@@ -600,15 +612,17 @@ class TestHeartbeatHangDetection:
                 )
             ),
         )
+        pids = WorkerPids()
         try:
             for _ in range(3):
                 fleet.run_epoch(
-                    options=RunOptions(analyze=False, report="columnar")
+                    options=RunOptions(analyze=False)
                 )
+                pids.note(fleet)
             health = fleet.worker_health()
             assert [row["restarts"] for row in health] == [1, 0]
             assert all(row["alive"] for row in health)
             assert fleet.stats()["epochs"] == 3.0
         finally:
             fleet.shutdown()
-        assert leaked_segments() == []
+        assert pids.leaked() == []

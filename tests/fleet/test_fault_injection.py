@@ -20,6 +20,7 @@ is pinned separately by
 import json
 
 import pytest
+from fleet_reference import WorkerPids
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
@@ -32,7 +33,6 @@ from repro.fleet import (
 )
 from repro.fleet.checkpoint import validate_checkpoint_meta
 from repro.fleet.faults import ENV_FAULT_PLAN, FAULT_KINDS, FAULT_POINTS
-from repro.fleet.shm import leaked_segments
 
 
 def _config() -> DeepDiveConfig:
@@ -59,9 +59,12 @@ def _process_fleet(fault_policy=None, fault_plan=None, max_workers=2):
     )
 
 
-def _drive(fleet, epochs):
+def _drive(fleet, epochs, pids=None):
+    """Run ``epochs`` epochs, noting the workers in ``pids`` after each."""
     for _ in range(epochs):
-        fleet.run_epoch(options=RunOptions(analyze=False, report="columnar"))
+        fleet.run_epoch(options=RunOptions(analyze=False))
+        if pids is not None:
+            pids.note(fleet)
 
 
 def _kill(epoch, point="mid", worker=0):
@@ -193,14 +196,15 @@ class TestChaosIntegration:
             '{"faults": [{"kind": "kill", "worker": 0, "epoch": 1, "point": "mid"}]}',
         )
         fleet = _process_fleet(fault_policy=FaultPolicy(restarts=1))
+        pids = WorkerPids()
         try:
-            _drive(fleet, 3)
+            _drive(fleet, 3, pids)
             health = fleet.worker_health()
             assert [row["restarts"] for row in health] == [1, 0]
             assert all(row["alive"] for row in health)
         finally:
             fleet.shutdown()
-        assert leaked_segments() == []
+        assert pids.leaked() == []
 
     def test_delay_descriptor_is_tolerated_without_restart(self):
         """A slow worker is not a dead worker: a delayed descriptor
@@ -216,12 +220,13 @@ class TestChaosIntegration:
             fault_policy=FaultPolicy(restarts=1, heartbeat_timeout=30.0),
             fault_plan=plan,
         )
+        pids = WorkerPids()
         try:
-            _drive(fleet, 3)
+            _drive(fleet, 3, pids)
             assert [row["restarts"] for row in fleet.worker_health()] == [0, 0]
         finally:
             fleet.shutdown()
-        assert leaked_segments() == []
+        assert pids.leaked() == []
 
     def test_corrupt_descriptor_recovers_like_a_death(self):
         """A descriptor the parent cannot attach is indistinguishable
@@ -234,25 +239,27 @@ class TestChaosIntegration:
         fleet = _process_fleet(
             fault_policy=FaultPolicy(restarts=2), fault_plan=plan
         )
+        pids = WorkerPids()
         try:
-            _drive(fleet, 3)
+            _drive(fleet, 3, pids)
             health = fleet.worker_health()
             assert [row["restarts"] for row in health] == [1, 0]
             assert all(row["alive"] for row in health)
         finally:
             fleet.shutdown()
-        assert leaked_segments() == []
+        assert pids.leaked() == []
 
     def test_exhausted_budget_raise_names_shards_and_ways_out(self):
         fleet = _process_fleet(
             fault_policy=FaultPolicy(restarts=0), fault_plan=_kill(1)
         )
+        pids = WorkerPids()
         try:
             with pytest.raises(
                 RuntimeError,
                 match=r"worker 0 \(shards: shard0\) failed at epoch 1",
             ) as excinfo:
-                _drive(fleet, 3)
+                _drive(fleet, 3, pids)
             message = str(excinfo.value)
             assert "restart budget (0)" in message
             assert "Fleet.resume" in message
@@ -262,20 +269,22 @@ class TestChaosIntegration:
                 _drive(fleet, 1)
         finally:
             fleet.shutdown()
-        assert leaked_segments() == []
+        assert pids.leaked() == []
 
     def test_quarantine_manifests_flow_into_degraded_checkpoint(self, tmp_path):
         fleet = _process_fleet(
             fault_policy=FaultPolicy(restarts=0, on_exhaustion="quarantine"),
             fault_plan=_kill(1, worker=1),
         )
+        pids = WorkerPids()
         try:
             report = fleet.run_epoch(
-                options=RunOptions(analyze=False, report="columnar")
+                options=RunOptions(analyze=False)
             )
+            pids.note(fleet)
             assert report.missing_shards == ()
             report = fleet.run_epoch(
-                options=RunOptions(analyze=False, report="columnar")
+                options=RunOptions(analyze=False)
             )
             assert report.missing_shards == ("shard1",)
             assert report.degraded
@@ -293,7 +302,7 @@ class TestChaosIntegration:
             assert list(resumed.shards) == ["shard0"]
         finally:
             resumed.shutdown()
-        assert leaked_segments() == []
+        assert pids.leaked() == []
 
 
 class TestFaultKnobValidation:

@@ -10,11 +10,12 @@ semantics.
 """
 
 import pytest
+from fleet_reference import WorkerPids
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
+    ColumnarFleetReport,
     Fleet,
-    FleetEpochReport,
     FleetRunSummary,
     HostDrain,
     ProcessShardExecutor,
@@ -26,7 +27,6 @@ from repro.fleet import (
     partition_regions,
     synthesize_datacenter,
 )
-from repro.fleet.shm import leaked_segments
 
 
 def _config() -> DeepDiveConfig:
@@ -210,7 +210,7 @@ class TestWorkerBudgets:
                 assert set(row["shards"]) <= members[row["region"]]
         finally:
             fleet.shutdown()
-        assert leaked_segments() == []
+        assert WorkerPids(fleet).leaked() == []
 
 
 class TestAggregation:
@@ -245,7 +245,7 @@ class TestSummaryMerge:
             analyzer_invocations=1,
             confirmed_interference=1,
             action_histogram={"normal": observations - 1, "analyze": 1},
-            final_report=FleetEpochReport(
+            final_report=ColumnarFleetReport(
                 epoch=epochs - 1, shard_reports={shard_id: object()}
             ),
         )

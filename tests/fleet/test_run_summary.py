@@ -7,6 +7,7 @@ more targeted than the integration suite.
 """
 
 import pytest
+from fleet_reference import decision_key
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
@@ -80,10 +81,10 @@ class TestRunSummaryMerge:
         summary = fleet.run(4, RunOptions(analyze=False, keep_reports=False))
         assert summary.final_report is not None
         assert summary.final_report.epoch == 3
-        # The snapshot is a full report: per-VM observations retained.
+        # The snapshot keeps every shard's decision columns.
         assert summary.final_report.observations()
         for shard_report in summary.final_report.shard_reports.values():
-            assert shard_report.observations
+            assert shard_report.observations()
 
     def test_zero_epoch_run_returns_empty_summary(self):
         fleet = _build(bootstrap=False)
@@ -103,7 +104,9 @@ class TestRunSummaryMerge:
         summary.accumulate(r2)
         assert summary.epochs == 2
         assert summary.observations == r1.observations() + r2.observations()
-        assert summary.final_report is r2
+        # The final report is a copy that owns its arrays.
+        assert summary.final_report is not r2
+        assert decision_key(summary.final_report) == decision_key(r2)
 
 
 class TestHistoryTrimming:

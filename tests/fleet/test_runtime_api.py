@@ -8,13 +8,14 @@ the old ``analyze=`` / ``report=`` / ``keep_reports=`` keywords are
 refused.
 """
 
+import numpy as np
 import pytest
+from fleet_reference import WorkerPids, decision_key
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
     ColumnarFleetReport,
     Fleet,
-    FleetEpochReport,
     FleetRunSummary,
     RunOptions,
     build_fleet,
@@ -55,12 +56,17 @@ class TestRunOptions:
     def test_defaults(self):
         options = RunOptions()
         assert options.analyze is True
-        assert options.report == "auto"
+        assert options.report == "columnar"
         assert options.keep_reports is True
 
     def test_unknown_report_mode_rejected(self):
         with pytest.raises(ValueError, match="cinematic"):
             RunOptions(report="cinematic")
+
+    @pytest.mark.parametrize("mode", ["full", "auto"])
+    def test_full_and_auto_modes_removed(self, mode):
+        with pytest.raises(ValueError, match="'full' and 'auto' modes were removed"):
+            RunOptions(report=mode)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -114,11 +120,11 @@ class TestProtocol:
             regional.shutdown()
 
     def test_context_manager_shuts_down(self):
+        pids = WorkerPids()
         with _fleet(executor="process", max_workers=2) as fleet:
             fleet.run_epoch()
-        from repro.fleet.shm import leaked_segments
-
-        assert leaked_segments() == []
+            pids.note(fleet)
+        assert pids.leaked() == []
 
 
 class TestStream:
@@ -148,37 +154,32 @@ class TestStream:
         finally:
             fleet.shutdown()
 
-    def test_auto_resolves_columnar_then_full_under_process(self):
-        fleet = _fleet(executor="process", max_workers=2)
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_every_executor_streams_columnar_reports(self, executor):
+        fleet = _fleet(executor=executor, max_workers=2)
         try:
-            kinds = [
-                type(report) for report in fleet.stream(3, RunOptions(analyze=False))
-            ]
-            assert kinds == [
-                ColumnarFleetReport,
-                ColumnarFleetReport,
-                FleetEpochReport,
-            ]
+            reports = list(fleet.stream(3, RunOptions(analyze=False)))
+            assert [type(report) for report in reports] == [ColumnarFleetReport] * 3
+            assert [report.epoch for report in reports] == [0, 1, 2]
         finally:
             fleet.shutdown()
 
-    def test_auto_resolves_full_off_process(self):
-        fleet = _fleet()
-        try:
-            kinds = [
-                type(report) for report in fleet.stream(2, RunOptions(analyze=False))
-            ]
-            assert kinds == [FleetEpochReport, FleetEpochReport]
-        finally:
-            fleet.shutdown()
-
-    def test_run_buffered_never_returns_columnar(self):
-        """keep_reports=True forces full reports even under auto+process
-        — buffered columnar shm views would outlive their validity."""
+    def test_held_reports_outlive_shared_memory(self):
+        """Reports buffered by run(keep_reports=True) and a summary's
+        final report own their arrays: three further epochs of a
+        process fleet (which rewrite both shared-memory buffers) leave
+        them reading the same."""
         fleet = _fleet(executor="process", max_workers=2)
         try:
-            reports = fleet.run(3, RunOptions(analyze=False))
-            assert all(isinstance(r, FleetEpochReport) for r in reports)
+            summarized = RunOptions(analyze=False, keep_reports=False)
+            held = fleet.run(2, RunOptions(analyze=False))
+            held.append(fleet.run(1, summarized).final_report)
+            keys = [decision_key(report) for report in held]
+            totals = [report.counter_totals() for report in held]
+            fleet.run(3, summarized)
+            assert [decision_key(report) for report in held] == keys
+            for report, want in zip(held, totals):
+                assert np.array_equal(report.counter_totals(), want)
         finally:
             fleet.shutdown()
 

@@ -253,6 +253,46 @@ class TestChromeTrace:
         assert {"epoch", "simulate", "monitor"} <= names
 
 
+class TestWorkerSpans:
+    """Process workers record deep spans into a local buffer that rides
+    each epoch's descriptor back to the parent, which folds them under
+    the worker's pid."""
+
+    EPOCHS = 3
+
+    @pytest.mark.parametrize("drive", ["run", "stream"])
+    def test_every_shard_epoch_folds_worker_simulate_spans(self, drive):
+        scenario = synthesize_datacenter(8, num_shards=2, seed=5, episodes=[])
+        fleet = build_fleet(
+            scenario,
+            executor="process",
+            max_workers=2,
+            telemetry=TelemetryConfig(profile_every=1),
+        )
+        try:
+            fleet.bootstrap()
+            options = RunOptions(analyze=False)
+            if drive == "run":
+                fleet.run(self.EPOCHS, options)
+            else:
+                for _ in fleet.stream(self.EPOCHS, options):
+                    pass
+            expected = sorted(
+                (epoch, row["pid"])
+                for row in fleet.worker_health()
+                for _ in row["shards"]
+                for epoch in range(self.EPOCHS)
+            )
+            folded = sorted(
+                (span["epoch"], span["pid"])
+                for span in fleet.telemetry.spans()
+                if span["kind"] == "simulate"
+            )
+            assert folded == expected
+        finally:
+            fleet.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # JSONL event log
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ would.
 
 import numpy as np
 import pytest
+from fleet_reference import decision_key, summary_key
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
-    ColumnarFleetReport,
     FleetRunSummary,
     InterferenceEpisode,
     RunOptions,
@@ -58,20 +58,6 @@ def _build(max_workers, mitigate=True, executor=None):
     return fleet
 
 
-def _report_fingerprint(report):
-    return {
-        (shard_id, vm_name): (
-            obs.warning.action.value,
-            obs.warning.distance,
-            obs.warning.siblings_consulted,
-            obs.warning.siblings_agreeing,
-            obs.interference_confirmed,
-        )
-        for shard_id, shard_report in report.shard_reports.items()
-        for vm_name, obs in shard_report.observations.items()
-    }
-
-
 class TestParallelDeterminism:
     def test_worker_count_does_not_change_results(self):
         """max_workers=1 (serial) and max_workers=4 (process, inferred)
@@ -87,7 +73,7 @@ class TestParallelDeterminism:
                 assert list(r1.shard_reports) == list(r4.shard_reports), (
                     "merge order must be shard insertion order"
                 )
-                assert _report_fingerprint(r1) == _report_fingerprint(r4), (
+                assert decision_key(r1) == decision_key(r4), (
                     f"epoch {epoch} diverges between worker counts"
                 )
             assert serial.stats() == parallel.stats()
@@ -130,14 +116,7 @@ class TestParallelDeterminism:
 
 
 def _summary_fingerprint(summary):
-    return (
-        summary.epochs,
-        summary.observations,
-        summary.analyzer_invocations,
-        summary.confirmed_interference,
-        summary.action_histogram,
-        _report_fingerprint(summary.final_report),
-    )
+    return summary_key(summary), decision_key(summary.final_report)
 
 
 class TestProcessExecutorDeterminism:
@@ -183,42 +162,6 @@ class TestProcessExecutorDeterminism:
                 ] == serial_migrations
             finally:
                 fleet.shutdown()
-
-    def test_columnar_report_matches_full_report(self):
-        """Per-epoch columnar decision arrays agree with the full
-        per-VM reports, shard for shard."""
-        full = _build(max_workers=1, executor="serial")
-        process = _build(max_workers=2, executor="process")
-        try:
-            for _ in range(6):
-                r_full = full.run_epoch()
-                r_col = process.run_epoch(RunOptions(report="columnar"))
-                assert isinstance(r_col, ColumnarFleetReport)
-                assert list(r_col.shard_reports) == list(r_full.shard_reports)
-                assert r_col.observations() == r_full.observations()
-                assert r_col.analyzer_invocations() == r_full.analyzer_invocations()
-                assert r_col.confirmed_interference() == (
-                    r_full.confirmed_interference()
-                )
-                assert r_col.action_histogram() == r_full.action_histogram()
-                for sid, shard_full in r_full.shard_reports.items():
-                    shard_col = r_col.shard_reports[sid]
-                    assert shard_col.vm_names == tuple(shard_full.observations)
-                    for i, (vm_name, obs) in enumerate(
-                        shard_full.observations.items()
-                    ):
-                        assert shard_col.distances[i] == obs.warning.distance
-                        assert (
-                            shard_col.siblings_consulted[i]
-                            == obs.warning.siblings_consulted
-                        )
-                        assert (
-                            shard_col.siblings_agreeing[i]
-                            == obs.warning.siblings_agreeing
-                        )
-        finally:
-            full.shutdown()
-            process.shutdown()
 
     def test_shutdown_process_fleet_refuses_new_epochs(self):
         fleet = _build(max_workers=2, executor="process", mitigate=False)
@@ -285,6 +228,6 @@ class TestMemoryBoundedRun:
         assert summary.action_histogram == expected_histogram
         assert summary.final_report is not None
         assert summary.final_report.epoch == reports[-1].epoch
-        assert _report_fingerprint(summary.final_report) == _report_fingerprint(
+        assert decision_key(summary.final_report) == decision_key(
             reports[-1]
         )

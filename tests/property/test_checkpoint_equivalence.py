@@ -25,6 +25,7 @@ the lifecycle engine's accumulated state, not just the shard objects.
 
 import pytest
 
+from fleet_reference import decision_key, summary_key
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
     Checkpoint,
@@ -110,37 +111,12 @@ def _build(executor=None, max_workers=None, regional=False):
     return fleet
 
 
-def _decision_key(report):
-    """Everything the warning system decided, exact distances included."""
-    return {
-        (shard_id, vm_name): (
-            obs.warning.action.value,
-            obs.warning.distance,
-            obs.warning.siblings_consulted,
-            obs.warning.siblings_agreeing,
-            obs.interference_confirmed,
-        )
-        for shard_id, shard_report in report.shard_reports.items()
-        for vm_name, obs in shard_report.observations.items()
-    }
-
-
-def _summary_key(summary: FleetRunSummary):
-    return (
-        summary.epochs,
-        summary.observations,
-        summary.analyzer_invocations,
-        summary.confirmed_interference,
-        summary.action_histogram,
-    )
-
-
 def _drive(fleet, epochs):
     """Stream ``epochs`` epochs: per-epoch decisions + running summary."""
     decisions = []
     summary = FleetRunSummary()
-    for report in fleet.stream(epochs, RunOptions(report="full")):
-        decisions.append(_decision_key(report))
+    for report in fleet.stream(epochs, RunOptions()):
+        decisions.append(decision_key(report))
         summary.accumulate(report)
     return decisions, summary
 
@@ -190,7 +166,7 @@ def _assert_matches_reference(result, reference, label):
     assert len(decisions) == len(decisions_ref)
     for epoch, (a, b) in enumerate(zip(decisions_ref, decisions)):
         assert a == b, f"{label}: decisions diverge at epoch {epoch}"
-    assert _summary_key(summary) == _summary_key(summary_ref), label
+    assert summary_key(summary) == summary_key(summary_ref), label
     assert lifecycle == lifecycle_ref, label
 
 
@@ -283,8 +259,8 @@ class TestCheckpointEquivalence:
         decisions = []
         summary = FleetRunSummary()
         try:
-            for report in fleet.stream(EPOCHS, RunOptions(report="full")):
-                decisions.append(_decision_key(report))
+            for report in fleet.stream(EPOCHS, RunOptions()):
+                decisions.append(decision_key(report))
                 summary.accumulate(report)
                 fleet.snapshot()  # discard: only the side effects matter
             lifecycle = fleet.lifecycle_stats()
@@ -324,4 +300,4 @@ class TestCheckpointEquivalence:
             fleet.shutdown()
         reloaded = Checkpoint.from_bytes(checkpoint.to_bytes())
         carried = reloaded.state()["summary"]
-        assert _summary_key(carried) == _summary_key(summary)
+        assert summary_key(carried) == summary_key(summary)

@@ -28,6 +28,7 @@ dead worker's transport segments.
 
 import pytest
 
+from fleet_reference import WorkerPids, decision_key, summary_key
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
     FaultPlan,
@@ -45,7 +46,6 @@ from repro.fleet import (
     churn_timeline,
     synthesize_datacenter,
 )
-from repro.fleet.shm import leaked_segments
 
 EPOCHS = 10
 SHARD_IDS = ["shard0", "shard1", "shard2", "shard3"]
@@ -124,49 +124,28 @@ def _build(
     return fleet
 
 
-def _decision_key(report):
-    """Everything the warning system decided, exact distances included."""
-    return {
-        (shard_id, vm_name): (
-            obs.warning.action.value,
-            obs.warning.distance,
-            obs.warning.siblings_consulted,
-            obs.warning.siblings_agreeing,
-            obs.interference_confirmed,
-        )
-        for shard_id, shard_report in report.shard_reports.items()
-        for vm_name, obs in shard_report.observations.items()
-    }
-
-
-def _summary_key(summary: FleetRunSummary):
-    return (
-        summary.epochs,
-        summary.observations,
-        summary.analyzer_invocations,
-        summary.confirmed_interference,
-        summary.action_histogram,
-    )
-
-
-def _drive(fleet, epochs):
-    """Stream ``epochs`` epochs: per-epoch decisions + running summary."""
+def _drive(fleet, epochs, pids):
+    """Stream ``epochs`` epochs: per-epoch decisions + running summary,
+    noting the workers in ``pids`` after each epoch (respawned workers
+    included)."""
     decisions = []
     summary = FleetRunSummary()
-    for report in fleet.stream(epochs, RunOptions(report="full")):
-        decisions.append(_decision_key(report))
+    for report in fleet.stream(epochs, RunOptions()):
+        decisions.append(decision_key(report))
         summary.accumulate(report)
+        pids.note(fleet)
     return decisions, summary
 
 
 def _run(fleet):
+    pids = WorkerPids(fleet)
     try:
-        decisions, summary = _drive(fleet, EPOCHS)
+        decisions, summary = _drive(fleet, EPOCHS, pids)
         lifecycle = fleet.lifecycle_stats()
         health = fleet.worker_health()
     finally:
         fleet.shutdown()
-    return decisions, summary, lifecycle, health
+    return decisions, summary, lifecycle, health, pids
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +160,7 @@ def _assert_matches_reference(result, reference, label):
     assert len(decisions) == len(decisions_ref)
     for epoch, (a, b) in enumerate(zip(decisions_ref, decisions)):
         assert a == b, f"{label}: decisions diverge at epoch {epoch}"
-    assert _summary_key(summary) == _summary_key(summary_ref), label
+    assert summary_key(summary) == summary_key(summary_ref), label
     assert summary.missing_shards == (), label
     assert lifecycle == lifecycle_ref, label
 
@@ -215,7 +194,7 @@ class TestFaultRecoveryEquivalence:
         health = result[3]
         assert [row["restarts"] for row in health] == [1] + [0] * (workers - 1)
         assert all(row["alive"] for row in health)
-        assert leaked_segments() == []
+        assert result[4].leaked() == []
 
     def test_recovery_from_midrun_snapshot(self, reference):
         """``resnapshot_every`` recovers from the last cadence snapshot
@@ -229,7 +208,7 @@ class TestFaultRecoveryEquivalence:
             )
         )
         _assert_matches_reference(result, reference, "resnapshot_every=2")
-        assert leaked_segments() == []
+        assert result[4].leaked() == []
 
     def test_regional_failure_contained(self, reference):
         """A worker kill inside one region recovers within that region;
@@ -247,7 +226,7 @@ class TestFaultRecoveryEquivalence:
         health = result[3]
         restarted = [row for row in health if row["restarts"]]
         assert [row["region"] for row in restarted] == ["region0"]
-        assert leaked_segments() == []
+        assert result[4].leaked() == []
 
     def test_quarantine_completes_degraded(self, reference):
         """With the restart budget exhausted, quarantine mode finishes
@@ -260,7 +239,7 @@ class TestFaultRecoveryEquivalence:
             fault_policy=FaultPolicy(restarts=0, on_exhaustion="quarantine"),
             fault_plan=_kill_plan(4, "mid", worker=1),
         )
-        decisions, summary, lifecycle, health = _run(fleet)
+        decisions, summary, lifecycle, health, pids = _run(fleet)
         # Worker 1 of 2 owns the odd round-robin shards.
         dead = ("shard1", "shard3")
         assert summary.missing_shards == dead
@@ -276,4 +255,4 @@ class TestFaultRecoveryEquivalence:
                 else {k: v for k, v in ref.items() if k[0] not in dead}
             )
             assert mine == expected, f"degraded decisions diverge at {epoch}"
-        assert leaked_segments() == []
+        assert pids.leaked() == []

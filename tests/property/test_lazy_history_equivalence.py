@@ -21,6 +21,7 @@ already pins process == serial bit-identity at the state level.
 
 import numpy as np
 from counter_reference import assert_fleet_matches_reference
+from fleet_reference import decision_key, summary_key
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
@@ -70,31 +71,6 @@ def _build(track_performance, substrate="batch", executor=None, max_workers=None
     return fleet
 
 
-def _decision_key(report):
-    """Everything the warning system decided, exact distances included."""
-    return {
-        (shard_id, vm_name): (
-            obs.warning.action.value,
-            obs.warning.distance,
-            obs.warning.siblings_consulted,
-            obs.warning.siblings_agreeing,
-            obs.interference_confirmed,
-        )
-        for shard_id, shard_report in report.shard_reports.items()
-        for vm_name, obs in shard_report.observations.items()
-    }
-
-
-def _summary_key(summary: FleetRunSummary):
-    return (
-        summary.epochs,
-        summary.observations,
-        summary.analyzer_invocations,
-        summary.confirmed_interference,
-        summary.action_histogram,
-    )
-
-
 def _run(fleet, epochs=8):
     """Run ``epochs`` epochs, returning per-epoch decisions + summary."""
     summary = FleetRunSummary()
@@ -102,7 +78,7 @@ def _run(fleet, epochs=8):
     try:
         for _ in range(epochs):
             report = fleet.run_epoch()
-            decisions.append(_decision_key(report))
+            decisions.append(decision_key(report))
             summary.accumulate(report)
     finally:
         fleet.shutdown()
@@ -160,7 +136,7 @@ class TestLazyHistoryEquivalence:
         decisions_l, summary_l = _run(lazy)
         for epoch, (a, b) in enumerate(zip(decisions_e, decisions_l)):
             assert a == b, f"decisions diverge at epoch {epoch}"
-        assert _summary_key(summary_e) == _summary_key(summary_l)
+        assert summary_key(summary_e) == summary_key(summary_l)
         assert summary_e.confirmed_interference > 0, (
             "the injected episodes must be detected"
         )
@@ -176,7 +152,7 @@ class TestLazyHistoryEquivalence:
         decisions_e, summary_e = _run(eager, epochs=6)
         decisions_l, summary_l = _run(lazy, epochs=6)
         assert decisions_e == decisions_l
-        assert _summary_key(summary_e) == _summary_key(summary_l)
+        assert summary_key(summary_e) == summary_key(summary_l)
         assert_fleet_matches_reference(eager, windows=(1, 3))
         _assert_histories_bit_identical(eager, lazy)
         _assert_windows_bit_identical(eager, lazy, windows=(1, 3))
@@ -192,7 +168,7 @@ class TestLazyHistoryEquivalence:
         decisions_l, summary_l = _run(lazy, epochs=6)
         for epoch, (a, b) in enumerate(zip(decisions_e, decisions_l)):
             assert a == b, f"decisions diverge at epoch {epoch}"
-        assert _summary_key(summary_e) == _summary_key(summary_l)
+        assert summary_key(summary_e) == summary_key(summary_l)
 
     def test_migration_flushes_and_stays_identical(self):
         """An explicit mid-run migration frees the VM's slot on its old

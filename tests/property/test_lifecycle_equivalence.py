@@ -27,6 +27,7 @@ the full decision record, exact distances included.
 import numpy as np
 import pytest
 from counter_reference import assert_fleet_matches_reference
+from fleet_reference import decision_key, summary_key
 
 from repro.core.config import DeepDiveConfig
 from repro.metrics.counters import COUNTER_NAMES
@@ -101,21 +102,6 @@ def _build(
     return fleet
 
 
-def _decision_key(report):
-    """Everything the warning system decided, exact distances included."""
-    return {
-        (shard_id, vm_name): (
-            obs.warning.action.value,
-            obs.warning.distance,
-            obs.warning.siblings_consulted,
-            obs.warning.siblings_agreeing,
-            obs.interference_confirmed,
-        )
-        for shard_id, shard_report in report.shard_reports.items()
-        for vm_name, obs in shard_report.observations.items()
-    }
-
-
 def _action_key(decisions):
     """Substrate-robust projection: actions + confirmations only."""
     return [
@@ -124,23 +110,13 @@ def _action_key(decisions):
     ]
 
 
-def _summary_key(summary: FleetRunSummary):
-    return (
-        summary.epochs,
-        summary.observations,
-        summary.analyzer_invocations,
-        summary.confirmed_interference,
-        summary.action_histogram,
-    )
-
-
 def _run(fleet, epochs=EPOCHS, check_reference=False):
     summary = FleetRunSummary()
     decisions = []
     try:
         for _ in range(epochs):
             report = fleet.run_epoch()
-            decisions.append(_decision_key(report))
+            decisions.append(decision_key(report))
             summary.accumulate(report)
             if check_reference:
                 assert_fleet_matches_reference(fleet)
@@ -186,7 +162,7 @@ class TestLifecycleEquivalence:
         )
         for epoch, (a, b) in enumerate(zip(decisions_ref, decisions)):
             assert a == b, f"decisions diverge at epoch {epoch}"
-        assert _summary_key(summary) == _summary_key(summary_ref)
+        assert summary_key(summary) == summary_key(summary_ref)
 
     def test_substrates_equivalent(self, reference):
         """scalar and batch substrates see the same churned fleet: same
@@ -195,7 +171,7 @@ class TestLifecycleEquivalence:
         decisions_ref, summary_ref, lifecycle_ref = reference
         decisions, summary, lifecycle = _run(_build(substrate="scalar"))
         assert _action_key(decisions) == _action_key(decisions_ref)
-        assert _summary_key(summary) == _summary_key(summary_ref)
+        assert summary_key(summary) == summary_key(summary_ref)
         assert lifecycle == lifecycle_ref
 
     def test_scalar_substrate_history_modes(self):
@@ -207,7 +183,7 @@ class TestLifecycleEquivalence:
             check_reference=True,
         )
         assert decisions_a == decisions_b
-        assert _summary_key(summary_a) == _summary_key(summary_b)
+        assert summary_key(summary_a) == summary_key(summary_b)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_process_executor_bit_identical(self, reference, workers):
@@ -220,7 +196,7 @@ class TestLifecycleEquivalence:
         )
         for epoch, (a, b) in enumerate(zip(decisions_ref, decisions)):
             assert a == b, f"workers={workers}: diverge at epoch {epoch}"
-        assert _summary_key(summary) == _summary_key(summary_ref)
+        assert summary_key(summary) == summary_key(summary_ref)
         assert lifecycle == lifecycle_ref
 
     def test_topology_evolution_identical(self):

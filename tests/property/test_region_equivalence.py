@@ -23,6 +23,7 @@ detecting.
 
 import pytest
 from counter_reference import assert_fleet_matches_reference
+from fleet_reference import decision_key, summary_key
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
@@ -117,31 +118,6 @@ def _build_regional(
     return fleet
 
 
-def _decision_key(report):
-    """Everything the warning system decided, exact distances included."""
-    return {
-        (shard_id, vm_name): (
-            obs.warning.action.value,
-            obs.warning.distance,
-            obs.warning.siblings_consulted,
-            obs.warning.siblings_agreeing,
-            obs.interference_confirmed,
-        )
-        for shard_id, shard_report in report.shard_reports.items()
-        for vm_name, obs in shard_report.observations.items()
-    }
-
-
-def _summary_key(summary: FleetRunSummary):
-    return (
-        summary.epochs,
-        summary.observations,
-        summary.analyzer_invocations,
-        summary.confirmed_interference,
-        summary.action_histogram,
-    )
-
-
 def _run(fleet, epochs=EPOCHS, check_reference=False):
     summary = FleetRunSummary()
     decisions = []
@@ -149,7 +125,7 @@ def _run(fleet, epochs=EPOCHS, check_reference=False):
     try:
         for _ in range(epochs):
             report = fleet.run_epoch()
-            decisions.append(_decision_key(report))
+            decisions.append(decision_key(report))
             shard_orders.append(list(report.shard_reports))
             summary.accumulate(report)
             if check_reference:
@@ -174,7 +150,7 @@ def _assert_matches_reference(result, reference, exact=True):
     if exact:
         for epoch, (a, b) in enumerate(zip(decisions_ref, decisions)):
             assert a == b, f"decisions diverge at epoch {epoch}"
-    assert _summary_key(summary) == _summary_key(summary_ref)
+    assert summary_key(summary) == summary_key(summary_ref)
     assert lifecycle == lifecycle_ref
     for key, value in stats_ref.items():
         if key in ("regions",):
@@ -235,7 +211,7 @@ class TestRegionEquivalence:
         _decisions, summary_ref, _lifecycle, _stats, orders_ref = reference
         with _build_regional(executor="process", region_workers=1) as fleet:
             summary = fleet.run(EPOCHS, RunOptions(keep_reports=False))
-        assert _summary_key(summary) == _summary_key(summary_ref)
+        assert summary_key(summary) == summary_key(summary_ref)
         assert list(summary.final_report.shard_reports) == orders_ref[-1]
 
     def test_region_summaries_merge_to_flat(self, reference):
@@ -246,5 +222,5 @@ class TestRegionEquivalence:
         with _build_regional(num_regions=2) as fleet:
             per_region = fleet.run_summaries(EPOCHS)
         merged = FleetRunSummary.merge(per_region.values())
-        assert _summary_key(merged) == _summary_key(summary_ref)
+        assert summary_key(merged) == summary_key(summary_ref)
         assert list(merged.final_report.shard_reports) == orders_ref[-1]

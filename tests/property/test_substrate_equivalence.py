@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleet_reference import decision_key, without_distances
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
     InterferenceEpisode,
@@ -190,20 +191,6 @@ def _fleet_config() -> DeepDiveConfig:
     )
 
 
-def _decision_key(report):
-    """Everything the warning system decided, per (shard, VM)."""
-    return {
-        (shard_id, vm_name): (
-            obs.warning.action.value,
-            obs.warning.siblings_consulted,
-            obs.warning.siblings_agreeing,
-            obs.interference_confirmed,
-        )
-        for shard_id, shard_report in report.shard_reports.items()
-        for vm_name, obs in shard_report.observations.items()
-    }
-
-
 class TestFleetSubstrateEquivalence:
     def test_fleet_counters_and_decisions_match_across_substrates(self):
         """Two identically seeded fleets — one per substrate — evolve
@@ -235,9 +222,9 @@ class TestFleetSubstrateEquivalence:
         for epoch in range(9):
             r_scalar = fleets["scalar"].run_epoch()
             r_batch = fleets["batch"].run_epoch()
-            assert _decision_key(r_scalar) == _decision_key(r_batch), (
-                f"decisions diverge at epoch {epoch}"
-            )
+            scalar_key = without_distances(decision_key(r_scalar))
+            batch_key = without_distances(decision_key(r_batch))
+            assert scalar_key == batch_key, f"decisions diverge at epoch {epoch}"
 
         # Same detections and migrations, in the same order.
         det_scalar = [

@@ -17,6 +17,7 @@ descriptors additionally carry the workers' span batches).
 
 import pytest
 
+from fleet_reference import decision_key, summary_key
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
     FleetRunSummary,
@@ -98,38 +99,13 @@ def _build(mode, executor=None, max_workers=None, regional=False):
     return fleet
 
 
-def _decision_key(report):
-    """Everything the warning system decided, exact distances included."""
-    return {
-        (shard_id, vm_name): (
-            obs.warning.action.value,
-            obs.warning.distance,
-            obs.warning.siblings_consulted,
-            obs.warning.siblings_agreeing,
-            obs.interference_confirmed,
-        )
-        for shard_id, shard_report in report.shard_reports.items()
-        for vm_name, obs in shard_report.observations.items()
-    }
-
-
-def _summary_key(summary: FleetRunSummary):
-    return (
-        summary.epochs,
-        summary.observations,
-        summary.analyzer_invocations,
-        summary.confirmed_interference,
-        summary.action_histogram,
-    )
-
-
 def _run(fleet):
     summary = FleetRunSummary()
     decisions = []
     try:
         for _ in range(EPOCHS):
             report = fleet.run_epoch()
-            decisions.append(_decision_key(report))
+            decisions.append(decision_key(report))
             summary.accumulate(report)
         stats = fleet.stats()
     finally:
@@ -148,7 +124,7 @@ def _assert_matches(result, reference):
     decisions_ref, summary_ref, stats_ref = reference
     for epoch, (a, b) in enumerate(zip(decisions_ref, decisions)):
         assert a == b, f"decisions diverge at epoch {epoch}"
-    assert _summary_key(summary) == _summary_key(summary_ref)
+    assert summary_key(summary) == summary_key(summary_ref)
     for key, value in stats_ref.items():
         if key == "regions":
             continue
@@ -190,7 +166,7 @@ class TestTelemetryEquivalence:
         summary = fleet.run(EPOCHS, RunOptions(analyze=True, keep_reports=False))
         registry = fleet.telemetry
         fleet.shutdown()
-        assert _summary_key(summary) == _summary_key(summary_ref)
+        assert summary_key(summary) == summary_key(summary_ref)
         totals = registry.span_totals()
         assert totals["epoch"]["count"] == EPOCHS
         assert totals["simulate"]["count"] > 0

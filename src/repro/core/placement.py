@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.analyzer import AnalysisResult
 from repro.core.config import DeepDiveConfig
-from repro.metrics.counters import CounterSample
+from repro.metrics.counters import COUNTER_NAMES, CounterSample
 from repro.metrics.cpi import Resource
 from repro.metrics.normalization import aggregate_samples
 from repro.metrics.sample import MetricVector
@@ -41,6 +41,8 @@ from repro.virt.vm import VirtualMachine
 from repro.virt.vmm import Host
 from repro.workloads.synthetic import SyntheticBenchmark
 
+
+_INST_RETIRED = COUNTER_NAMES.index("inst_retired")
 
 #: Which counter identifies the most aggressive user of each resource.
 _AGGRESSIVENESS_COUNTER: Dict[Resource, str] = {
@@ -107,7 +109,18 @@ class PlacementDecision:
 
 
 class PlacementManager:
-    """Synthetic-benchmark-driven destination selection and migration."""
+    """Synthetic-benchmark-driven destination selection and migration.
+
+    Candidates are vetted in the sandbox (:meth:`evaluate_candidate`):
+    isolation baselines through :meth:`SandboxEnvironment.isolation_rows`
+    and the trial co-location through
+    :meth:`SandboxEnvironment.colocation_rows` on the first sandbox
+    host, each co-location resolved once per run and its noise drawn
+    per epoch.
+    """
+
+    #: ``(probe, resolutions)`` while :meth:`decide` vets candidates.
+    _probe_isolation: Optional[Tuple[VirtualMachine, Dict]] = None
 
     def __init__(
         self,
@@ -192,63 +205,45 @@ class PlacementManager:
         """Predict the interference of placing ``probe_vm`` on ``candidate``.
 
         The probe (the synthetic representation) runs in the sandbox
-        co-located with clones of the candidate's resident VMs at their
-        current loads; the resulting degradations are measured against
-        isolation baselines obtained the same way.
+        co-located with the candidate's resident VMs at their current
+        loads; the resulting degradations are measured against isolation
+        baselines obtained the same way.  Within :meth:`decide` the
+        probe's isolation is resolved once for all candidates; its noise
+        is drawn per candidate, as every run's is.
         """
         epochs = eval_epochs or self.config.placement_eval_epochs
-        background: Dict[VirtualMachine, float] = {}
-        for vm_name, vm in candidate.vms.items():
-            background[vm] = candidate.get_load(vm_name)
+        sandbox = self.sandbox
+        background = [
+            (vm, candidate.get_load(name)) for name, vm in candidate.vms.items()
+        ]
 
         # Isolation baselines: each background VM alone, and the probe alone.
-        background_baselines: Dict[str, float] = {}
-        for vm, load in background.items():
-            solo = self.sandbox.profile(
-                vm, loads=[load] * epochs, profile_epochs=epochs
-            )
-            background_baselines[vm.name] = solo.counters.inst_retired / max(
-                solo.counters.epoch_seconds, 1e-9
-            )
-        probe_solo = self.sandbox.profile(
-            probe_vm, loads=[1.0] * epochs, profile_epochs=epochs
-        )
-        probe_baseline_rate = probe_solo.counters.inst_retired / max(
-            probe_solo.counters.epoch_seconds, 1e-9
+        background_baselines = [
+            self._rate(sandbox.isolation_rows(vm, load, epochs))
+            for vm, load in background
+        ]
+        shared = self._probe_isolation
+        cache = shared[1] if shared is not None and shared[0] is probe_vm else None
+        probe_baseline_rate = self._rate(
+            sandbox.isolation_rows(probe_vm, 1.0, epochs, cache)
         )
 
         # Co-located run: probe + all background VMs on one sandbox host.
-        host = self.sandbox.hosts[0]
-        probe_clone = probe_vm.clone(f"{probe_vm.name}-eval-{candidate.name}")
-        host.add_vm(probe_clone, load=1.0)
-        bg_clones: Dict[str, Tuple[VirtualMachine, str]] = {}
-        for vm, load in background.items():
-            clone = vm.clone(f"{vm.name}-eval-{candidate.name}")
-            host.add_vm(clone, load=load)
-            bg_clones[vm.name] = (clone, vm.name)
-
-        probe_samples: List[CounterSample] = []
-        bg_samples: Dict[str, List[CounterSample]] = {name: [] for name in bg_clones}
-        try:
-            for _ in range(epochs):
-                results = host.step()
-                probe_samples.append(results[probe_clone.name].counters)
-                for original_name, (clone, _) in bg_clones.items():
-                    bg_samples[original_name].append(results[clone.name].counters)
-        finally:
-            for name in list(host.vms):
-                host.remove_vm(name)
+        tag = f"-eval-{candidate.name}"
+        rows = sandbox.colocation_rows(
+            sandbox.hosts[0],
+            [(probe_vm.name + tag, probe_vm, 1.0)]
+            + [(vm.name + tag, vm, load) for vm, load in background],
+            epochs,
+        )
 
         # Degradations relative to the isolation baselines.
-        bg_degradations: List[float] = []
-        for original_name, samples in bg_samples.items():
-            agg = aggregate_samples(samples)
-            rate = agg.inst_retired / max(agg.epoch_seconds, 1e-9)
-            baseline = background_baselines[original_name]
-            if baseline > 0:
-                bg_degradations.append(max(0.0, 1.0 - rate / baseline))
-        probe_agg = aggregate_samples(probe_samples)
-        probe_rate = probe_agg.inst_retired / max(probe_agg.epoch_seconds, 1e-9)
+        bg_degradations = [
+            max(0.0, 1.0 - self._rate(rows[:, i]) / baseline)
+            for i, baseline in enumerate(background_baselines, start=1)
+            if baseline > 0
+        ]
+        probe_rate = self._rate(rows[:, 0])
         probe_degradation = (
             max(0.0, 1.0 - probe_rate / probe_baseline_rate)
             if probe_baseline_rate > 0
@@ -266,6 +261,17 @@ class PlacementManager:
             score=score,
         )
 
+    def _rate(self, rows: np.ndarray) -> float:
+        """Instructions per second over a run's ``(epochs, N_COUNTERS)``
+        rows: the :func:`aggregate_samples` sums, added in epoch order."""
+        epoch_seconds = self.sandbox.epoch_seconds
+        retired = rows[:, _INST_RETIRED].tolist()
+        total, seconds = retired[0], epoch_seconds
+        for value in retired[1:]:
+            total += value
+            seconds += epoch_seconds
+        return total / max(seconds, 1e-9)
+
     # ------------------------------------------------------------------
     # Full decision
     # ------------------------------------------------------------------
@@ -280,14 +286,20 @@ class PlacementManager:
         """Pick the destination PM with the least predicted interference."""
         probe = self.synthetic_representation(vm, recent_samples)
         evaluations: List[CandidateEvaluation] = []
-        for name, host in candidates.items():
-            if name == source_host:
-                continue
-            if not host.can_fit(vm):
-                continue
-            evaluations.append(
-                self.evaluate_candidate(host, probe, eval_epochs=eval_epochs)
-            )
+        # The probe runs alone at the same load for every candidate: its
+        # noise-free isolation is resolved by the first and shared.
+        self._probe_isolation = (probe, {})
+        try:
+            for name, host in candidates.items():
+                if name == source_host:
+                    continue
+                if not host.can_fit(vm):
+                    continue
+                evaluations.append(
+                    self.evaluate_candidate(host, probe, eval_epochs=eval_epochs)
+                )
+        finally:
+            self._probe_isolation = None
         evaluations.sort(key=lambda e: e.score)
         destination: Optional[str] = None
         no_acceptable = True

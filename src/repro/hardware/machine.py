@@ -297,6 +297,34 @@ class PhysicalMachine:
     ) -> EpochResult:
         """Simulate one epoch of co-located execution.
 
+        :meth:`resolve_epoch`, then this machine's measurement noise on
+        every VM that demanded instructions, in ``demands`` order.
+        """
+        result = self.resolve_epoch(
+            demands,
+            epoch_seconds=epoch_seconds,
+            core_assignment=core_assignment,
+            cpu_caps=cpu_caps,
+        )
+        for outcome in result.per_vm.values():
+            if outcome.instructions_demanded > 0:
+                outcome.counters = self._apply_noise(outcome.counters)
+                outcome.instructions_retired = outcome.counters.inst_retired
+        return result
+
+    def resolve_epoch(
+        self,
+        demands: Mapping[str, ResourceDemand],
+        epoch_seconds: float = 1.0,
+        core_assignment: Optional[Mapping[str, Sequence[int]]] = None,
+        cpu_caps: Optional[Mapping[str, float]] = None,
+    ) -> EpochResult:
+        """:meth:`run_epoch` without measurement noise.
+
+        A pure function of the demands, pinning and caps: it touches no
+        generator, so a co-location whose loads do not change resolves
+        once for any number of epochs (the sandbox replays it so).
+
         Parameters
         ----------
         demands:
@@ -562,8 +590,6 @@ class PhysicalMachine:
             net_stall_cycles=net_stall_cycles,
             epoch_seconds=epoch_seconds,
         )
-        sample = self._apply_noise(sample)
-
         return VMEpochOutcome(
             counters=sample,
             instructions_retired=sample.inst_retired,
@@ -580,24 +606,33 @@ class PhysicalMachine:
         )
 
     def _apply_noise(self, sample: CounterSample) -> CounterSample:
-        """Multiplicative lognormal-ish noise on every counter.
-
-        One ``normal(0, noise)`` draw of all counters in
-        :data:`COUNTER_NAMES` order: the same stream, and the same
-        factors, as one scalar draw per counter.  The clamp is
-        ``where(v > 0, v, 0)`` because that is what ``max(0.0, v)``
-        does: ``np.maximum(0.0, -0.0)`` would keep ``-0.0``.
-        """
+        """Multiplicative lognormal-ish noise on every counter: the
+        one-row :meth:`measure`."""
         if self.noise <= 0:
             return sample
         values = np.array(
-            [getattr(sample, name) for name in COUNTER_NAMES], dtype=float
+            [[getattr(sample, name) for name in COUNTER_NAMES]], dtype=float
         )
-        values *= 1.0 + self._rng.normal(0.0, self.noise, size=N_COUNTERS)
         return CounterSample(
-            *np.where(values > 0.0, values, 0.0).tolist(),
-            epoch_seconds=sample.epoch_seconds,
+            *self.measure(values)[0].tolist(), epoch_seconds=sample.epoch_seconds
         )
+
+    def measure(self, rows: np.ndarray) -> np.ndarray:
+        """Measurement noise on ``(n, N_COUNTERS)`` noise-free counter rows.
+
+        One ``normal(0, noise)`` draw of the whole block: row by row, in
+        :data:`COUNTER_NAMES` order, it is the same stream and the same
+        factors as one draw per row (or per counter).  The clamp is
+        ``where(v > 0, v, 0)`` because that is what ``max(0.0, v)``
+        does: ``np.maximum(0.0, -0.0)`` would keep ``-0.0``.  Returns a
+        new array; with no noise, ``rows`` itself.
+        """
+        if self.noise <= 0:
+            return rows
+        values = rows * (
+            1.0 + self._rng.normal(0.0, self.noise, size=(len(rows), N_COUNTERS))
+        )
+        return np.where(values > 0.0, values, 0.0)
 
     # ------------------------------------------------------------------
     def run_in_isolation(

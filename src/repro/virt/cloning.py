@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.virt.vm import VirtualMachine, VMState
 
@@ -66,14 +66,27 @@ class CloneManager:
         disk_penalty = 0.0 if self.cow_disk else 30.0
         return self.base_overhead_seconds + transfer + disk_penalty
 
+    def charge(
+        self, vm: VirtualMachine, clone_name: Optional[str] = None
+    ) -> Tuple[str, float]:
+        """Account one clone of ``vm`` without copying it.
+
+        Returns the clone's name and cloning seconds.  The sandbox runs a
+        clone only through its workload's demands, which are a pure
+        function of the load, so it replays ``vm``'s own workload under
+        the clone's name instead of a deep copy.
+        """
+        name = clone_name or f"{vm.name}-clone-{next(self._counter)}"
+        seconds = self.clone_seconds_for(vm)
+        self.total_clone_seconds += seconds
+        self.clones_created += 1
+        return name, seconds
+
     def clone(
         self, vm: VirtualMachine, clone_name: Optional[str] = None
     ) -> CloneHandle:
         """Create a clone of ``vm`` ready to run in the sandbox."""
-        name = clone_name or f"{vm.name}-clone-{next(self._counter)}"
+        name, seconds = self.charge(vm, clone_name)
         clone = vm.clone(clone_name=name)
         clone.state = VMState.RUNNING
-        seconds = self.clone_seconds_for(vm)
-        self.total_clone_seconds += seconds
-        self.clones_created += 1
         return CloneHandle(clone=clone, source_name=vm.name, clone_seconds=seconds)

@@ -51,12 +51,21 @@ class TestSandboxEnvironment:
         )
         assert sandbox.runs_completed == 1
 
-    def test_round_robin_across_hosts(self, sandbox, data_serving_vm):
-        sandbox.profile(data_serving_vm, loads=[0.5], profile_epochs=1)
-        sandbox.profile(data_serving_vm, loads=[0.5], profile_epochs=1)
-        # Both hosts were used (their counter histories are non-empty).
-        used = [h for h in sandbox.hosts if h.counter_history]
-        assert len(used) == 2
+    def test_round_robin_across_hosts(self, data_serving_vm):
+        # Each run draws its noise from the host it ran on: the hosts'
+        # generators advance one at a time, alternately.
+        sandbox = SandboxEnvironment(num_hosts=2, profile_epochs=5, seed=11)
+
+        def states():
+            return [repr(h.machine._rng.bit_generator.state) for h in sandbox.hosts]
+
+        seen = [states()]
+        for _ in range(4):
+            sandbox.profile(data_serving_vm, loads=[0.5], profile_epochs=1)
+            seen.append(states())
+        for run, (before, after) in enumerate(zip(seen, seen[1:])):
+            moved = [i for i in range(2) if before[i] != after[i]]
+            assert moved == [run % 2]
 
     def test_profile_colocated_measures_interference(self, sandbox, data_serving_vm):
         solo = sandbox.profile(data_serving_vm, loads=[1.1] * 5)

@@ -73,7 +73,6 @@ from repro.fleet.scenario import (
     DatacenterScenario,
     InterferenceEpisode,
     build_fleet,
-    build_regional_fleet,
     partition_regions,
     synthesize_datacenter,
 )
@@ -135,7 +134,6 @@ __all__ = [
     "DatacenterScenario",
     "InterferenceEpisode",
     "build_fleet",
-    "build_regional_fleet",
     "partition_regions",
     "resolve_telemetry",
     "run_cell",

@@ -51,7 +51,7 @@ from repro.fleet.fleet import Fleet, RunOptions
 from repro.fleet.scenario import (
     DatacenterScenario,
     InterferenceEpisode,
-    build_regional_fleet,
+    build_fleet,
     synthesize_datacenter,
 )
 from repro.fleet.telemetry import (
@@ -147,7 +147,7 @@ class CampaignSpec:
     epochs: int = 16
     seed: int = 0
     #: Region execution strategy + per-region worker budget (see
-    #: :func:`~repro.fleet.scenario.build_regional_fleet`).
+    #: :func:`~repro.fleet.scenario.build_fleet`'s ``num_regions``).
     executor: Optional[str] = None
     region_workers: Optional[int] = None
     history_limit: Optional[int] = 64
@@ -458,12 +458,12 @@ def run_cell(
         if fleet is None:
             scenario = spec.scenario_for(cell)
             t0 = time.perf_counter()
-            fleet = build_regional_fleet(
+            fleet = build_fleet(
                 scenario,
                 num_regions=spec.num_regions,
                 config=config,
                 executor=spec.executor,
-                region_workers=spec.region_workers,
+                max_workers=spec.region_workers,
                 history_limit=spec.history_limit,
                 telemetry=registry,
             )

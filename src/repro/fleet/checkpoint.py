@@ -42,10 +42,12 @@ from repro.fleet.executor import EXECUTOR_KINDS
 CHECKPOINT_MAGIC = b"REPRO-FLEET-CKPT"
 
 #: Current checkpoint format version (bump on incompatible change).
-#: Version 3 summaries hold a columnar final report; version 2 files
-#: (whose summaries pickle the removed per-VM fleet report) and version
-#: 1 files (hosts and clusters before the counter ring) are refused.
-CHECKPOINT_VERSION = 3
+#: Version 4 sandboxes number their clones with a plain int; version 3
+#: files (whose clone counters pickle an ``itertools.count``, which
+#: Python 3.14 cannot unpickle), version 2 files (whose summaries pickle
+#: the removed per-VM fleet report) and version 1 files (hosts and
+#: clusters before the counter ring) are refused.
+CHECKPOINT_VERSION = 4
 
 #: Checkpoint kinds :meth:`~repro.fleet.fleet.Fleet.resume` reads.
 #: Every snapshot is written as ``"fleet"`` (with ``meta.regions`` set

@@ -27,6 +27,16 @@ insertion order and every shard evolves from its own pickled RNG
 state, so a fleet run is **bit-identical for any worker count**
 (pinned by ``tests/integration/test_parallel_fleet.py``).
 
+Each strategy also answers for the state it owns, through one surface:
+:meth:`~SerialShardExecutor.collect` (per-shard statistics and event
+logs, in shard order), :meth:`~SerialShardExecutor.snapshot_state`
+(what a checkpoint pickles), ``worker_health()`` and
+``quarantined_shards``.  The serial strategy reads the fleet's own
+shard objects; the process strategy serves its start-of-run template
+until the workers spawn, fetches from them while they run (one collect
+per epoch, cached), and keeps the final collect it takes at shutdown.
+The fleet never asks which strategy it holds.
+
 The process strategy deliberately uses *dedicated* single-worker pools
 instead of one shared pool: task-to-worker affinity is what lets each
 worker keep its shards' state resident.  Workers are spawned (not
@@ -341,10 +351,54 @@ def step_shards(
     }
 
 
-class SerialShardExecutor:
-    """The reference strategy: shard epochs run in the calling thread."""
+def _collect_from_shards(
+    shards: Mapping[str, "FleetShard"], lifecycle: Optional["LifecycleEngine"]
+) -> Dict[str, Dict[str, object]]:
+    """Per-shard statistics and event logs, in shard order, read from
+    shard objects wherever they live (the fleet process or a worker)."""
+    collected: Dict[str, Dict[str, object]] = {}
+    lifecycle_stats = lifecycle.stats_dict() if lifecycle is not None else {}
+    for shard_id, shard in shards.items():
+        deepdive = shard.deepdive
+        collected[shard_id] = {
+            "detections": shard.detections(),
+            "migrations": shard.migrations(),
+            "analyzer_invocations": deepdive.analyzer_invocations(),
+            "profiling_seconds": deepdive.total_profiling_seconds(),
+            "repository_bytes": deepdive.repository_size_bytes(),
+            "vms": shard.cluster.vm_count(),
+            "hosts": len(shard.cluster.hosts),
+            "lifecycle": lifecycle_stats.get(shard_id, {}),
+        }
+    return collected
 
-    kind = "serial"
+
+#: What a fleet checkpoint holds of the shard state: the live shards in
+#: shard order, the lifecycle engine's state (or ``None``) and the ids
+#: of shards missing from the snapshot (quarantined workers).
+ShardState = Tuple[
+    Dict[str, "FleetShard"], Optional[Dict[str, Dict[str, object]]], Tuple[str, ...]
+]
+
+
+def _local_state(
+    shards: Mapping[str, "FleetShard"], lifecycle: Optional["LifecycleEngine"]
+) -> ShardState:
+    """The :data:`ShardState` of shard objects held in this process."""
+    return (
+        dict(shards),
+        lifecycle.state_dict() if lifecycle is not None else None,
+        (),
+    )
+
+
+class SerialShardExecutor:
+    """The reference strategy: shard epochs run in the calling thread,
+    against the fleet's own shard objects, so its statistics and
+    snapshots read those objects directly.  It has no workers: its
+    health table is empty and it never quarantines a shard."""
+
+    quarantined_shards: Tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -379,6 +433,17 @@ class SerialShardExecutor:
     def bootstrap(self) -> None:
         for shard in self._shards.values():
             shard.bootstrap()
+
+    def collect(self) -> Dict[str, Dict[str, object]]:
+        """Per-shard statistics and event logs, in shard order."""
+        return _collect_from_shards(self._shards, self._lifecycle)
+
+    def snapshot_state(self) -> "ShardState":
+        """The fleet's own shards, lifecycle state and no missing shards."""
+        return _local_state(self._shards, self._lifecycle)
+
+    def worker_health(self) -> List[Dict[str, object]]:
+        return []
 
     def shutdown(self) -> None:
         pass
@@ -485,27 +550,6 @@ def _worker_replay(steps: Sequence[Tuple[int, bool]]) -> int:
     return len(steps)
 
 
-def _collect_from_shards(
-    shards: Mapping[str, "FleetShard"], lifecycle: Optional["LifecycleEngine"]
-) -> Dict[str, Dict[str, object]]:
-    """Per-shard statistics snapshot from wherever the state lives."""
-    collected: Dict[str, Dict[str, object]] = {}
-    lifecycle_stats = lifecycle.stats_dict() if lifecycle is not None else {}
-    for shard_id, shard in shards.items():
-        deepdive = shard.deepdive
-        collected[shard_id] = {
-            "detections": shard.detections(),
-            "migrations": shard.migrations(),
-            "analyzer_invocations": deepdive.analyzer_invocations(),
-            "profiling_seconds": deepdive.total_profiling_seconds(),
-            "repository_bytes": deepdive.repository_size_bytes(),
-            "vms": shard.cluster.vm_count(),
-            "hosts": len(shard.cluster.hosts),
-            "lifecycle": lifecycle_stats.get(shard_id, {}),
-        }
-    return collected
-
-
 def _worker_collect() -> Dict[str, Dict[str, object]]:
     return _collect_from_shards(
         _WORKER_STATE["shards"], _WORKER_STATE.get("lifecycle")
@@ -557,11 +601,12 @@ class ProcessShardExecutor:
 
     The parent's shard objects are only the start-of-run template: once
     workers hold the state, mutating them (or the schedule) from the
-    parent has no effect.  Fleet-wide statistics are gathered on demand
-    through :meth:`collect`.
+    parent has no effect.  Until then the template *is* the state, and
+    :meth:`collect` and :meth:`snapshot_state` serve it without spawning
+    anything.  Construction spawns nothing and copies nothing the caller
+    may still change (the schedule and the fault-plan environment hook
+    are read at the first spawn).
     """
-
-    kind = "process"
 
     def __init__(
         self,
@@ -574,7 +619,7 @@ class ProcessShardExecutor:
         telemetry: Optional[TelemetryRegistry] = None,
     ) -> None:
         self._shards = shards
-        self._schedule = list(schedule)
+        self._schedule = schedule
         self._lifecycle = lifecycle
         self._telemetry = telemetry
         self._shard_order = list(shards)
@@ -582,10 +627,15 @@ class ProcessShardExecutor:
         self._pools: Optional[List[ProcessPoolExecutor]] = None
         #: One shared-memory reader per pool (parallel to ``_pools``).
         self._readers: Optional[List[ShmBlockReader]] = None
-        self._stopped = False
         self._broken = False
         self._ever_started = False
         self._bootstrapped = False
+        #: Worker statistics since the last epoch or bootstrap; after
+        #: shutdown, the final snapshot taken just before the workers
+        #: went away.
+        self._collected: Optional[Dict[str, Dict[str, object]]] = None
+        #: Why the final collect at shutdown failed, if it did.
+        self._final_collect_error: Optional[BaseException] = None
         #: Last VM-name table received per shard (rehydrates reports
         #: whose names were elided on the wire).
         self._names_cache: Dict[str, Tuple[str, ...]] = {}
@@ -598,11 +648,9 @@ class ProcessShardExecutor:
         #: snapshot/epoch refusal errors).
         self._dead_shards: List[str] = []
         self.fault_policy = fault_policy
-        #: The injected fault schedule (tests/CI chaos); falls back to
-        #: the REPRO_FLEET_FAULT_PLAN environment hook.
-        self._fault_plan = (
-            fault_plan if fault_plan is not None else FaultPlan.from_env()
-        )
+        #: The injected fault schedule (tests/CI chaos); ``None`` falls
+        #: back to the REPRO_FLEET_FAULT_PLAN environment hook at spawn.
+        self._fault_plan = fault_plan
         self._supervisor = (
             WorkerSupervisor(fault_policy, self) if fault_policy is not None else None
         )
@@ -666,7 +714,7 @@ class ProcessShardExecutor:
     def _ensure_started(self) -> List[ProcessPoolExecutor]:
         if self._pools is not None:
             return self._pools
-        if self._stopped:
+        if self._ever_started:
             # Respawning would silently reset the run to the parent's
             # start-of-run template state.
             raise RuntimeError(
@@ -682,6 +730,11 @@ class ProcessShardExecutor:
                 RuntimeWarning,
                 stacklevel=4,
             )
+        # Freeze what the workers are built from: later changes to the
+        # caller's schedule must not reach a respawned worker either.
+        self._schedule = list(self._schedule)
+        if self._fault_plan is None:
+            self._fault_plan = FaultPlan.from_env()
         pools: List[ProcessPoolExecutor] = []
         for index, group in enumerate(self._groups):
             payload = self._group_payload(
@@ -775,6 +828,7 @@ class ProcessShardExecutor:
                 + self._dead_shard_clause()
             )
         pools = self._ensure_started()
+        self._collected = None
         supervisor = self._supervisor
         if supervisor is not None:
             supervisor.note_epoch(epoch, analyze)
@@ -1041,6 +1095,7 @@ class ProcessShardExecutor:
 
     def bootstrap(self) -> None:
         pools = self._ensure_started()
+        self._collected = None
         for future in [pool.submit(_worker_bootstrap) for pool in pools]:
             future.result()
         # Respawned-from-template workers must repeat the bootstrap
@@ -1053,30 +1108,35 @@ class ProcessShardExecutor:
         return [health.pid for health in self._health]
 
     def collect(self) -> Dict[str, Dict[str, object]]:
-        """Per-shard statistics and event logs.
+        """Per-shard statistics and event logs, in shard order.
 
-        Fetched from the workers when they are running.  Before any
-        worker has started (no bootstrap, no epoch) the parent's
-        template shards *are* the current state, so they are served
-        directly instead of cold-spawning every pool just to read the
-        same start-of-run snapshot back.
+        Fetched from the workers once per epoch: worker state changes
+        only when an epoch or the bootstrap runs, so repeated calls in
+        between share one round trip.  Before any worker has started the
+        parent's template shards *are* the current state and are served
+        without spawning.  After :meth:`shutdown` the final snapshot
+        taken on the way down is served; if that final collect failed,
+        this raises.  A run that broke mid-flight has no consistent
+        worker state: this raises while the workers are up, and serves
+        the template once they are shut down.  Quarantined shards have
+        no worker to answer for them and are absent.
         """
+        if self._collected is not None:
+            return self._collected
+        if self._pools is None:
+            if self._final_collect_error is not None:
+                raise RuntimeError(
+                    "process shard executor was shut down and its final "
+                    "statistics collect failed; the worker statistics "
+                    "were lost"
+                ) from self._final_collect_error
+            return _collect_from_shards(self._shards, self._lifecycle)
         if self._broken:
             raise RuntimeError(
                 "fleet workers are broken (a previous epoch failed "
                 "mid-flight); statistics can no longer be collected"
                 + self._dead_shard_clause()
             )
-        if self._pools is None:
-            if self._ever_started:
-                # Started then shut down: the worker state is gone and
-                # the template would silently misreport the run
-                # (Fleet.shutdown caches a final snapshot beforehand).
-                raise RuntimeError(
-                    "process shard executor was shut down; worker "
-                    "statistics were discarded — collect before shutdown"
-                )
-            return _collect_from_shards(self._shards, self._lifecycle)
         merged: Dict[str, Dict[str, object]] = {}
         try:
             futures = [
@@ -1089,28 +1149,23 @@ class ProcessShardExecutor:
         except BaseException:
             self._broken = True
             raise
-        return merged
+        self._collected = {
+            sid: merged[sid] for sid in self._shard_order if sid in merged
+        }
+        return self._collected
 
-    def snapshot_state(
-        self,
-    ) -> Optional[
-        Tuple[
-            Dict[str, "FleetShard"],
-            Optional[Dict[str, Dict[str, object]]],
-            Tuple[str, ...],
-        ]
-    ]:
+    def snapshot_state(self) -> ShardState:
         """The live worker-side shard objects and lifecycle state.
 
         Returns ``(shards in shard order, merged lifecycle state dict or
-        None, missing shard ids)`` fetched from the workers, or ``None``
-        before any worker has started — the parent's template objects
-        *are* the current state then, and the caller snapshots those
-        locally instead of cold-spawning every pool.  Worker groups own
-        disjoint shard sets, so their lifecycle states reassemble by
-        plain per-shard union.  Quarantined groups are skipped: their
-        shard ids come back in the third slot so the checkpoint can
-        carry an explicit ``missing_shards`` manifest.  Broken workers
+        None, missing shard ids)`` fetched from the workers.  Before any
+        worker has started the parent's template objects *are* the
+        current state, and they are returned instead of cold-spawning
+        every pool.  Worker groups own disjoint shard sets, so their
+        lifecycle states reassemble by plain per-shard union.
+        Quarantined groups are skipped: their shard ids come back in the
+        third slot so the checkpoint can carry an explicit
+        ``missing_shards`` manifest.  Broken workers
         cannot be checkpointed (their shard states are no longer in
         lock step), and neither can a shut-down executor (the worker
         state is gone): both raise :class:`RuntimeError`.
@@ -1131,7 +1186,7 @@ class ProcessShardExecutor:
                     "process shard executor was shut down; the worker "
                     "state was discarded — snapshot before shutdown"
                 )
-            return None
+            return _local_state(self._shards, self._lifecycle)
         quarantined = set(self.quarantined_shards)
         shards: Dict[str, "FleetShard"] = {}
         lifecycle_states: List[Dict[str, Dict[str, object]]] = []
@@ -1175,7 +1230,23 @@ class ProcessShardExecutor:
         return ordered, merged, self.quarantined_shards
 
     def shutdown(self) -> None:
-        self._stopped = True
+        """Take the final statistics snapshot, then release the workers.
+
+        Idempotent and failure-safe: the pools are always released and
+        the shared-memory transport segments unlinked, whatever the
+        final collect did.  A broken run is not collected (its workers
+        no longer agree on the epoch).
+        """
+        try:
+            if self._pools is not None and not self._broken:
+                try:
+                    self.collect()
+                except Exception as exc:  # noqa: BLE001 - reported by collect()
+                    self._final_collect_error = exc
+        finally:
+            self._release_pools()
+
+    def _release_pools(self) -> None:
         try:
             if self._pools is not None:
                 for pool in self._pools:

@@ -18,6 +18,15 @@ evolution is independent of execution order, so a fleet run is
 bit-identical for any strategy and worker count — pinned by
 ``tests/integration/test_parallel_fleet.py``.
 
+The executor is also the only place that knows where the shard state
+lives.  Both strategies answer the same state surface — ``collect()``
+(per-shard statistics and event logs), ``snapshot_state()`` (the live
+shard objects for a checkpoint), ``worker_health()`` and
+``quarantined_shards`` — so :meth:`Fleet.stats`, :meth:`Fleet.detections`,
+:meth:`Fleet.migrations`, :meth:`Fleet.lifecycle_stats` and
+:meth:`Fleet.snapshot` each read it one way, whether the fleet never
+ran, is running or was shut down.
+
 Optional :class:`Region` records partition the shards into contiguous
 named groups with their own worker budgets.  Regions are bookkeeping
 only — they shape the process worker groups, the ``region`` label of
@@ -276,6 +285,7 @@ class FleetShard:
         — the off-sample and telemetry-off case — keeps the exact
         untimed path.
         """
+        loads = None
         if self.baseline_loads != self._pushed_loads:
             pushed = self._pushed_loads
             if pushed is None:
@@ -287,21 +297,14 @@ class FleetShard:
                     if pushed.get(name) != load
                 }
             self._pushed_loads = dict(self.baseline_loads)
-            if delta:
-                if telemetry is None:
-                    self.cluster.step(loads=delta)
-                    return self.deepdive.run_epoch(loads=delta, analyze=analyze)
-                with telemetry.span("simulate", epoch):
-                    self.cluster.step(loads=delta)
-                with telemetry.span("monitor", epoch):
-                    return self.deepdive.run_epoch(loads=delta, analyze=analyze)
+            loads = delta or None
         if telemetry is None:
-            self.cluster.step()
-            return self.deepdive.run_epoch(analyze=analyze)
+            self.cluster.step(loads=loads)
+            return self.deepdive.run_epoch(loads=loads, analyze=analyze)
         with telemetry.span("simulate", epoch):
-            self.cluster.step()
+            self.cluster.step(loads=loads)
         with telemetry.span("monitor", epoch):
-            return self.deepdive.run_epoch(analyze=analyze)
+            return self.deepdive.run_epoch(loads=loads, analyze=analyze)
 
     # ------------------------------------------------------------------
     def detections(self) -> List[InterferenceDetectedEvent]:
@@ -448,8 +451,8 @@ class Fleet:
     The one fleet runtime: :meth:`stream` / :meth:`run` /
     :meth:`run_epoch` / :meth:`run_summaries` configured by a typed
     :class:`RunOptions`, :meth:`snapshot` / :meth:`resume` for
-    checkpointed long-lived runs, and operator statistics wherever the
-    shard state lives.
+    checkpointed long-lived runs, and operator statistics read from the
+    shard executor, which owns the shard state.
 
     Parameters
     ----------
@@ -470,9 +473,9 @@ class Fleet:
         when ``max_workers > 1`` and ``"serial"`` otherwise.  With
         ``"process"``, the worker processes own the shard state for the
         whole run: the fleet's own shard objects are the start-of-run
-        template, and mid-run mutations of them (or of ``schedule``) do
-        not reach the workers — fleet statistics are fetched from the
-        workers instead.
+        template, and changes to them (or to ``schedule``) after the
+        workers spawn do not reach the workers — fleet statistics are
+        fetched from the workers instead.
     lifecycle:
         Optional :class:`~repro.fleet.lifecycle.LifecycleEngine` whose
         timeline (VM churn, host maintenance, load phases) is applied
@@ -563,10 +566,8 @@ class Fleet:
         #: Live telemetry bus, or ``None`` (off) — the hot loop checks
         #: only this one reference.
         self.telemetry = resolve_telemetry(telemetry)
-        self._strategy = None
-        #: Last statistics snapshot fetched from process workers (kept
-        #: so the fleet stays inspectable after :meth:`shutdown`).
-        self._last_collected: Optional[Dict[str, Dict[str, object]]] = None
+        #: The shard executor, built on first use (see _shard_strategy).
+        self._strategy: Union[SerialShardExecutor, ProcessShardExecutor, None] = None
 
     # ------------------------------------------------------------------
     # Topology
@@ -607,11 +608,15 @@ class Fleet:
         (spawning them if needed) so the learned repositories live with
         the shard state.
         """
-        strategy = self._shard_strategy()
-        strategy.bootstrap()
-        self._last_collected = None
+        self._shard_strategy().bootstrap()
 
-    def _shard_strategy(self):
+    def _shard_strategy(self) -> Union[SerialShardExecutor, ProcessShardExecutor]:
+        """The executor that owns the shard state, built on first use.
+
+        Building it has no side effects (no worker is spawned until the
+        first bootstrap or epoch), so statistics, snapshots and health
+        rows of a never-run fleet build it too.
+        """
         if self._strategy is None:
             if self.executor == "process":
                 self._strategy = ProcessShardExecutor(
@@ -632,19 +637,6 @@ class Fleet:
                 )
         return self._strategy
 
-    def _collected(self) -> Optional[Dict[str, Dict[str, object]]]:
-        """Worker-side shard statistics, or ``None`` when state is local.
-
-        The snapshot is cached between epochs — worker state only changes
-        when an epoch runs, so consecutive ``stats()``/``detections()``/
-        ``migrations()`` calls share one worker round trip.
-        """
-        strategy = self._strategy
-        if isinstance(strategy, ProcessShardExecutor) and strategy.started:
-            if self._last_collected is None:
-                self._last_collected = strategy.collect()
-        return self._last_collected
-
     def _step_epoch(self, analyze: bool) -> ColumnarFleetReport:
         """Advance the whole fleet by one epoch (the stream primitive).
 
@@ -659,12 +651,10 @@ class Fleet:
         """
         strategy = self._shard_strategy()
         shard_reports = strategy.run_shard_epochs(self.current_epoch, analyze=analyze)
-        # Worker-side state advanced; drop the cached statistics snapshot.
-        self._last_collected = None
         out = ColumnarFleetReport(
             epoch=self.current_epoch,
             shard_reports=shard_reports,
-            missing_shards=tuple(getattr(strategy, "quarantined_shards", ()) or ()),
+            missing_shards=strategy.quarantined_shards,
         )
         self.current_epoch += 1
         return out
@@ -776,33 +766,6 @@ class Fleet:
     # ------------------------------------------------------------------
     # Checkpoint / resume
     # ------------------------------------------------------------------
-    def _gather_state(
-        self,
-    ) -> Tuple[
-        Dict[str, FleetShard],
-        Optional[Dict[str, Dict[str, object]]],
-        Tuple[str, ...],
-    ]:
-        """The live shards (in shard order), lifecycle state, and the
-        shards missing from the snapshot (quarantined workers).
-
-        A serial fleet owns its state locally; a started process
-        fleet fetches the live shard objects and lifecycle state back
-        from its workers (the parent's objects are only the start-of-run
-        template then).  A degraded process fleet returns a *partial*
-        snapshot: the quarantined shards come back in the third slot so
-        the checkpoint can manifest them explicitly.
-        """
-        strategy = self._strategy
-        if isinstance(strategy, ProcessShardExecutor):
-            state = strategy.snapshot_state()
-            if state is not None:
-                return state
-        lifecycle_state = (
-            self.lifecycle.state_dict() if self.lifecycle is not None else None
-        )
-        return dict(self.shards), lifecycle_state, ()
-
     def snapshot(
         self,
         path: Optional[Union[str, Path]] = None,
@@ -848,7 +811,9 @@ class Fleet:
         summary: Optional[FleetRunSummary],
         extra: Optional[object],
     ) -> Checkpoint:
-        shards, lifecycle_state, missing_shards = self._gather_state()
+        shards, lifecycle_state, missing_shards = (
+            self._shard_strategy().snapshot_state()
+        )
         payload: Dict[str, object] = {
             "shards": list(shards.values()),
             "schedule": list(self.schedule),
@@ -988,131 +953,63 @@ class Fleet:
     def shutdown(self) -> None:
         """Release the shard workers (no-op for serial fleets).
 
-        For a process fleet the final worker-side statistics are fetched
-        first, so :meth:`stats`, :meth:`detections` and
-        :meth:`migrations` keep answering after the workers are gone.
-        Restarting a shut-down process fleet would silently reset the
-        worker state to the start-of-run template, so further epochs are
-        refused; a serial fleet can keep running.
+        A process fleet's executor takes a final statistics snapshot
+        first, so :meth:`stats`, :meth:`detections`, :meth:`migrations`
+        and :meth:`lifecycle_stats` keep answering after the workers are
+        gone.  Restarting a shut-down process fleet would silently reset
+        the worker state to the start-of-run template, so further epochs
+        are refused; a serial fleet can keep running.
 
         Idempotent and failure-safe: calling it again, or after a
         worker death broke the run mid-flight, is a clean no-op — the
         pools are always released and the shared-memory transport
         segments unlinked, whatever the final collect did.
         """
-        strategy = self._strategy
-        if strategy is None:
+        try:
+            self._shard_strategy().shutdown()
+        finally:
             if self.telemetry is not None:
+                # Flush the structured event log; harmless for shared
+                # registries (the stream lazily reopens on the next event).
                 self.telemetry.close()
-            return
-        if isinstance(strategy, ProcessShardExecutor):
-            try:
-                if strategy.started:
-                    try:
-                        self._last_collected = strategy.collect()
-                    except Exception:
-                        # Broken workers (e.g. one was killed mid-run)
-                        # can't answer a final collect; keep whatever
-                        # snapshot was already cached.
-                        pass
-            finally:
-                # Always release the pools and unlink the shm transport
-                # segments — even when collect failed with something
-                # harsher than a broken pool (KeyboardInterrupt in a
-                # long-lived service, an unpicklable result).
-                strategy.shutdown()
-        else:
-            strategy.shutdown()
-            self._strategy = None
-        if self.telemetry is not None:
-            # Flush the structured event log; harmless for shared
-            # registries (the stream lazily reopens on the next event).
-            self.telemetry.close()
 
     # ------------------------------------------------------------------
-    # Fleet-wide statistics
+    # Fleet-wide statistics, read from wherever the shard state lives
     # ------------------------------------------------------------------
     def detections(self) -> List[Tuple[str, InterferenceDetectedEvent]]:
-        collected = self._collected()
-        if collected is not None:
-            # .get: a quarantined shard has no worker to report for it.
-            return [
-                (shard_id, event)
-                for shard_id in self.shards
-                for event in collected.get(shard_id, {}).get("detections", ())
-            ]
         return [
             (shard_id, event)
-            for shard_id, shard in self.shards.items()
-            for event in shard.detections()
+            for shard_id, shard in self._shard_strategy().collect().items()
+            for event in shard["detections"]
         ]
 
     def migrations(self) -> List[Tuple[str, MigrationEvent]]:
-        collected = self._collected()
-        if collected is not None:
-            return [
-                (shard_id, event)
-                for shard_id in self.shards
-                for event in collected.get(shard_id, {}).get("migrations", ())
-            ]
         return [
             (shard_id, event)
-            for shard_id, shard in self.shards.items()
-            for event in shard.migrations()
+            for shard_id, shard in self._shard_strategy().collect().items()
+            for event in shard["migrations"]
         ]
 
     def stats(self) -> Dict[str, float]:
         """Aggregate fleet statistics (the operator dashboard numbers).
 
         Under the process strategy the numbers come from the workers'
-        live shard state (fetched on demand), not from the fleet's
-        start-of-run template objects.
+        live shard state, not from the fleet's start-of-run template
+        objects; shards of quarantined workers are left out.
         """
-        collected = self._collected()
-        if collected is not None:
-            per_shard = list(collected.values())
-            analyzer_invocations = sum(
-                s["analyzer_invocations"] for s in per_shard
-            )
-            profiling_seconds = sum(s["profiling_seconds"] for s in per_shard)
-            repository_bytes = sum(s["repository_bytes"] for s in per_shard)
-            detections = sum(len(s["detections"]) for s in per_shard)
-            migrations = sum(len(s["migrations"]) for s in per_shard)
-            # Under lifecycle churn the parent's shard objects are a
-            # stale template; the workers report the live topology.
-            vms = sum(s.get("vms", 0) for s in per_shard)
-            hosts = sum(s.get("hosts", 0) for s in per_shard)
-        else:
-            analyzer_invocations = sum(
-                s.deepdive.analyzer_invocations() for s in self.shards.values()
-            )
-            profiling_seconds = sum(
-                s.deepdive.total_profiling_seconds() for s in self.shards.values()
-            )
-            repository_bytes = sum(
-                s.deepdive.repository_size_bytes() for s in self.shards.values()
-            )
-            # Count per shard instead of via self.detections()/
-            # self.migrations(): those build one fleet-wide list of
-            # (shard, event) tuples just to be len()'d.
-            detections = sum(
-                len(s.detections()) for s in self.shards.values()
-            )
-            migrations = sum(
-                len(s.migrations()) for s in self.shards.values()
-            )
-            vms = self.total_vms()
-            hosts = self.total_hosts()
+        per_shard = self._shard_strategy().collect().values()
         out = {
             "shards": float(len(self.shards)),
-            "hosts": float(hosts),
-            "vms": float(vms),
+            "hosts": float(sum(s["hosts"] for s in per_shard)),
+            "vms": float(sum(s["vms"] for s in per_shard)),
             "epochs": float(self.current_epoch),
-            "detections": float(detections),
-            "migrations": float(migrations),
-            "analyzer_invocations": float(analyzer_invocations),
-            "profiling_seconds": float(profiling_seconds),
-            "repository_bytes": float(repository_bytes),
+            "detections": float(sum(len(s["detections"]) for s in per_shard)),
+            "migrations": float(sum(len(s["migrations"]) for s in per_shard)),
+            "analyzer_invocations": float(
+                sum(s["analyzer_invocations"] for s in per_shard)
+            ),
+            "profiling_seconds": float(sum(s["profiling_seconds"] for s in per_shard)),
+            "repository_bytes": float(sum(s["repository_bytes"] for s in per_shard)),
         }
         if self.regions is not None:
             out["regions"] = float(len(self.regions))
@@ -1123,27 +1020,16 @@ class Fleet:
 
         Empty when the fleet has no lifecycle engine; otherwise one
         entry per shard (all-zero counters for shards the timeline never
-        touched), whichever executor runs the engine.  Under the process
-        strategy the counters come from the workers (where the engine
-        subsets actually ran); otherwise from the fleet's own engine.
+        touched, or whose worker was quarantined), read from wherever
+        the engine runs.
         """
         if self.lifecycle is None:
             return {}
-        collected = self._collected()
-        if collected is not None:
-            per_shard = {
-                shard_id: dict(collected.get(shard_id, {}).get("lifecycle") or {})
-                for shard_id in self.shards
-            }
-        else:
-            stats = self.lifecycle.stats_dict()
-            per_shard = {
-                shard_id: stats.get(shard_id, {}) for shard_id in self.shards
-            }
+        collected = self._shard_strategy().collect()
         zeros = LifecycleStats().as_dict()
         return {
-            shard_id: (stats if stats else dict(zeros))
-            for shard_id, stats in per_shard.items()
+            shard_id: dict(collected.get(shard_id, {}).get("lifecycle") or zeros)
+            for shard_id in self.shards
         }
 
     def worker_health(self) -> List[Dict[str, object]]:
@@ -1154,10 +1040,7 @@ class Fleet:
         regional fleet labels each row with its worker's ``region``
         (worker groups never span regions).
         """
-        health = getattr(self._strategy, "worker_health", None)
-        if not callable(health):
-            return []
-        rows = health()
+        rows = self._shard_strategy().worker_health()
         if self.regions is not None:
             region_of = {
                 sid: region.region_id
@@ -1171,7 +1054,7 @@ class Fleet:
     @property
     def quarantined_shards(self) -> Tuple[str, ...]:
         """Shards excluded by quarantined workers (graceful degradation)."""
-        return tuple(getattr(self._strategy, "quarantined_shards", ()) or ())
+        return self._shard_strategy().quarantined_shards
 
 
 def _rebuild_lifecycle(state: Mapping[str, object]) -> Optional[LifecycleEngine]:

@@ -207,6 +207,7 @@ def build_fleet(
     fault_policy: Optional["FaultPolicy"] = None,
     fault_plan: Optional["FaultPlan"] = None,
     telemetry: Union["TelemetryConfig", "TelemetryRegistry", None] = None,
+    num_regions: Optional[int] = None,
 ) -> Fleet:
     """Materialise a scenario into a runnable :class:`Fleet`.
 
@@ -224,7 +225,8 @@ def build_fleet(
         produce equivalent counters, scalar is the reference/baseline.
     max_workers:
         Shard worker count for :meth:`Fleet.run_epoch` (``None`` =
-        serial); any value yields identical results.
+        serial); any value yields identical results.  With
+        ``num_regions`` it is the *per-region* worker budget.
     executor:
         Shard execution strategy (``"serial"``/``"process"``, see
         :class:`~repro.fleet.fleet.Fleet`); the default infers it from
@@ -247,49 +249,19 @@ def build_fleet(
         :mod:`repro.fleet.telemetry`); ``None`` defers to the
         ``REPRO_FLEET_PROFILE`` environment switch (off by default).
         Telemetry never changes decisions — only timings and counters.
+    num_regions:
+        Partition the shards contiguously into this many balanced
+        regions (``region0``, ``region1``, ... — see
+        :func:`partition_regions`); ``None`` builds the flat fleet.  The
+        partition is bookkeeping only, so a regional fleet evolves
+        bit-identically to the flat one.  ``fault_plan`` worker indices
+        are fleet-global, numbered region by region.
 
     A scenario with a ``timeline`` gets a
     :class:`~repro.fleet.lifecycle.LifecycleEngine` attached to the
     fleet: identical timelines produce bit-identical fleet evolutions
     for every substrate/executor combination
     (``tests/property/test_lifecycle_equivalence.py``).
-    """
-    shards, schedule, lifecycle = _materialise(
-        scenario,
-        config=config,
-        engine=engine,
-        mitigate=mitigate,
-        substrate=substrate,
-        track_performance=track_performance,
-        history_limit=history_limit,
-    )
-    return Fleet(
-        shards,
-        schedule=schedule,
-        max_workers=max_workers,
-        executor=executor,
-        lifecycle=lifecycle,
-        fault_policy=fault_policy,
-        fault_plan=fault_plan,
-        telemetry=telemetry,
-    )
-
-
-def _materialise(
-    scenario: DatacenterScenario,
-    config: Optional[DeepDiveConfig],
-    engine: str,
-    mitigate: bool,
-    substrate: str,
-    track_performance: bool,
-    history_limit: Optional[int],
-) -> Tuple[List[FleetShard], List[ScheduledStress], Optional[LifecycleEngine]]:
-    """Deterministically materialise a scenario's shards + schedule.
-
-    Shared by :func:`build_fleet` and :func:`build_regional_fleet`:
-    both draw from the same single seeded generator in the same order,
-    so the flat and regional constructions produce byte-identical shard
-    states — the precondition for regional == flat bit-identity.
     """
     config = config or DeepDiveConfig()
     rng = np.random.default_rng(scenario.seed)
@@ -389,7 +361,21 @@ def _materialise(
             anti_affinity=tuple(scenario.anti_affinity)
         )
         lifecycle = LifecycleEngine(scenario.timeline, admission=admission)
-    return shards, schedule, lifecycle
+    return Fleet(
+        shards,
+        schedule=schedule,
+        max_workers=max_workers,
+        executor=executor,
+        lifecycle=lifecycle,
+        fault_policy=fault_policy,
+        fault_plan=fault_plan,
+        telemetry=telemetry,
+        regions=(
+            None
+            if num_regions is None
+            else partition_regions(shards, num_regions, max_workers)
+        ),
+    )
 
 
 def partition_regions(
@@ -418,51 +404,3 @@ def partition_regions(
         )
         start += size
     return regions
-
-
-def build_regional_fleet(
-    scenario: DatacenterScenario,
-    num_regions: int,
-    config: Optional[DeepDiveConfig] = None,
-    engine: str = "batch",
-    mitigate: bool = False,
-    substrate: str = "batch",
-    region_workers: Optional[int] = None,
-    executor: Optional[str] = None,
-    track_performance: bool = False,
-    history_limit: Optional[int] = 64,
-    fault_policy: Optional["FaultPolicy"] = None,
-    fault_plan: Optional["FaultPlan"] = None,
-    telemetry: Union["TelemetryConfig", "TelemetryRegistry", None] = None,
-) -> Fleet:
-    """Materialise a scenario into a :class:`~repro.fleet.fleet.Fleet`
-    partitioned into ``num_regions`` regions.
-
-    The shards are built by exactly the same seeded construction as
-    :func:`build_fleet` and partitioned contiguously into balanced
-    regions (``region0``, ``region1``, ...), so the regional fleet
-    evolves bit-identically to the flat one — whatever ``executor`` and
-    ``region_workers`` (the *per-region* worker budget) are chosen.
-    ``fault_plan`` worker indices are fleet-global, numbered region by
-    region.
-    """
-    shards, schedule, lifecycle = _materialise(
-        scenario,
-        config=config,
-        engine=engine,
-        mitigate=mitigate,
-        substrate=substrate,
-        track_performance=track_performance,
-        history_limit=history_limit,
-    )
-    return Fleet(
-        shards,
-        schedule=schedule,
-        max_workers=region_workers,
-        executor=executor,
-        lifecycle=lifecycle,
-        fault_policy=fault_policy,
-        fault_plan=fault_plan,
-        telemetry=telemetry,
-        regions=partition_regions(shards, num_regions, region_workers),
-    )

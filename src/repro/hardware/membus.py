@@ -100,7 +100,11 @@ class MemoryBusModel:
         epoch_seconds:
             Epoch length, to convert traffic into bandwidth.
         """
-        names = set(miss_traffic_mb) | set(writeback_traffic_mb) | set(dma_traffic_mb)
+        # Insertion order, not a set: the bus total sums in this order,
+        # and a set's order would change with the string hash seed.
+        names = list(
+            dict.fromkeys([*miss_traffic_mb, *writeback_traffic_mb, *dma_traffic_mb])
+        )
         per_vm_mb: Dict[str, float] = {}
         for name in names:
             per_vm_mb[name] = (

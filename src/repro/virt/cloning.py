@@ -10,7 +10,6 @@ toward the profiling cost accounted in the overhead study (Figure 12).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -54,7 +53,9 @@ class CloneManager:
         self.network_gbps = network_gbps
         self.cow_disk = cow_disk
         self.base_overhead_seconds = base_overhead_seconds
-        self._counter = itertools.count()
+        #: Number of the next unnamed clone (``<vm>-clone-<n>``).  A plain
+        #: int, so checkpoints pickle it on every Python version.
+        self._next_clone = 0
         #: Total seconds spent cloning since construction.
         self.total_clone_seconds = 0.0
         self.clones_created = 0
@@ -76,7 +77,10 @@ class CloneManager:
         function of the load, so it replays ``vm``'s own workload under
         the clone's name instead of a deep copy.
         """
-        name = clone_name or f"{vm.name}-clone-{next(self._counter)}"
+        name = clone_name
+        if not name:
+            name = f"{vm.name}-clone-{self._next_clone}"
+            self._next_clone += 1
         seconds = self.clone_seconds_for(vm)
         self.total_clone_seconds += seconds
         self.clones_created += 1

@@ -23,7 +23,6 @@ from repro.fleet import (
     Fleet,
     RunOptions,
     build_fleet,
-    build_regional_fleet,
     churn_timeline,
     synthesize_datacenter,
     validate_checkpoint_file,
@@ -47,7 +46,7 @@ def _config() -> DeepDiveConfig:
 def _fleet(regional=False):
     scenario = synthesize_datacenter(16, num_shards=2, seed=23)
     if regional:
-        fleet = build_regional_fleet(scenario, num_regions=2, config=_config())
+        fleet = build_fleet(scenario, num_regions=2, config=_config())
     else:
         fleet = build_fleet(scenario, config=_config())
     fleet.bootstrap()
@@ -111,12 +110,12 @@ class TestFileFormat:
     def test_version_1_refused(self, fleet_checkpoint):
         """Version 1 pickled hosts and clusters before the cluster's
         counter ring; such a file is refused, naming both versions."""
-        assert CHECKPOINT_VERSION == 3
+        assert CHECKPOINT_VERSION == 4
         old = Checkpoint(
             meta={**fleet_checkpoint.meta, "version": 1},
             payload=fleet_checkpoint.payload,
         )
-        with pytest.raises(ValueError, match="version 1 is older.*version 3"):
+        with pytest.raises(ValueError, match="version 1 is older.*version 4"):
             Checkpoint.from_bytes(old.to_bytes())
 
     def test_version_2_refused(self, fleet_checkpoint):
@@ -127,7 +126,18 @@ class TestFileFormat:
             meta={**fleet_checkpoint.meta, "version": 2},
             payload=fleet_checkpoint.payload,
         )
-        with pytest.raises(CheckpointError, match="version 2 is older.*version 3"):
+        with pytest.raises(CheckpointError, match="version 2 is older.*version 4"):
+            Checkpoint.from_bytes(old.to_bytes())
+
+    def test_version_3_refused(self, fleet_checkpoint):
+        """Version 3 sandboxes pickled an ``itertools.count`` clone
+        counter; such a file is refused with a CheckpointError naming
+        both versions."""
+        old = Checkpoint(
+            meta={**fleet_checkpoint.meta, "version": 3},
+            payload=fleet_checkpoint.payload,
+        )
+        with pytest.raises(CheckpointError, match="version 3 is older.*version 4"):
             Checkpoint.from_bytes(old.to_bytes())
 
     def test_header_metadata_version_disagreement_refused(self, fleet_checkpoint):

@@ -16,7 +16,6 @@ from repro.fleet import (
     HostDrain,
     RunOptions,
     build_fleet,
-    build_regional_fleet,
     churn_timeline,
     synthesize_datacenter,
 )
@@ -35,12 +34,12 @@ def _config() -> DeepDiveConfig:
 def _fleet(executor=None, max_workers=None, regional=False, timeline=None):
     scenario = synthesize_datacenter(16, num_shards=2, seed=23, timeline=timeline)
     if regional:
-        fleet = build_regional_fleet(
+        fleet = build_fleet(
             scenario,
             num_regions=2,
             config=_config(),
             executor=executor,
-            region_workers=max_workers,
+            max_workers=max_workers,
         )
     else:
         fleet = build_fleet(

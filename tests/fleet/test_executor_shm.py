@@ -25,6 +25,7 @@ from repro.fleet.executor import (
     ColumnarFleetReport,
     ColumnarShardReport,
     ProcessShardExecutor,
+    _collect_from_shards,
 )
 from repro.fleet.faults import FaultPlan, WorkerFault
 from repro.fleet.shm import (
@@ -215,18 +216,41 @@ class TestCollectWithoutWorkers:
         finally:
             fleet.shutdown()
 
-    def test_executor_collect_after_real_run_is_refused_post_shutdown(self):
+    def test_collect_after_shutdown_serves_final(self):
+        """After shutdown the executor serves the live statistics it
+        collected on the way down, not the start-of-run template."""
         fleet = _tiny_process_fleet(max_workers=1, num_vms=8)
         try:
+            fleet.bootstrap()
             fleet.run_epoch(RunOptions(analyze=False))
             strategy = fleet._strategy
+            live = strategy.collect()
         finally:
             fleet.shutdown()
-        # Fleet cached the final snapshot; the executor itself refuses
-        # to silently fall back to the stale template.
-        assert fleet.stats()["epochs"] == 1.0
-        with pytest.raises(RuntimeError, match="shut down"):
+        template = _collect_from_shards(fleet.shards, fleet.lifecycle)
+        # The bootstrap ran in the worker: only the live state learned.
+        assert all(stats["repository_bytes"] > 0 for stats in live.values())
+        assert all(stats["repository_bytes"] == 0 for stats in template.values())
+        assert strategy.collect() == live
+        assert fleet.stats()["repository_bytes"] == sum(
+            stats["repository_bytes"] for stats in live.values()
+        )
+
+    def test_collect_raises_if_final_collect_failed(self, monkeypatch):
+        fleet = _tiny_process_fleet(max_workers=1, num_vms=8)
+        fleet.run_epoch(RunOptions(analyze=False))
+        strategy = fleet._strategy
+
+        def explode():
+            raise ValueError("worker result did not unpickle")
+
+        monkeypatch.setattr(strategy, "collect", explode)
+        fleet.shutdown()
+        monkeypatch.undo()
+        with pytest.raises(RuntimeError, match="final statistics collect") as info:
             strategy.collect()
+        assert isinstance(info.value.__cause__, ValueError)
+        assert WorkerPids(fleet).leaked() == []
 
 
 class TestOrderedMergeValidation:

@@ -22,7 +22,6 @@ from repro.fleet import (
     Region,
     RunOptions,
     build_fleet,
-    build_regional_fleet,
     churn_timeline,
     partition_regions,
     synthesize_datacenter,
@@ -132,7 +131,7 @@ class TestRegionConstruction:
             8, num_shards=2, seed=11, timeline=timeline
         )
         with pytest.raises(ValueError, match="unknown host"):
-            build_regional_fleet(scenario, num_regions=2, config=_config())
+            build_fleet(scenario, num_regions=2, config=_config())
 
 
 class TestWorkerBudgets:
@@ -182,15 +181,15 @@ class TestWorkerBudgets:
         assert parallel.executor == "process"
 
     def test_one_executor_spawns_the_summed_budgets(self):
-        """2 regions x 3 shards at region_workers=2 run on exactly 4
+        """2 regions x 3 shards at a per-region budget of 2 run on exactly 4
         workers of one executor, and every health row's shards lie
         inside its region."""
-        fleet = build_regional_fleet(
+        fleet = build_fleet(
             synthesize_datacenter(24, num_shards=6, seed=11),
             num_regions=2,
             config=_config(),
             executor="process",
-            region_workers=2,
+            max_workers=2,
         )
         try:
             fleet.run_epoch(RunOptions(analyze=False))
@@ -215,7 +214,7 @@ class TestWorkerBudgets:
 
 class TestAggregation:
     def test_stats_includes_region_count(self):
-        fleet = build_regional_fleet(
+        fleet = build_fleet(
             synthesize_datacenter(8, num_shards=2, seed=11),
             num_regions=2,
             config=_config(),

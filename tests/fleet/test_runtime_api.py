@@ -19,7 +19,6 @@ from repro.fleet import (
     FleetRunSummary,
     RunOptions,
     build_fleet,
-    build_regional_fleet,
     synthesize_datacenter,
 )
 
@@ -37,12 +36,12 @@ def _config() -> DeepDiveConfig:
 def _fleet(executor=None, max_workers=None, regional=False):
     scenario = synthesize_datacenter(16, num_shards=2, seed=23)
     if regional:
-        fleet = build_regional_fleet(
+        fleet = build_fleet(
             scenario,
             num_regions=2,
             config=_config(),
             executor=executor,
-            region_workers=max_workers,
+            max_workers=max_workers,
         )
     else:
         fleet = build_fleet(

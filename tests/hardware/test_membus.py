@@ -1,7 +1,13 @@
 """Tests for the memory-interconnect contention model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.hardware.membus import MemoryBusModel
 from repro.hardware.specs import CORE_I7_E5640, XEON_X5472
 
@@ -66,3 +72,55 @@ class TestMemoryBusModel:
         assert fsb.bandwidth_share_mb(100.0, 200.0, 1.0) == pytest.approx(100.0)
         share = fsb.bandwidth_share_mb(capacity, capacity * 2, 1.0)
         assert share == pytest.approx(capacity / 2)
+
+
+#: Resolves one noise-free 6-VM co-location over 200 epochs of random
+#: demands and prints a digest of every VM's counters.
+_COLOCATION_DIGEST = """
+import hashlib
+import numpy as np
+from repro.hardware.demand import ResourceDemand
+from repro.hardware.machine import PhysicalMachine
+from repro.hardware.specs import XEON_X5472
+
+rng = np.random.default_rng(3)
+machine = PhysicalMachine(spec=XEON_X5472, name="pm0", noise=0.0, seed=1)
+digest = hashlib.sha256()
+for _ in range(200):
+    demands = {
+        f"vm{i}": ResourceDemand(
+            instructions=float(rng.uniform(0.2e9, 1.5e9)),
+            working_set_mb=float(rng.uniform(1.0, 16.0)),
+            l1_miss_pki=float(rng.uniform(5.0, 40.0)),
+            locality=float(rng.uniform(0.1, 0.9)),
+            disk_mb=float(rng.uniform(0.0, 30.0)),
+            network_mbit=float(rng.uniform(0.0, 300.0)),
+        )
+        for i in range(6)
+    }
+    result = machine.run_epoch(demands)
+    for name in demands:
+        counters = result.per_vm[name].counters.as_dict().values()
+        digest.update(repr(tuple(counters)).encode())
+print(digest.hexdigest())
+"""
+
+
+def _colocation_digest(hash_seed: str) -> str:
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _COLOCATION_DIGEST],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout.strip()
+
+
+def test_resolution_is_independent_of_the_hash_seed():
+    """The bus total sums the VMs in a fixed order, so a co-location's
+    counters are bit-identical in processes with different string hash
+    seeds (process workers each run under their own)."""
+    assert _colocation_digest("0") == _colocation_digest("1")

@@ -17,6 +17,7 @@ from repro.fleet import (
     InterferenceEpisode,
     RunOptions,
     build_fleet,
+    churn_timeline,
     synthesize_datacenter,
 )
 
@@ -173,6 +174,116 @@ class TestProcessExecutorDeterminism:
         assert fleet.stats() == stats
         with pytest.raises(RuntimeError):
             fleet.run_epoch(RunOptions(analyze=False))
+
+
+def _churn_build(executor, max_workers=None):
+    """A churning two-shard fleet with one memory interference episode."""
+    scenario = synthesize_datacenter(
+        16,
+        num_shards=2,
+        seed=23,
+        episodes=[
+            InterferenceEpisode(
+                shard=1, host_index=1, start_epoch=2, end_epoch=5, kind="memory"
+            )
+        ],
+        timeline=churn_timeline(
+            ["shard0", "shard1"],
+            epochs=6,
+            seed=5,
+            arrivals_per_epoch=1.0,
+            mean_lifetime_epochs=3.0,
+        ),
+    )
+    config = DeepDiveConfig(
+        profile_epochs=3,
+        bootstrap_load_levels=3,
+        bootstrap_epochs_per_level=3,
+        min_normal_behaviors=8,
+        placement_eval_epochs=3,
+        smoothing_epochs=2,
+    )
+    return build_fleet(
+        scenario,
+        config=config,
+        mitigate=True,
+        executor=executor,
+        max_workers=max_workers,
+    )
+
+
+def _shard_state(shard):
+    """Comparable fingerprint of one shard's simulation state."""
+    cluster = shard.cluster
+    deepdive = shard.deepdive
+    totals = cluster.latest_counter_totals()
+    return (
+        {name: tuple(host.vms) for name, host in cluster.hosts.items()},
+        [host.machine._rng.bit_generator.state for host in cluster.hosts.values()],
+        None if totals is None else totals.tolist(),
+        shard.baseline_loads,
+        shard.detections(),
+        shard.migrations(),
+        deepdive.analyzer_invocations(),
+        deepdive.total_profiling_seconds(),
+        deepdive.repository_size_bytes(),
+        deepdive.sandbox.clone_manager.clones_created,
+    )
+
+
+def _snapshot_states(fleet):
+    shards = fleet.snapshot().state()["shards"]
+    return {shard.shard_id: _shard_state(shard) for shard in shards}
+
+
+def _surface(fleet):
+    return (
+        fleet.stats(),
+        fleet.detections(),
+        fleet.migrations(),
+        fleet.lifecycle_stats(),
+    )
+
+
+class TestShardStateSurface:
+    """Statistics, event logs, lifecycle counters and snapshots read the
+    same on both executors, whether the fleet never ran, ran, or was
+    shut down: each executor answers for the shard state it owns."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_serial_and_process_fleets_report_alike(self, workers):
+        serial = _churn_build("serial")
+        process = _churn_build("process", max_workers=workers)
+        try:
+            # Never run: the process fleet serves its template and
+            # spawns nothing to do so.
+            assert _surface(process) == _surface(serial)
+            assert _snapshot_states(process) == _snapshot_states(serial)
+            assert process.worker_health() == []
+            assert not process._strategy.started
+            assert serial.worker_health() == []
+            assert serial.quarantined_shards == ()
+
+            for fleet in (serial, process):
+                fleet.bootstrap()
+                fleet.run(6, RunOptions(keep_reports=False))
+            ran = _surface(serial)
+            assert ran == _surface(process)
+            assert ran[1] and ran[2], "the episode must be detected and mitigated"
+            assert sum(c["arrivals_admitted"] for c in ran[3].values()) > 0
+            live = _snapshot_states(process)
+            assert live == _snapshot_states(serial)
+            assert len(process.worker_health()) == workers
+            assert serial.worker_health() == []
+            assert serial.quarantined_shards == process.quarantined_shards == ()
+        finally:
+            serial.shutdown()
+            process.shutdown()
+        # Shut down: the process fleet answers from its final collect.
+        assert _surface(process) == _surface(serial) == ran
+        assert _snapshot_states(serial) == live
+        with pytest.raises(RuntimeError, match="shut down"):
+            process.snapshot()
 
 
 class TestBaselineLoadPropagation:

@@ -38,7 +38,6 @@ from repro.fleet import (
     LoadPhase,
     RunOptions,
     build_fleet,
-    build_regional_fleet,
     churn_timeline,
     synthesize_datacenter,
     validate_checkpoint_file,
@@ -91,13 +90,13 @@ def _scenario():
 
 def _build(executor=None, max_workers=None, regional=False):
     if regional:
-        fleet = build_regional_fleet(
+        fleet = build_fleet(
             _scenario(),
             num_regions=2,
             config=_config(),
             mitigate=True,
             executor=executor,
-            region_workers=max_workers,
+            max_workers=max_workers,
         )
     else:
         fleet = build_fleet(

@@ -42,7 +42,6 @@ from repro.fleet import (
     RunOptions,
     WorkerFault,
     build_fleet,
-    build_regional_fleet,
     churn_timeline,
     synthesize_datacenter,
 )
@@ -100,13 +99,13 @@ def _build(
     fault_plan=None,
 ):
     if regional:
-        fleet = build_regional_fleet(
+        fleet = build_fleet(
             _scenario(),
             num_regions=2,
             config=_config(),
             mitigate=True,
             executor=executor,
-            region_workers=max_workers,
+            max_workers=max_workers,
             fault_policy=fault_policy,
             fault_plan=fault_plan,
         )

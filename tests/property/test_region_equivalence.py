@@ -35,7 +35,6 @@ from repro.fleet import (
     LoadPhase,
     RunOptions,
     build_fleet,
-    build_regional_fleet,
     churn_timeline,
     synthesize_datacenter,
 )
@@ -104,7 +103,7 @@ def _build_regional(
     executor=None,
     region_workers=None,
 ):
-    fleet = build_regional_fleet(
+    fleet = build_fleet(
         _scenario(),
         num_regions=num_regions,
         config=_config(),
@@ -112,7 +111,7 @@ def _build_regional(
         substrate=substrate,
         track_performance=track_performance,
         executor=executor,
-        region_workers=region_workers,
+        max_workers=region_workers,
     )
     fleet.bootstrap()
     return fleet

@@ -25,7 +25,6 @@ from repro.fleet import (
     RunOptions,
     TelemetryConfig,
     build_fleet,
-    build_regional_fleet,
     churn_timeline,
     synthesize_datacenter,
 )
@@ -77,13 +76,13 @@ def _scenario():
 def _build(mode, executor=None, max_workers=None, regional=False):
     telemetry = TELEMETRY_MODES[mode]
     if regional:
-        fleet = build_regional_fleet(
+        fleet = build_fleet(
             _scenario(),
             num_regions=2,
             config=_config(),
             mitigate=True,
             executor=executor,
-            region_workers=max_workers,
+            max_workers=max_workers,
             telemetry=telemetry,
         )
     else:

@@ -1,8 +1,12 @@
 """Tests for VM cloning and its cost accounting."""
 
+import itertools
+import pickle
+
 import pytest
 
 from repro.virt.cloning import CloneManager
+from repro.virt.sandbox import SandboxEnvironment
 
 
 class TestCloneManager:
@@ -40,6 +44,27 @@ class TestCloneManager:
         a = manager.clone(data_serving_vm)
         b = manager.clone(data_serving_vm)
         assert a.clone.name != b.clone.name
+
+    def test_only_unnamed_clones_advance_the_number(self, data_serving_vm):
+        manager = CloneManager()
+        assert manager.charge(data_serving_vm)[0] == "cassandra-0-clone-0"
+        assert manager.charge(data_serving_vm, "probe")[0] == "probe"
+        assert manager.charge(data_serving_vm)[0] == "cassandra-0-clone-1"
+
+    def test_numbering_survives_a_pickle_round_trip(self, data_serving_vm):
+        """A sandbox's clone manager holds no ``itertools`` object (whose
+        pickling Python 3.14 removes), and a restored sandbox continues
+        the numbering where the original left off."""
+        sandbox = SandboxEnvironment(num_hosts=1, seed=3)
+        manager = sandbox.clone_manager
+        manager.charge(data_serving_vm)
+        assert not any(
+            type(value).__module__ == itertools.__name__
+            for value in vars(manager).values()
+        )
+        restored = pickle.loads(pickle.dumps(sandbox)).clone_manager
+        assert restored.charge(data_serving_vm)[0] == "cassandra-0-clone-1"
+        assert manager.charge(data_serving_vm)[0] == "cassandra-0-clone-1"
 
     def test_invalid_network(self):
         with pytest.raises(ValueError):

@@ -180,7 +180,11 @@ class FleetDashboard:
                 f"SLO: last epoch took {self._epoch_seconds[-1]:.3f}s "
                 f"(> {self.slo_epoch_seconds:.3f}s)"
             )
-        lifecycle = self._lifecycle_totals()
+        try:
+            lifecycle = self._lifecycle_totals()
+        except RuntimeError as exc:
+            alerts.append(f"lifecycle unavailable: {exc}")
+            lifecycle = {}
         stranded = lifecycle.get("drain_stranded", 0)
         if stranded:
             alerts.append(f"drain: {stranded} VM(s) stranded on draining hosts")
@@ -202,12 +206,17 @@ class FleetDashboard:
     def snapshot(self) -> Dict[str, object]:
         """The whole dashboard as one JSON-able document.
 
-        Fleet-wide statistics come from wherever the shard state lives;
-        if the fleet can no longer answer (workers died), the document
-        degrades to the dashboard's own rolling totals and carries a
-        health alert instead of raising.
+        Fleet-wide statistics and lifecycle counters come from wherever
+        the shard state lives; if the fleet can no longer answer
+        (workers died), the document degrades to the dashboard's own
+        rolling totals and carries a health alert per unanswered
+        question instead of raising.
         """
         alerts = self.alerts()
+        try:
+            lifecycle = self._lifecycle_totals()
+        except RuntimeError:  # alerts() carries the cause
+            lifecycle = {}
         try:
             stats = {k: float(v) for k, v in self.fleet.stats().items()}
         except RuntimeError as exc:
@@ -250,7 +259,7 @@ class FleetDashboard:
                 "confirmed": self.total_confirmed,
             },
             "stats": stats,
-            "lifecycle": self._lifecycle_totals(),
+            "lifecycle": lifecycle,
             "workers": self._worker_health(),
             "per_shard": {k: dict(v) for k, v in self._last_shards.items()},
             "per_region": per_region,

@@ -37,6 +37,17 @@ until the workers spawn, fetches from them while they run (one collect
 per epoch, cached), and keeps the final collect it takes at shutdown.
 The fleet never asks which strategy it holds.
 
+The process strategy also owns its workers' failures.  Every failure
+that is an :class:`Exception` — a dead worker, a missed heartbeat
+deadline, a descriptor that cannot be attached — goes through one
+recover-or-give-up routine, steered by the fleet's
+:class:`~repro.fleet.supervisor.FaultPolicy`: within the restart budget
+the group is respawned from its recovery point, its missed epochs are
+replayed and the failed epoch re-run, bit-identically; past it the
+group's shards are quarantined, or the run breaks with a
+:class:`RuntimeError` naming the dead shards.  A fleet without a policy
+has a zero-restart budget, so its first failure breaks the run.
+
 The process strategy deliberately uses *dedicated* single-worker pools
 instead of one shared pool: task-to-worker affinity is what lets each
 worker keep its shards' state resident.  Workers are spawned (not
@@ -50,12 +61,26 @@ import multiprocessing
 import os
 import pickle
 import signal
+import time
 import warnings
 import weakref
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NoReturn,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 import numpy as np
 
@@ -68,14 +93,12 @@ from repro.fleet.shm import (
     close_readers,
     unlink_worker_segments,
 )
-from repro.fleet.supervisor import (
-    FaultPolicy,
-    GroupSnapshot,
-    WorkerHealth,
-    WorkerSupervisor,
-)
+from repro.fleet.supervisor import FaultPolicy, WorkerHealth
 from repro.fleet.telemetry import (
     C_DESCRIPTOR_BYTES,
+    C_QUARANTINED,
+    C_RECOVERIES,
+    C_RESTARTS,
     C_SHM_REGROWS,
     TelemetryRegistry,
     WorkerSpanBuffer,
@@ -452,6 +475,20 @@ class SerialShardExecutor:
 # ----------------------------------------------------------------------
 # Process strategy: state-owning workers, columnar exchange
 # ----------------------------------------------------------------------
+_T = TypeVar("_T")
+
+
+def _submit(pool: ProcessPoolExecutor, fn: Callable[..., _T], *args: object) -> Future:
+    """``pool.submit``, with a pool that already noticed a dead worker
+    (and so refuses the task) answering through the future instead."""
+    try:
+        return pool.submit(fn, *args)
+    except BaseException as exc:  # noqa: BLE001 - surfaced by result()
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
+
+
 #: Worker-process state installed by :func:`_worker_init`.
 _WORKER_STATE: Dict[str, object] = {}
 
@@ -473,8 +510,10 @@ def _worker_init(payload: bytes) -> None:
     )
 
 
-def _worker_ready() -> bool:
-    return "shards" in _WORKER_STATE
+def _worker_ready() -> int:
+    """The worker's pid: a task runs only once the initializer installed
+    the shards (an initializer that raised breaks the pool instead)."""
+    return os.getpid()
 
 
 def _worker_bootstrap() -> None:
@@ -531,7 +570,7 @@ def _worker_run_epoch(epoch: int, analyze: bool) -> ShmEpochDescriptor:
 
 
 def _worker_replay(steps: Sequence[Tuple[int, bool]]) -> int:
-    """Re-run epochs state-only during supervised recovery.
+    """Re-run epochs state-only while a respawned worker recovers.
 
     Runs :func:`_worker_run_epoch`'s loop, :func:`step_shards`, with the
     recorded ``analyze`` flags and no spans, and ships nothing: the
@@ -643,17 +682,24 @@ class ProcessShardExecutor:
         self._health: Optional[List[WorkerHealth]] = None
         #: Group indices whose shards were quarantined (graceful
         #: degradation after an exhausted restart budget).
-        self._quarantined: set = set()
-        #: Shards owned by workers that died without recovery (names the
-        #: snapshot/epoch refusal errors).
-        self._dead_shards: List[str] = []
-        self.fault_policy = fault_policy
+        self._quarantined: Set[int] = set()
+        #: Group indices that died without recovery (every refusal
+        #: names their shards).
+        self._dead: Set[int] = set()
+        #: The budget every worker failure is judged by.
+        self._policy = (
+            fault_policy if fault_policy is not None else FaultPolicy(restarts=0)
+        )
+        #: Per-group recovery point: the first epoch it does not capture
+        #: and the worker snapshot, or ``None`` for the run-start
+        #: template.  Kept only under a non-zero restart budget.
+        self._recovery: List[Tuple[int, Optional[bytes]]] = []
+        #: The ``analyze`` flag of every epoch since the oldest recovery
+        #: point (the replay input); empty under a zero restart budget.
+        self._replay: Dict[int, bool] = {}
         #: The injected fault schedule (tests/CI chaos); ``None`` falls
         #: back to the REPRO_FLEET_FAULT_PLAN environment hook at spawn.
         self._fault_plan = fault_plan
-        self._supervisor = (
-            WorkerSupervisor(fault_policy, self) if fault_policy is not None else None
-        )
 
     @property
     def workers(self) -> int:
@@ -666,10 +712,11 @@ class ProcessShardExecutor:
     @property
     def quarantined_shards(self) -> Tuple[str, ...]:
         """Shards excluded by quarantined workers, in shard order."""
-        if not self._quarantined:
-            return ()
-        dead = {sid for group in self._quarantined for sid in self._groups[group]}
-        return tuple(sid for sid in self._shard_order if sid in dead)
+        return self._shards_of(self._quarantined) if self._quarantined else ()
+
+    def _shards_of(self, groups: Set[int]) -> Tuple[str, ...]:
+        members = {sid for group in groups for sid in self._groups[group]}
+        return tuple(sid for sid in self._shard_order if sid in members)
 
     def worker_health(self) -> List[Dict[str, object]]:
         """One JSON-able health row per worker group (empty pre-spawn)."""
@@ -677,20 +724,27 @@ class ProcessShardExecutor:
             return []
         return [health.as_dict() for health in self._health]
 
-    def _group_payload(
-        self,
-        index: int,
-        shards: Sequence["FleetShard"],
-        lifecycle: Optional["LifecycleEngine"],
-        fired_through: Optional[int] = None,
-    ) -> bytes:
-        """Pickle one worker group's init payload.
+    def _recovery_blob(self, index: int) -> Optional[bytes]:
+        """The group's recovery snapshot, or ``None`` for the template."""
+        return self._recovery[index][1] if self._recovery else None
+
+    def _group_payload(self, index: int, fired_through: Optional[int]) -> bytes:
+        """Pickle one worker group's init payload from its recovery point.
 
         ``fired_through`` (a respawn) drops the group's injected faults
         up to and including the failed epoch, so recovery replay cannot
         re-fire a kill that already happened.
         """
-        members = set(self._groups[index])
+        group = self._groups[index]
+        engine = self._lifecycle.subset(group) if self._lifecycle is not None else None
+        blob = self._recovery_blob(index)
+        if blob is None:
+            shards: List["FleetShard"] = [self._shards[sid] for sid in group]
+        else:
+            shards, lifecycle_state = pickle.loads(blob)
+            if engine is not None and lifecycle_state is not None:
+                engine.load_state(lifecycle_state)
+        members = set(group)
         faults = None
         if self._fault_plan is not None:
             faults = self._fault_plan.for_worker(index)
@@ -700,9 +754,9 @@ class ProcessShardExecutor:
                 faults = None
         return pickle.dumps(
             (
-                list(shards),
+                shards,
                 [s for s in self._schedule if s.shard_id in members],
-                lifecycle,
+                engine,
                 faults,
                 # Only the config crosses the pipe; the worker builds a
                 # local WorkerSpanBuffer from it.
@@ -711,7 +765,40 @@ class ProcessShardExecutor:
             protocol=pickle.HIGHEST_PROTOCOL,
         )
 
+    def _start_groups(
+        self, indices: Sequence[int], fired_through: Optional[int] = None
+    ) -> Dict[int, ProcessPoolExecutor]:
+        """Spawn a worker for each group in ``indices`` from its recovery
+        point (the template at the first spawn) and wait for all of them.
+
+        Workers initialise in parallel, and spawn or unpickling failures
+        surface here rather than on the first epoch.  A worker started
+        from the template after the bootstrap repeats it.  Each health
+        record is pinned to its new pid: a hung worker cannot answer a
+        pid query later, and recovery needs a kill target.
+        """
+        pools = {
+            index: self._spawn_pool(self._group_payload(index, fired_through))
+            for index in indices
+        }
+        try:
+            ready = {index: pool.submit(_worker_ready) for index, pool in pools.items()}
+            for index, future in ready.items():
+                health = self._health[index]
+                health.pid = future.result()
+                health.beat()
+                if self._bootstrapped and self._recovery_blob(index) is None:
+                    pools[index].submit(_worker_bootstrap).result()
+        except BaseException:
+            for pool in pools.values():
+                pool.shutdown(wait=False)
+            raise
+        return pools
+
     def _ensure_started(self) -> List[ProcessPoolExecutor]:
+        self._refuse_if_broken(
+            "build a new Fleet or resume from the last checkpoint (Fleet.resume)"
+        )
         if self._pools is not None:
             return self._pools
         if self._ever_started:
@@ -735,37 +822,23 @@ class ProcessShardExecutor:
         self._schedule = list(self._schedule)
         if self._fault_plan is None:
             self._fault_plan = FaultPlan.from_env()
-        pools: List[ProcessPoolExecutor] = []
-        for index, group in enumerate(self._groups):
-            payload = self._group_payload(
-                index,
-                [self._shards[shard_id] for shard_id in group],
-                self._lifecycle.subset(group) if self._lifecycle is not None else None,
-            )
-            pools.append(self._spawn_pool(payload))
-        # Surface spawn/unpickling failures eagerly rather than on the
-        # first epoch.
-        for pool in pools:
-            if not pool.submit(_worker_ready).result():
-                raise RuntimeError("fleet worker failed to initialise its shards")
-        self._pools = pools
         self._ever_started = True
-        readers = [ShmBlockReader() for _ in pools]
+        self._health = [
+            WorkerHealth(worker=index, shard_ids=tuple(group))
+            for index, group in enumerate(self._groups)
+        ]
+        try:
+            pools = self._start_groups(range(self.workers))
+        except BaseException:
+            self._broken = True
+            raise
+        self._pools = list(pools.values())
+        readers = [ShmBlockReader() for _ in self._pools]
         self._readers = readers
         # Unlink the transport segments at interpreter exit even if the
         # caller never reaches shutdown() — /dev/shm must end empty.
         weakref.finalize(self, close_readers, readers)
-        # Pin each worker's pid now: a hung worker cannot answer a pid
-        # query later, and the supervisor needs a kill target.
-        self._health = []
-        for index, pool in enumerate(pools):
-            health = WorkerHealth(
-                worker=index, shard_ids=tuple(self._groups[index])
-            )
-            health.pid = pool.submit(os.getpid).result()
-            health.beat()
-            self._health.append(health)
-        return pools
+        return self._pools
 
     def _spawn_pool(self, payload: bytes) -> ProcessPoolExecutor:
         """One dedicated single-worker pool holding ``payload`` as its
@@ -778,6 +851,31 @@ class ProcessShardExecutor:
         )
         weakref.finalize(self, pool.shutdown, wait=False)
         return pool
+
+    def _broadcast(
+        self, task: Callable[[], _T], tolerant: bool = False
+    ) -> List[Tuple[int, _T]]:
+        """``(group, result)`` of ``task`` on every live worker group.
+
+        A group that cannot answer breaks the run, unless ``tolerant``
+        and its failure is an :class:`Exception`: then it is left out
+        (the next epoch detects a dead worker on its own).
+        """
+        futures = [
+            (index, _submit(pool, task))
+            for index, pool in enumerate(self._pools)
+            if index not in self._quarantined
+        ]
+        answered: List[Tuple[int, _T]] = []
+        for index, future in futures:
+            try:
+                answered.append((index, future.result()))
+            except BaseException as exc:
+                if tolerant and isinstance(exc, Exception):
+                    continue
+                self._broken = True
+                raise
+        return answered
 
     def _receive(
         self, index: int, result: ShmEpochDescriptor
@@ -821,22 +919,16 @@ class ProcessShardExecutor:
     def run_shard_epochs(
         self, epoch: int, analyze: bool
     ) -> Dict[str, ColumnarShardReport]:
-        if self._broken:
-            raise RuntimeError(
-                "a previous fleet epoch failed mid-flight, so the worker-side "
-                "shard states are no longer in lock step; build a new Fleet"
-                + self._dead_shard_clause()
-            )
         pools = self._ensure_started()
         self._collected = None
-        supervisor = self._supervisor
-        if supervisor is not None:
-            supervisor.note_epoch(epoch, analyze)
-        timeout = (
-            supervisor.policy.heartbeat_timeout if supervisor is not None else None
-        )
+        policy = self._policy
+        if policy.restarts:
+            if not self._recovery:
+                # The workers' template state is the first epoch ever
+                # submitted (a resumed fleet starts past zero).
+                self._recovery = [(epoch, None)] * self.workers
+            self._replay[epoch] = analyze
         merged: Dict[str, ColumnarShardReport] = {}
-        futures: List[Optional[object]] = [None] * len(pools)
         failures: List[Tuple[int, BaseException]] = []
         telemetry = self._telemetry
         dispatch = (
@@ -845,70 +937,220 @@ class ProcessShardExecutor:
             else nullcontext()
         )
         with dispatch:
-            for index, pool in enumerate(pools):
-                if index in self._quarantined:
-                    continue
-                try:
-                    # A pool that already noticed a dead worker raises
-                    # BrokenProcessPool at submit time.
-                    futures[index] = pool.submit(_worker_run_epoch, epoch, analyze)
-                except BaseException as exc:  # noqa: BLE001 - classified below
-                    failures.append((index, exc))
+            futures: List[Optional[Future]] = [
+                None
+                if index in self._quarantined
+                else _submit(pool, _worker_run_epoch, epoch, analyze)
+                for index, pool in enumerate(pools)
+            ]
             for index, future in enumerate(futures):
                 if future is None:
                     continue
                 try:
-                    pairs = self._receive(index, future.result(timeout=timeout))
-                except BaseException as exc:  # noqa: BLE001 - classified below
+                    pairs = self._receive(
+                        index, future.result(timeout=policy.heartbeat_timeout)
+                    )
+                except BaseException as exc:  # noqa: BLE001 - see _recover
                     # Worker death (BrokenProcessPool), a tripped
                     # heartbeat deadline (TimeoutError) or a lost/corrupt
-                    # descriptor (attach failure) all land here; the
-                    # supervisor decides what survives.
+                    # descriptor (attach failure) all land here.
                     failures.append((index, exc))
                     continue
                 self._commit_pairs(pairs, merged)
                 self._health[index].beat(epoch)
-        fatal = supervisor is None or any(
-            not isinstance(exc, Exception) for _, exc in failures
-        )
-        if failures and fatal:
-            # Unsupervised (or interrupted): some workers advanced their
-            # shards this epoch and some did not; the run cannot
-            # continue deterministically.
-            for index, _ in failures:
-                self._note_dead_group(index)
-            self._broken = True
-            self._drain_descriptors(futures)
-            raise failures[0][1]
-        for index, exc in failures:
-            pairs = supervisor.recover(index, epoch, analyze, exc)
-            if pairs is not None:
-                self._commit_pairs(pairs, merged)
-        if supervisor is not None:
-            supervisor.after_epoch(epoch)
+        if failures:
+            self._recover(epoch, analyze, futures, failures, merged)
+        every = policy.resnapshot_every
+        if policy.restarts and every and (epoch + 1) % every == 0:
+            self._resnapshot(epoch)
         if telemetry is None:
             return self._ordered_merge(epoch, merged)
         with telemetry.span("merge", epoch):
             return self._ordered_merge(epoch, merged)
 
     # ------------------------------------------------------------------
-    # Supervised recovery mechanics (driven by WorkerSupervisor)
+    # The one worker-failure path
     # ------------------------------------------------------------------
-    def _kill_worker(self, index: int) -> Optional[int]:
-        """SIGKILL a group's resident worker (hangs cannot be asked to
-        exit); returns the pid, tolerant of an already-dead process."""
-        health = self._health[index] if self._health is not None else None
-        pid = health.pid if health is not None else None
+    def _recover(
+        self,
+        epoch: int,
+        analyze: bool,
+        futures: Sequence[Optional[Future]],
+        failures: Sequence[Tuple[int, BaseException]],
+        merged: Dict[str, ColumnarShardReport],
+    ) -> None:
+        """Recover every group that failed ``epoch``, or give up.
+
+        A group whose failure is an :class:`Exception` is restarted
+        within the policy's budget (:meth:`_restart_group`) and its
+        re-run results join ``merged``; once the budget is spent it is
+        quarantined or, under ``on_exhaustion="raise"``, the run gives
+        up.  Any other failure (a ``KeyboardInterrupt``) gives up at
+        once.
+        """
+        failed = {index for index, _ in failures}
+        delivered = [
+            None if index in failed else future for index, future in enumerate(futures)
+        ]
+        fatal = [exc for _, exc in failures if not isinstance(exc, Exception)]
+        if fatal:
+            self._give_up(epoch, delivered, sorted(failed), fatal[0])
+        for position, (index, cause) in enumerate(failures):
+            try:
+                pairs = self._restart_group(index, epoch, analyze, cause)
+            except BaseException as exc:
+                quarantine = self._policy.on_exhaustion == "quarantine"
+                if quarantine and isinstance(exc, Exception):
+                    self._quarantine_group(index, epoch)
+                    continue
+                self._give_up(
+                    epoch, delivered, sorted(i for i, _ in failures[position:]), exc
+                )
+            self._commit_pairs(pairs, merged)
+
+    def _restart_group(
+        self, index: int, epoch: int, analyze: bool, cause: Exception
+    ) -> List[Tuple[str, ColumnarShardReport]]:
+        """Respawn, replay and re-run one failed group within its budget.
+
+        Each attempt rehydrates the worker from the group's recovery
+        point (with the faults fired through ``epoch`` dropped), replays
+        the recorded epochs since that point state-only, and re-runs
+        ``epoch``.  Returns the epoch's shard results; raises the last
+        failure once the budget is spent — at once under a zero budget.
+        """
+        policy = self._policy
+        health = self._health[index]
+        health.alive = False
+        telemetry = self._telemetry
+        while health.restarts < policy.restarts:
+            health.restarts += 1
+            if telemetry is not None:
+                telemetry.inc(C_RECOVERIES)
+            if policy.backoff:
+                time.sleep(policy.backoff)
+            start = self._recovery[index][0]
+            steps = [(e, self._replay[e]) for e in range(start, epoch)]
+            timeout = policy.heartbeat_timeout
+            span = (
+                telemetry.span("recovery", epoch)
+                if telemetry is not None
+                else nullcontext()
+            )
+            try:
+                with span:
+                    self._release_group(index)
+                    pool = self._start_groups([index], fired_through=epoch)[index]
+                    self._pools[index] = pool
+                    if steps:
+                        # The heartbeat budget per replayed epoch.
+                        pool.submit(_worker_replay, steps).result(
+                            timeout=timeout and timeout * len(steps)
+                        )
+                    pairs = self._receive(
+                        index,
+                        pool.submit(_worker_run_epoch, epoch, analyze).result(
+                            timeout=timeout
+                        ),
+                    )
+            except Exception as exc:  # noqa: BLE001 - retried, then surfaced
+                cause = exc
+                continue
+            health.alive = True
+            health.beat(epoch)
+            if telemetry is not None:
+                telemetry.inc(C_RESTARTS)
+                telemetry.log_event(
+                    "worker_restarted",
+                    worker=index,
+                    epoch=epoch,
+                    restarts=health.restarts,
+                )
+            return pairs
+        raise cause
+
+    def _quarantine_group(self, index: int, epoch: int) -> None:
+        """Exclude a group's shards from the rest of the run."""
+        self._release_group(index)
+        self._quarantined.add(index)
+        health = self._health[index]
+        health.quarantined = True
+        health.alive = False
+        telemetry = self._telemetry
+        if telemetry is not None:
+            shards = self._groups[index]
+            telemetry.inc(C_QUARANTINED, len(shards))
+            telemetry.log_event(
+                "shards_quarantined", worker=index, epoch=epoch, shards=list(shards)
+            )
+
+    def _give_up(
+        self,
+        epoch: int,
+        delivered: Sequence[Optional[Future]],
+        groups: Sequence[int],
+        cause: BaseException,
+    ) -> NoReturn:
+        """The one terminal failure routine.
+
+        Records ``groups`` as dead and the executor as broken, reclaims
+        the segments the surviving groups' ``delivered`` descriptors
+        name, releases the failed groups (killing their workers and
+        sweeping their segments by pid) and raises a
+        :class:`RuntimeError` naming the dead shards, chained from
+        ``cause`` — or ``cause`` itself when it is not an
+        :class:`Exception` (a ``KeyboardInterrupt`` stays fatal).
+        """
+        self._broken = True
+        self._dead.update(groups)
+        self._drain_descriptors(delivered)
+        for index in groups:
+            self._health[index].alive = False
+            self._release_group(index)
+        if not isinstance(cause, Exception):
+            raise cause
+        workers = ", ".join(
+            f"worker {index} (shards: {', '.join(self._groups[index])})"
+            for index in groups
+        )
+        raise RuntimeError(
+            f"fleet {workers} failed at epoch {epoch} and the restart budget "
+            f"({self._policy.restarts}) is exhausted, so the run cannot "
+            f"continue{self._dead_shard_clause()}; resume from the last "
+            "checkpoint (Fleet.resume), or give the fleet a FaultPolicy "
+            "with restarts to recover or on_exhaustion='quarantine' to "
+            "degrade gracefully"
+        ) from cause
+
+    def _resnapshot(self, epoch: int) -> None:
+        """Move every answering group's recovery point past ``epoch`` and
+        forget the replay history no recovery point reaches back to.
+
+        A group that cannot answer (it died right after returning its
+        epoch) keeps its older point: recovery replays a little further
+        back.
+        """
+        for index, blob in self._broadcast(_worker_snapshot, tolerant=True):
+            self._recovery[index] = (epoch + 1, blob)
+        oldest = min(
+            (
+                start
+                for index, (start, _) in enumerate(self._recovery)
+                if index not in self._quarantined
+            ),
+            default=epoch + 1,
+        )
+        self._replay = {e: flag for e, flag in self._replay.items() if e >= oldest}
+
+    def _release_group(self, index: int) -> None:
+        """SIGKILL one group's worker (a hung one cannot be asked to
+        exit) and tear down its pool, reader and leftover segments."""
+        pid = self._health[index].pid
         if pid is not None:
             try:
                 os.kill(pid, signal.SIGKILL)
             except (ProcessLookupError, PermissionError):
                 pass
-        return pid
-
-    def _release_group(self, index: int) -> None:
-        """Tear down one group's pool, reader and leftover segments."""
-        pid = self._kill_worker(index)
         self._pools[index].shutdown(wait=False)
         # Replacing the reader inside the shared list keeps the
         # interpreter-exit finalize accurate (it closes the list).
@@ -919,108 +1161,20 @@ class ProcessShardExecutor:
             # (in-flight regrow generations, unshipped descriptors).
             unlink_worker_segments(pid)
 
-    def _respawn_group(
-        self, index: int, snapshot: GroupSnapshot, fired_through: int
-    ) -> None:
-        """Replace a failed group's worker with one rehydrated from the
-        recovery snapshot (or the run-start template)."""
-        self._release_group(index)
-        group = self._groups[index]
-        if snapshot.blob is None:
-            shards: List["FleetShard"] = [self._shards[sid] for sid in group]
-            engine = (
-                self._lifecycle.subset(group) if self._lifecycle is not None else None
-            )
-        else:
-            shards, lifecycle_state = pickle.loads(snapshot.blob)
-            engine = None
-            if self._lifecycle is not None:
-                engine = self._lifecycle.subset(group)
-                if lifecycle_state is not None:
-                    engine.load_state(lifecycle_state)
-        payload = self._group_payload(
-            index, shards, engine, fired_through=fired_through
-        )
-        pool = self._spawn_pool(payload)
-        if not pool.submit(_worker_ready).result():
-            pool.shutdown(wait=False)
-            raise RuntimeError("respawned fleet worker failed to initialise its shards")
-        self._pools[index] = pool
-        health = self._health[index]
-        health.pid = pool.submit(os.getpid).result()
-        health.beat()
-        if snapshot.blob is None and self._bootstrapped:
-            # The template predates the in-worker bootstrap; re-run it so
-            # replay starts from the same learned repositories.
-            pool.submit(_worker_bootstrap).result()
-
-    def _replay_group(
-        self,
-        index: int,
-        steps: Sequence[Tuple[int, bool]],
-        timeout: Optional[float],
-    ) -> None:
-        if not steps:
-            return
-        self._pools[index].submit(_worker_replay, list(steps)).result(timeout=timeout)
-
-    def _run_group_epoch(
-        self,
-        index: int,
-        epoch: int,
-        analyze: bool,
-        timeout: Optional[float],
-    ) -> List[Tuple[str, ColumnarShardReport]]:
-        """Run one epoch on one group (the recovery re-run)."""
-        return self._receive(
-            index,
-            self._pools[index]
-            .submit(_worker_run_epoch, epoch, analyze)
-            .result(timeout=timeout),
-        )
-
-    def _quarantine_group(self, index: int) -> None:
-        """Exclude a group's shards from the rest of the run."""
-        self._release_group(index)
-        self._quarantined.add(index)
-        health = self._health[index]
-        health.quarantined = True
-        health.alive = False
-
-    def _note_dead_group(self, index: int) -> None:
-        for shard_id in self._groups[index]:
-            if shard_id not in self._dead_shards:
-                self._dead_shards.append(shard_id)
-        if self._health is not None:
-            self._health[index].alive = False
-
-    def _mark_group_dead(self, index: int) -> None:
-        """Terminal failure: record the dead shards and break the run."""
-        self._note_dead_group(index)
-        self._broken = True
-        self._release_group(index)
-
     def _dead_shard_clause(self) -> str:
-        if not self._dead_shards:
+        if not self._dead:
             return ""
-        ordered = [sid for sid in self._shard_order if sid in set(self._dead_shards)]
-        return f" (dead worker shards: {', '.join(ordered)})"
+        return f" (dead worker shards: {', '.join(self._shards_of(self._dead))})"
 
-    def _fetch_group_snapshots(self) -> List[Tuple[int, Optional[bytes]]]:
-        """Per-group worker snapshots for the supervisor's resnapshot
-        cadence; a group that cannot answer yields ``None`` (its stale
-        snapshot stays in force)."""
-        out: List[Tuple[int, Optional[bytes]]] = []
-        for index, pool in enumerate(self._pools or ()):
-            if index in self._quarantined:
-                continue
-            try:
-                out.append((index, pool.submit(_worker_snapshot).result()))
-            except Exception:  # noqa: BLE001 - detected again next epoch
-                out.append((index, None))
-        return out
+    def _refuse_if_broken(self, consequence: str) -> None:
+        if self._broken:
+            raise RuntimeError(
+                "fleet workers are broken: an earlier operation failed "
+                "mid-flight, so the worker-side shard states are no longer "
+                f"in lock step{self._dead_shard_clause()}; {consequence}"
+            )
 
-    def _drain_descriptors(self, futures: Sequence[object]) -> None:
+    def _drain_descriptors(self, futures: Sequence[Optional[Future]]) -> None:
         """Reclaim every transport segment after a mid-epoch failure.
 
         When one worker dies mid-epoch, the surviving workers may already
@@ -1048,37 +1202,42 @@ class ProcessShardExecutor:
             if health.pid is not None:
                 unlink_worker_segments(health.pid, skip=attached)
 
-    def _ordered_merge(
-        self, epoch: int, merged: Dict[str, ColumnarShardReport]
-    ) -> Dict[str, ColumnarShardReport]:
-        """Validate the collected shard set and merge in insertion order.
+    def _check_shard_set(self, source: str, received: Mapping[str, object]) -> None:
+        """Refuse a shard set that is not exactly the live shards.
 
-        A worker returning an unexpected or incomplete shard set (or a
-        name-elided report with no cached name table) means the
-        worker-side states can no longer be trusted: the executor is
+        A worker returning an unexpected or incomplete shard set means
+        the worker-side states can no longer be trusted: the executor is
         marked broken and the failure names the offending shards instead
-        of surfacing as a raw ``KeyError`` mid-merge.
+        of surfacing as a raw ``KeyError`` later.
         """
         quarantined = set(self.quarantined_shards)
         missing = [
             sid
             for sid in self._shard_order
-            if sid not in merged and sid not in quarantined
+            if sid not in received and sid not in quarantined
         ]
-        unexpected = [sid for sid in merged if sid not in self._shards]
+        unexpected = [sid for sid in received if sid not in self._shards]
         if missing or unexpected:
             self._broken = True
             raise RuntimeError(
-                f"fleet epoch {epoch} returned an inconsistent shard set "
+                f"{source} returned an inconsistent shard set "
                 f"(missing: {missing or 'none'}, unexpected: "
                 f"{unexpected or 'none'}); the worker states are no longer "
                 "in lock step — build a new Fleet"
             )
+
+    def _ordered_merge(
+        self, epoch: int, merged: Dict[str, ColumnarShardReport]
+    ) -> Dict[str, ColumnarShardReport]:
+        """Validate the collected shard set and merge in insertion order
+        (a name-elided report with no cached name table also breaks the
+        run)."""
+        self._check_shard_set(f"fleet epoch {epoch}", merged)
         out: Dict[str, ColumnarShardReport] = {}
         for shard_id in self._shard_order:
-            if shard_id in quarantined:
+            result = merged.get(shard_id)
+            if result is None:  # quarantined
                 continue
-            result = merged[shard_id]
             if result.vm_names is None:
                 names = self._names_cache.get(shard_id)
                 if names is None:
@@ -1094,10 +1253,9 @@ class ProcessShardExecutor:
         return out
 
     def bootstrap(self) -> None:
-        pools = self._ensure_started()
+        self._ensure_started()
         self._collected = None
-        for future in [pool.submit(_worker_bootstrap) for pool in pools]:
-            future.result()
+        self._broadcast(_worker_bootstrap)
         # Respawned-from-template workers must repeat the bootstrap
         # before replay, or their repositories diverge from the run.
         self._bootstrapped = True
@@ -1116,39 +1274,25 @@ class ProcessShardExecutor:
         parent's template shards *are* the current state and are served
         without spawning.  After :meth:`shutdown` the final snapshot
         taken on the way down is served; if that final collect failed,
-        this raises.  A run that broke mid-flight has no consistent
-        worker state: this raises while the workers are up, and serves
-        the template once they are shut down.  Quarantined shards have
-        no worker to answer for them and are absent.
+        this raises.  A run that broke has no consistent worker state:
+        this raises, before and after shutdown, naming the dead shards.
+        Quarantined shards have no worker to answer for them and are
+        absent.
         """
         if self._collected is not None:
             return self._collected
-        if self._pools is None:
-            if self._final_collect_error is not None:
-                raise RuntimeError(
-                    "process shard executor was shut down and its final "
-                    "statistics collect failed; the worker statistics "
-                    "were lost"
-                ) from self._final_collect_error
-            return _collect_from_shards(self._shards, self._lifecycle)
-        if self._broken:
+        if self._final_collect_error is not None:
             raise RuntimeError(
-                "fleet workers are broken (a previous epoch failed "
-                "mid-flight); statistics can no longer be collected"
-                + self._dead_shard_clause()
-            )
+                "process shard executor was shut down and its final "
+                "statistics collect failed; the worker statistics "
+                "were lost"
+            ) from self._final_collect_error
+        self._refuse_if_broken("statistics can no longer be collected")
+        if self._pools is None:
+            return _collect_from_shards(self._shards, self._lifecycle)
         merged: Dict[str, Dict[str, object]] = {}
-        try:
-            futures = [
-                pool.submit(_worker_collect)
-                for index, pool in enumerate(self._pools)
-                if index not in self._quarantined
-            ]
-            for future in futures:
-                merged.update(future.result())
-        except BaseException:
-            self._broken = True
-            raise
+        for _, stats in self._broadcast(_worker_collect):
+            merged.update(stats)
         self._collected = {
             sid: merged[sid] for sid in self._shard_order if sid in merged
         }
@@ -1172,14 +1316,10 @@ class ProcessShardExecutor:
         """
         from repro.fleet.lifecycle import LifecycleEngine
 
-        if self._broken:
-            raise RuntimeError(
-                "fleet workers are broken (a previous epoch failed "
-                "mid-flight)"
-                + self._dead_shard_clause()
-                + "; the run cannot be checkpointed — resume from the "
-                "last checkpoint instead (Fleet.resume)"
-            )
+        self._refuse_if_broken(
+            "the run cannot be checkpointed — resume from the last "
+            "checkpoint instead (Fleet.resume)"
+        )
         if self._pools is None:
             if self._ever_started:
                 raise RuntimeError(
@@ -1187,40 +1327,15 @@ class ProcessShardExecutor:
                     "state was discarded — snapshot before shutdown"
                 )
             return _local_state(self._shards, self._lifecycle)
-        quarantined = set(self.quarantined_shards)
         shards: Dict[str, "FleetShard"] = {}
         lifecycle_states: List[Dict[str, Dict[str, object]]] = []
-        try:
-            futures = [
-                pool.submit(_worker_snapshot)
-                for index, pool in enumerate(self._pools)
-                if index not in self._quarantined
-            ]
-            for future in futures:
-                group_shards, lifecycle_state = pickle.loads(future.result())
-                for shard in group_shards:
-                    shards[shard.shard_id] = shard
-                if lifecycle_state is not None:
-                    lifecycle_states.append(lifecycle_state)
-        except BaseException:
-            # A worker that cannot answer a read-only snapshot is dead;
-            # further epochs would desync from the surviving groups.
-            self._broken = True
-            raise
-        missing = [
-            sid
-            for sid in self._shard_order
-            if sid not in shards and sid not in quarantined
-        ]
-        unexpected = [sid for sid in shards if sid not in self._shards]
-        if missing or unexpected:
-            self._broken = True
-            raise RuntimeError(
-                "worker snapshot returned an inconsistent shard set "
-                f"(missing: {missing or 'none'}, unexpected: "
-                f"{unexpected or 'none'}); the worker states are no "
-                "longer in lock step — build a new Fleet"
-            )
+        for _, blob in self._broadcast(_worker_snapshot):
+            group_shards, lifecycle_state = pickle.loads(blob)
+            for shard in group_shards:
+                shards[shard.shard_id] = shard
+            if lifecycle_state is not None:
+                lifecycle_states.append(lifecycle_state)
+        self._check_shard_set("worker snapshot", shards)
         ordered = {sid: shards[sid] for sid in self._shard_order if sid in shards}
         merged = (
             LifecycleEngine.merge_states(lifecycle_states)
@@ -1259,4 +1374,3 @@ class ProcessShardExecutor:
                 # broken pool's shutdown raised above.
                 close_readers(self._readers)
                 self._readers = None
-

@@ -7,10 +7,10 @@ of a chosen epoch, a hang that stops epoch progress, a corrupted or
 delayed shared-memory descriptor — that the executor injects into its
 own workers.  The chaos test suite
 (``tests/fleet/test_fault_injection.py``), the recovery property tests
-and the ``FLEET_SMOKE_CHAOS=1`` CI leg all drive the supervision layer
-(:mod:`repro.fleet.supervisor`) through plans built here, so the
-recovery contract ("bit-identical to an undisturbed run") is pinned
-against real worker deaths, not mocks.
+and the ``FLEET_SMOKE_CHAOS=1`` CI leg all drive the process executor's
+worker-failure path (policy in :mod:`repro.fleet.supervisor`) through
+plans built here, so the recovery contract ("bit-identical to an
+undisturbed run") is pinned against real worker deaths, not mocks.
 
 Plans are injected either programmatically (``Fleet(fault_plan=...)``)
 or through the :data:`ENV_FAULT_PLAN` environment variable, whose JSON
@@ -56,7 +56,7 @@ class WorkerFault:
 
     ``seconds`` is the sleep length for ``hang`` and
     ``delay_descriptor`` faults (a hang defaults to effectively forever
-    — the supervisor's heartbeat deadline is what ends it).
+    — the fault policy's heartbeat deadline is what ends it).
     """
 
     kind: str

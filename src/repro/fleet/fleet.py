@@ -484,9 +484,10 @@ class Fleet:
         construction; an event referencing an unknown shard or host
         raises :class:`ValueError` immediately.
     fault_policy, fault_plan:
-        Worker supervision and injected faults for the process
-        executor.  Fault-plan worker indices are fleet-global, numbered
-        region by region.
+        The worker-failure budget and injected faults for the process
+        executor (``fault_policy=None`` is a zero-restart budget).
+        Fault-plan worker indices are fleet-global, numbered region by
+        region.
     telemetry:
         Observability for the run: a
         :class:`~repro.fleet.telemetry.TelemetryConfig` builds a fresh
@@ -558,8 +559,10 @@ class Fleet:
         self.current_epoch = 0
         self.max_workers = max_workers
         self.executor = executor
-        #: Worker supervision (restart/quarantine) for the process
-        #: executor; ``None`` keeps PR 6's detect-and-refuse semantics.
+        #: The process executor's worker-failure budget (restart,
+        #: quarantine or raise); ``None`` is a zero-restart budget, so
+        #: the first worker failure breaks the run, naming the dead
+        #: shards.
         self.fault_policy = fault_policy
         #: Injected fault schedule (chaos tests / CI).
         self.fault_plan = fault_plan

@@ -241,7 +241,7 @@ def build_fleet(
         covering the smoothing and analyzer windows) so long fleet runs
         hold constant memory; ``None`` retains everything.
     fault_policy / fault_plan:
-        Worker supervision and injected fault schedule for the process
+        Worker-failure budget and injected fault schedule for the process
         executor (see :mod:`repro.fleet.supervisor` /
         :mod:`repro.fleet.faults`).
     telemetry:

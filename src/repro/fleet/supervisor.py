@@ -1,46 +1,24 @@
-"""Worker supervision for the process shard executor.
+"""Worker-failure policy for the process shard executor.
 
-PR 6's failure semantics were detect-and-refuse: a dead worker marked
-the :class:`~repro.fleet.executor.ProcessShardExecutor` broken and every
-later epoch raised.  This module closes the loop into self-healing,
-treating fault handling and state restoration as first-class subsystem
-concerns (the Slick stance) rather than error paths:
-
-* a :class:`FaultPolicy` on the fleet turns worker death — or a worker
-  that stops making epoch progress past the ``heartbeat_timeout``
-  deadline — into a supervised recovery: the worker's pool is respawned,
-  its shards rehydrated from the last per-worker snapshot (taken every
-  ``resnapshot_every`` epochs, or the run-start template), the missed
-  epochs replayed deterministically through the lifecycle and stress
-  schedule, and the failed epoch re-run — so the recovered run is
-  **bit-identical** to an undisturbed one (pinned by
-  ``tests/property/test_fault_recovery_equivalence.py``);
-* when the per-worker ``restarts`` budget is exhausted,
-  ``on_exhaustion`` picks the terminal behaviour: ``"raise"`` breaks the
-  run loudly (naming the dead shards and the resume path), while
-  ``"quarantine"`` degrades gracefully — the dead worker's shards are
-  excluded from every later epoch and reports carry an explicit
-  ``missing_shards`` manifest instead of silently shrinking.
-
-Replay determinism rests on two facts the equivalence suites already
-pin: the per-epoch ``analyze`` flag is the only epoch parameter that
-changes worker-resident state (report flattening is a pure read), and
-lifecycle/stress mutations are deterministic functions of the epoch
-number and that state.  The supervisor therefore records the analyze
-history and replays it verbatim.
+Fault handling is a first-class concern of the fleet (the Slick
+stance), not an error path.  :class:`FaultPolicy` is the budget by
+which :class:`~repro.fleet.executor.ProcessShardExecutor` judges every
+worker failure — death, a missed ``heartbeat_timeout`` deadline, a
+descriptor it cannot attach: within ``restarts`` the worker is
+respawned from its last recovery point, the missed epochs are replayed
+and the failed epoch re-run, **bit-identically** (pinned by
+``tests/property/test_fault_recovery_equivalence.py``); past it
+``on_exhaustion`` either breaks the run, naming the dead shards, or
+quarantines them behind an explicit ``missing_shards`` manifest.  A
+fleet without a policy has a zero-restart, raise-on-exhaustion budget.
+:class:`WorkerHealth` is the per-worker row the dashboard shows.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-from repro.fleet.telemetry import C_QUARANTINED, C_RECOVERIES, C_RESTARTS
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fleet.executor import ColumnarShardReport, ProcessShardExecutor
+from typing import Dict, Optional, Tuple
 
 #: Terminal behaviours once a worker's restart budget is exhausted.
 EXHAUSTION_MODES = ("raise", "quarantine")
@@ -67,10 +45,13 @@ class FaultPolicy:
         recovered like a death.  ``None`` disables hang detection
         (deaths are still detected via the broken pool).
     resnapshot_every:
-        Cadence (in completed epochs) of per-worker state snapshots
-        kept for recovery.  ``None`` recovers from the run-start
-        template (replaying the whole history); small values bound the
-        replay length at the cost of a per-cadence snapshot pickle.
+        Cadence of the per-worker state snapshots kept for recovery:
+        one after every epoch ``e`` with ``(e + 1) % resnapshot_every
+        == 0``.  ``None`` recovers from the run-start template
+        (replaying, and remembering, the whole history); small values
+        bound the replay length at the cost of a per-cadence snapshot
+        pickle.  Snapshots are taken only while the budget allows a
+        restart.
     """
 
     restarts: int = 2
@@ -99,8 +80,8 @@ class WorkerHealth:
     """One worker group's live health record.
 
     Maintained by the executor for every process fleet (policy or not),
-    so dashboards can always show the worker panel; the supervisor adds
-    restart/quarantine transitions.
+    so dashboards can always show the worker panel, restart and
+    quarantine transitions included.
     """
 
     worker: int
@@ -135,155 +116,3 @@ class WorkerHealth:
             "quarantined": self.quarantined,
             "alive": self.alive,
         }
-
-
-@dataclass
-class GroupSnapshot:
-    """One worker group's recovery point.
-
-    ``blob`` is the worker's pickled ``(shards, lifecycle_state)``
-    snapshot; ``None`` means the parent's start-of-run template (which
-    the parent already holds, so nothing is retained).  ``epoch`` is
-    the first epoch *not* captured — replay starts there.
-    """
-
-    epoch: int
-    blob: Optional[bytes] = None
-
-
-class WorkerSupervisor:
-    """Recovery bookkeeping and orchestration for one process executor.
-
-    The executor owns the mechanics (pools, readers, payloads); the
-    supervisor owns the policy decisions — what to recover from, how
-    many epochs to replay, when to give up — and drives the executor's
-    respawn/replay/quarantine hooks.
-    """
-
-    def __init__(self, policy: FaultPolicy, executor: "ProcessShardExecutor") -> None:
-        self.policy = policy
-        self._executor = executor
-        self._snapshots: Dict[int, GroupSnapshot] = {}
-        #: Per-epoch analyze flags since the workers spawned (replay input).
-        self._analyze: Dict[int, bool] = {}
-        self._base_epoch: Optional[int] = None
-        #: (kind, worker, epoch) transitions, oldest first.
-        self.events: List[Tuple[str, int, int]] = []
-
-    # ------------------------------------------------------------------
-    def note_epoch(self, epoch: int, analyze: bool) -> None:
-        """Record one epoch's replay inputs before it runs."""
-        if self._base_epoch is None:
-            # The workers' template state corresponds to the first epoch
-            # ever submitted (a resumed fleet starts past zero).
-            self._base_epoch = epoch
-            for group in range(self._executor.workers):
-                self._snapshots[group] = GroupSnapshot(epoch=epoch)
-        self._analyze[epoch] = analyze
-
-    def after_epoch(self, epoch: int) -> None:
-        """Refresh the recovery snapshots on the configured cadence.
-
-        A snapshot that cannot be fetched (the worker died right after
-        returning its epoch) is skipped: the stale snapshot stays valid,
-        recovery just replays a little further back.
-        """
-        every = self.policy.resnapshot_every
-        if not every or self._base_epoch is None:
-            return
-        if (epoch - self._base_epoch + 1) % every != 0:
-            return
-        for group, blob in self._executor._fetch_group_snapshots():
-            if blob is not None:
-                self._snapshots[group] = GroupSnapshot(epoch=epoch + 1, blob=blob)
-
-    def replay_timeout(self, steps: int) -> Optional[float]:
-        """Deadline for a replay batch: the heartbeat budget per epoch."""
-        if self.policy.heartbeat_timeout is None:
-            return None
-        return self.policy.heartbeat_timeout * max(1, steps)
-
-    # ------------------------------------------------------------------
-    def recover(
-        self,
-        group: int,
-        epoch: int,
-        analyze: bool,
-        cause: BaseException,
-    ) -> Optional[List[Tuple[str, "ColumnarShardReport"]]]:
-        """Recover one failed worker group and re-run the failed epoch.
-
-        Returns the epoch's shard results on success, ``None`` when the
-        group was quarantined, and raises :class:`RuntimeError` when the
-        restart budget is exhausted under ``on_exhaustion="raise"``.
-        """
-        executor = self._executor
-        health = executor._health[group]
-        health.alive = False
-        telemetry = getattr(executor, "_telemetry", None)
-        if telemetry is not None:
-            telemetry.inc(C_RECOVERIES)
-        span = (
-            telemetry.span("recovery", epoch)
-            if telemetry is not None
-            else nullcontext()
-        )
-        with span:
-            while health.restarts < self.policy.restarts:
-                health.restarts += 1
-                if self.policy.backoff:
-                    time.sleep(self.policy.backoff)
-                snapshot = self._snapshots[group]
-                try:
-                    executor._respawn_group(group, snapshot, fired_through=epoch)
-                    steps = [
-                        (e, self._analyze[e])
-                        for e in range(snapshot.epoch, epoch)
-                    ]
-                    executor._replay_group(
-                        group, steps, timeout=self.replay_timeout(len(steps))
-                    )
-                    pairs = executor._run_group_epoch(
-                        group,
-                        epoch,
-                        analyze,
-                        timeout=self.policy.heartbeat_timeout,
-                    )
-                except Exception as exc:  # noqa: BLE001 - retried, then surfaced
-                    cause = exc
-                    continue
-                health.alive = True
-                health.beat(epoch)
-                self.events.append(("WORKER_RESTARTED", group, epoch))
-                if telemetry is not None:
-                    telemetry.inc(C_RESTARTS)
-                    telemetry.log_event(
-                        "worker_restarted",
-                        worker=group,
-                        epoch=epoch,
-                        restarts=health.restarts,
-                    )
-                return pairs
-            shard_ids = ", ".join(executor._groups[group])
-            if self.policy.on_exhaustion == "quarantine":
-                executor._quarantine_group(group)
-                self.events.append(("SHARDS_QUARANTINED", group, epoch))
-                if telemetry is not None:
-                    telemetry.inc(
-                        C_QUARANTINED, len(executor._groups[group])
-                    )
-                    telemetry.log_event(
-                        "shards_quarantined",
-                        worker=group,
-                        epoch=epoch,
-                        shards=list(executor._groups[group]),
-                    )
-                return None
-            executor._mark_group_dead(group)
-            raise RuntimeError(
-                f"fleet worker {group} (shards: {shard_ids}) failed at epoch "
-                f"{epoch} and its restart budget ({self.policy.restarts}) is "
-                "exhausted; the run cannot continue — resume from the last "
-                "checkpoint (Fleet.resume) or set "
-                "FaultPolicy(on_exhaustion='quarantine') to degrade gracefully"
-            ) from cause

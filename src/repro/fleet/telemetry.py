@@ -3,7 +3,7 @@
 DeepDive's pitch is cheap always-on monitoring with deep dives on
 demand; this module applies the same philosophy to the reproduction's
 own run path.  One :class:`TelemetryRegistry` instance threads through
-every execution layer (serial → process → supervised → campaign) and
+every execution layer (serial → process → recovery → campaign) and
 provides:
 
 * **tracing spans** — ``registry.span("simulate", epoch)`` is a
@@ -64,8 +64,8 @@ from repro.fleet.benchutil import run_metadata
 #: shard's hardware step from its DeepDive analysis; ``dispatch`` and
 #: ``merge`` bracket the process executor's submit/gather and ordered
 #: merge; ``lifecycle`` covers churn/stress application; ``snapshot``,
-#: ``recovery`` and ``cell`` cover checkpointing, supervised recovery
-#: and campaign cells.
+#: ``recovery`` and ``cell`` cover checkpointing, worker respawn
+#: attempts and campaign cells.
 SPAN_KINDS: Tuple[str, ...] = (
     "epoch",
     "simulate",
@@ -116,12 +116,12 @@ COUNTER_NAMES: Tuple[str, ...] = (
 _COUNTER_HELP: Dict[str, str] = {
     "epochs_total": "Fleet epochs completed.",
     "vm_epochs_total": "VM-epochs folded into fleet reports.",
-    "restarts_total": "Worker groups respawned by the supervisor.",
+    "restarts_total": "Worker groups recovered by a respawn.",
     "quarantined_shards_total": "Shards excluded after restart-budget exhaustion.",
     "shm_regrows_total": "Shared-memory segment regrowths seen by readers.",
     "descriptor_bytes_total": "Pickled shm descriptor bytes crossing the pool pipe.",
     "snapshots_total": "Fleet snapshots taken.",
-    "recoveries_total": "Supervised recovery attempts started.",
+    "recoveries_total": "Worker respawn attempts started.",
     "spans_dropped_total": "Span-ring overwrites (oldest spans evicted).",
     "cells_total": "Campaign cells executed.",
 }
@@ -295,8 +295,8 @@ class TelemetryRegistry:
     """One fleet stack's span rings, counters, gauges and exporters.
 
     A single registry is shared across every layer of one run — the
-    fleet hands the same instance to its executor and worker
-    supervisor, so exported traces and counters describe the whole
+    fleet hands the same instance to its executor (worker recovery
+    included), so exported traces and counters describe the whole
     topology.  Recording is guarded by one
     lock (a shared registry may be written or exported from another
     thread); per-span cost is a handful of array stores.

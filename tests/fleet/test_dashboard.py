@@ -9,12 +9,15 @@ alerts, and emit a JSON-serialisable snapshot.
 import json
 
 import pytest
+from fleet_reference import WorkerPids
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
+    FaultPlan,
     FleetDashboard,
     HostDrain,
     RunOptions,
+    WorkerFault,
     build_fleet,
     churn_timeline,
     synthesize_datacenter,
@@ -31,7 +34,9 @@ def _config() -> DeepDiveConfig:
     )
 
 
-def _fleet(executor=None, max_workers=None, regional=False, timeline=None):
+def _fleet(
+    executor=None, max_workers=None, regional=False, timeline=None, fault_plan=None
+):
     scenario = synthesize_datacenter(16, num_shards=2, seed=23, timeline=timeline)
     if regional:
         fleet = build_fleet(
@@ -43,7 +48,11 @@ def _fleet(executor=None, max_workers=None, regional=False, timeline=None):
         )
     else:
         fleet = build_fleet(
-            scenario, config=_config(), executor=executor, max_workers=max_workers
+            scenario,
+            config=_config(),
+            executor=executor,
+            max_workers=max_workers,
+            fault_plan=fault_plan,
         )
     fleet.bootstrap()
     return fleet
@@ -174,6 +183,46 @@ class TestAlerts:
         assert doc["stats"] is None
         assert any("stats unavailable" in alert for alert in doc["alerts"])
 
+    def test_broken_fleet_with_a_lifecycle_degrades_to_alerts(self):
+        """A worker death breaks the run: a fleet with a churn timeline
+        can answer neither statistics nor lifecycle counters, before or
+        after shutdown, and the document says so instead of raising."""
+        timeline = churn_timeline(
+            ["shard0", "shard1"],
+            epochs=4,
+            seed=5,
+            arrivals_per_epoch=0.5,
+            mean_lifetime_epochs=50.0,
+        )
+        fleet = _fleet(
+            executor="process",
+            max_workers=2,
+            timeline=timeline,
+            fault_plan=FaultPlan(
+                faults=(WorkerFault(kind="kill", worker=0, epoch=1, point="mid"),)
+            ),
+        )
+        dashboard = FleetDashboard(fleet)
+        pids = WorkerPids(fleet)
+        try:
+            with pytest.raises(RuntimeError, match="dead worker shards"):
+                list(dashboard.watch(3, RunOptions(analyze=False)))
+            docs = [dashboard.snapshot()]
+        finally:
+            fleet.shutdown()
+        docs.append(dashboard.snapshot())
+        for doc in docs:
+            assert doc["stats"] is None
+            assert doc["lifecycle"] == {}
+            unavailable = [a for a in doc["alerts"] if "unavailable" in a]
+            assert [a.split(":")[0] for a in unavailable] == [
+                "lifecycle unavailable",
+                "stats unavailable",
+            ]
+            assert all("dead worker shards: shard0" in a for a in unavailable)
+            json.dumps(doc)
+        assert pids.leaked() == []
+
 
 def _health_row(worker, **overrides):
     row = {
@@ -191,7 +240,7 @@ def _health_row(worker, **overrides):
 
 
 class TestWorkerHealthPanel:
-    """PR 9: the dashboard surfaces the supervisor's per-worker health
+    """PR 9: the dashboard surfaces the executor's per-worker health
     (pids, restarts, heartbeat age, quarantine) and raises the
     ``WORKER_RESTARTED`` / ``SHARDS_QUARANTINED`` alerts."""
 

@@ -421,11 +421,12 @@ class TestWorkerFailureRecovery:
                 fleet.run_epoch(RunOptions(analyze=False))
         finally:
             fleet.shutdown()
-        # Cleanup must be complete despite the kill: pools released,
-        # every transport segment unlinked, statistics still served
-        # (from the template fallback, without raising).
+        # Cleanup must be complete despite the kill: pools released and
+        # every transport segment unlinked.  The statistics died with
+        # the worker: asking for them still names the dead shards.
         assert pids.leaked() == []
-        assert fleet.stats()["shards"] == 2.0
+        with pytest.raises(RuntimeError, match="dead worker shards"):
+            fleet.stats()
 
 
 class TestShutdownHardening:
@@ -458,7 +459,8 @@ class TestShutdownHardening:
         fleet.shutdown()
         fleet.shutdown()
         assert pids.leaked() == []
-        assert fleet.stats()["shards"] == 2.0
+        with pytest.raises(RuntimeError, match="dead worker shards"):
+            fleet.stats()
 
     def test_shutdown_survives_non_runtime_collect_failure(self, monkeypatch):
         """A final collect failing with something harsher than a broken

@@ -27,6 +27,7 @@ from repro.fleet import (
     FaultPlan,
     FaultPolicy,
     RunOptions,
+    TelemetryConfig,
     WorkerFault,
     build_fleet,
     synthesize_datacenter,
@@ -45,7 +46,7 @@ def _config() -> DeepDiveConfig:
     )
 
 
-def _process_fleet(fault_policy=None, fault_plan=None, max_workers=2):
+def _process_fleet(fault_policy=None, fault_plan=None, max_workers=2, telemetry=None):
     scenario = synthesize_datacenter(16, num_shards=2, seed=29)
     return build_fleet(
         scenario,
@@ -56,6 +57,7 @@ def _process_fleet(fault_policy=None, fault_plan=None, max_workers=2):
         max_workers=max_workers,
         fault_policy=fault_policy,
         fault_plan=fault_plan,
+        telemetry=telemetry,
     )
 
 
@@ -303,6 +305,103 @@ class TestChaosIntegration:
         finally:
             resumed.shutdown()
         assert pids.leaked() == []
+
+
+_RECOVERY_COUNTERS = ("recoveries_total", "restarts_total", "quarantined_shards_total")
+
+
+class TestRecoveryBookkeeping:
+    """Every process fleet judges a failure by one budget; these pin what
+    that routine counts and how much replay history it keeps."""
+
+    @pytest.mark.parametrize(
+        "policy,worker,raises,expected",
+        [
+            # A kill recovered at the first respawn attempt.
+            (FaultPolicy(restarts=2), 0, False, (1, 1, 0)),
+            # No respawn is attempted under a zero budget: one shard
+            # is quarantined straight away.
+            (FaultPolicy(restarts=0, on_exhaustion="quarantine"), 1, False, (0, 0, 1)),
+            # No policy is a zero-restart, raise-on-exhaustion budget.
+            (None, 0, True, (0, 0, 0)),
+        ],
+        ids=["recovered", "quarantined", "no-policy"],
+    )
+    def test_recovery_counters(self, policy, worker, raises, expected):
+        fleet = _process_fleet(
+            fault_policy=policy,
+            fault_plan=_kill(1, worker=worker),
+            telemetry=TelemetryConfig(enabled=True),
+        )
+        pids = WorkerPids()
+        try:
+            fleet.run_epoch(options=RunOptions(analyze=False))
+            pids.note(fleet)
+            if raises:
+                with pytest.raises(RuntimeError, match="dead worker shards: shard0"):
+                    _drive(fleet, 2)
+            else:
+                _drive(fleet, 2, pids)
+            counts = tuple(fleet.telemetry.counter(name) for name in _RECOVERY_COUNTERS)
+            assert counts == expected
+        finally:
+            fleet.shutdown()
+        assert pids.leaked() == []
+
+    def test_replay_history_is_bounded_by_the_oldest_recovery_point(self):
+        fleet = _process_fleet(
+            fault_policy=FaultPolicy(restarts=1, resnapshot_every=3),
+            fault_plan=_kill(10),
+        )
+        pids = WorkerPids()
+        try:
+            for _ in range(12):
+                fleet.run_epoch(options=RunOptions(analyze=False))
+                pids.note(fleet)
+                assert len(fleet._strategy._replay) <= 3
+            # The kill at epoch 10 recovered from the epoch-9 snapshot.
+            assert [row["restarts"] for row in fleet.worker_health()] == [1, 0]
+        finally:
+            fleet.shutdown()
+        assert pids.leaked() == []
+
+    def test_interrupt_is_fatal_even_with_a_budget(self, monkeypatch):
+        """A ``KeyboardInterrupt`` while an epoch is received is not a
+        worker failure to recover from: it propagates as itself, breaks
+        the run without a respawn, and leaves no segment behind."""
+        fleet = _process_fleet(fault_policy=FaultPolicy(restarts=2))
+        pids = WorkerPids()
+        try:
+            _drive(fleet, 1, pids)
+            strategy = fleet._strategy
+            receive = strategy._receive
+
+            def interrupted(index, result):
+                if index == 0:
+                    raise KeyboardInterrupt
+                return receive(index, result)
+
+            monkeypatch.setattr(strategy, "_receive", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                _drive(fleet, 1)
+            monkeypatch.undo()
+            assert [row["restarts"] for row in fleet.worker_health()] == [0, 0]
+            with pytest.raises(RuntimeError, match="dead worker shards: shard0"):
+                _drive(fleet, 1)
+        finally:
+            fleet.shutdown()
+        assert pids.leaked() == []
+
+    def test_no_policy_keeps_no_replay_history(self):
+        fleet = _process_fleet()
+        try:
+            _drive(fleet, 4)
+            strategy = fleet._strategy
+            assert strategy._replay == {}
+            assert strategy._recovery == []
+        finally:
+            fleet.shutdown()
+        assert WorkerPids(fleet).leaked() == []
 
 
 class TestFaultKnobValidation:

@@ -6,13 +6,16 @@ rewrites a tracked file; the tracked root ``BENCH_fleet.json`` is
 frozen history):
 
 * **engine** — the vectorized monitoring pass (:class:`MetricMatrix`)
-  against the scalar per-VM reference loop (PR 1's benchmark);
+  against the scalar per-VM reference loop
+  (``scalar_reference.reference_decisions``);
 * **substrate** — the vectorized hardware-contention substrate
   (:mod:`repro.hardware.batch`) against the scalar per-VM contention
   model, end-to-end through ``Fleet.run_epoch`` at 2k and 10k VMs.  The
-  scalar-substrate fleet (with ground-truth tracking, as in PR 1) is the
-  PR 1 baseline the acceptance floor is measured against, and both
-  fleets run the serial loop;
+  fleet stepped host by host through the per-VM model
+  (``scalar_reference.use_scalar_substrate``, with ground-truth
+  tracking on) is the baseline the acceptance floor is measured
+  against (``pr1_baseline_epoch_seconds``), and both fleets run the
+  serial loop;
 * **process** — the state-owning process-pool executor
   (:mod:`repro.fleet.executor`): single-worker versus multi-worker
   process execution, columnar epochs published through double-buffered
@@ -69,6 +72,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import pytest
 from fleet_reference import WorkerPids, decision_key, without_distances
+from scalar_reference import reference_decisions, use_scalar_substrate
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
@@ -157,7 +161,7 @@ def _prepare_fleet(
     num_shards: int,
     seed: int = 7,
     warmup_epochs: int = 3,
-    substrate: str = "batch",
+    scalar_substrate: bool = False,
     max_workers: Optional[int] = None,
     executor: Optional[str] = None,
     track_performance: bool = False,
@@ -173,6 +177,8 @@ def _prepare_fleet(
     the steady-state hot loop the benchmarks time.  ``churn_epochs``
     attaches a ~1%-per-epoch churn timeline covering that many epochs
     (arrivals, departures and admission running alongside the hot loop).
+    ``scalar_substrate`` steps the (serial) fleet through the per-VM
+    reference substrate.
     """
     scenario = synthesize_datacenter(
         num_vms,
@@ -187,9 +193,7 @@ def _prepare_fleet(
     fleet = build_fleet(
         scenario,
         config=_fast_config(),
-        engine="batch",
         mitigate=False,
-        substrate=substrate,
         max_workers=max_workers,
         executor=executor,
         track_performance=track_performance,
@@ -197,6 +201,8 @@ def _prepare_fleet(
         fault_plan=fault_plan,
         telemetry=telemetry,
     )
+    if scalar_substrate:
+        use_scalar_substrate(fleet)
     fleet.bootstrap()
     for _ in range(warmup_epochs):
         fleet.run_epoch()
@@ -206,29 +212,32 @@ def _prepare_fleet(
 # ----------------------------------------------------------------------
 # Epoch-engine comparison (monitoring pass only) — PR 1's benchmark.
 # ----------------------------------------------------------------------
-def _time_engine(fleet, engine: str, reps: int) -> Tuple[float, Dict]:
+def _batch_decisions(deepdive):
+    """The batch engine's decisions of one monitoring pass."""
+    return deepdive.run_epoch(analyze=False, learn=False).decisions
+
+
+def _time_engine(fleet, evaluate, reps: int) -> Tuple[float, Dict]:
     """Best-of-``reps`` wall time of one full monitoring pass (no analyzer).
 
-    With ``analyze=False, learn=False`` and unchanged counters the pass
-    is free of side effects, so repetitions time the identical
-    computation and the collected decisions compare exactly across
-    engines.
+    ``evaluate(deepdive)`` returns a shard's decisions:
+    ``reference_decisions`` or :func:`_batch_decisions`.  With
+    ``analyze=False, learn=False`` and unchanged counters both are free
+    of side effects, so repetitions time the identical computation and
+    the collected decisions compare exactly across engines.
     """
     best = float("inf")
     decisions: Dict = {}
     for _ in range(reps):
         start = time.perf_counter()
         for shard in fleet.shards.values():
-            report = shard.deepdive.run_epoch(
-                analyze=False, engine=engine, learn=False
-            )
-            for vm_name, obs in report.observations.items():
+            for vm_name, warning in evaluate(shard.deepdive).items():
                 decisions[(shard.shard_id, vm_name)] = (
-                    obs.warning.action.value,
-                    obs.warning.distance,
-                    obs.warning.violated_dimensions,
-                    obs.warning.siblings_consulted,
-                    obs.warning.siblings_agreeing,
+                    warning.action.value,
+                    warning.distance,
+                    warning.violated_dimensions,
+                    warning.siblings_consulted,
+                    warning.siblings_agreeing,
                 )
         best = min(best, time.perf_counter() - start)
     return best, decisions
@@ -236,8 +245,8 @@ def _time_engine(fleet, engine: str, reps: int) -> Tuple[float, Dict]:
 
 def _run_engine_comparison(num_vms: int, num_shards: int, reps: int) -> Dict:
     fleet = _prepare_fleet(num_vms, num_shards)
-    scalar_s, scalar_decisions = _time_engine(fleet, "scalar", reps)
-    batch_s, batch_decisions = _time_engine(fleet, "batch", reps)
+    scalar_s, scalar_decisions = _time_engine(fleet, reference_decisions, reps)
+    batch_s, batch_decisions = _time_engine(fleet, _batch_decisions, reps)
     assert batch_decisions == scalar_decisions, (
         "batched and scalar engines must produce identical warning decisions"
     )
@@ -279,9 +288,9 @@ def _run_substrate_comparison(
     """Time the PR 1 baseline (scalar substrate, serial, ground truth on)
     against the serial batch substrate."""
     baseline = _prepare_fleet(
-        num_vms, num_shards, substrate="scalar", track_performance=True
+        num_vms, num_shards, scalar_substrate=True, track_performance=True
     )
-    batch = _prepare_fleet(num_vms, num_shards, substrate="batch")
+    batch = _prepare_fleet(num_vms, num_shards)
     # Same epoch count so far -> the substrates must agree on decisions.
     scalar_key = decision_key(baseline.run_epoch(RunOptions(analyze=False)))
     batch_key = decision_key(batch.run_epoch(RunOptions(analyze=False)))
@@ -725,7 +734,7 @@ def test_fleet_simulation_smoke():
             )
         ],
     )
-    fleet = build_fleet(scenario, config=_fast_config(), engine="batch", mitigate=False)
+    fleet = build_fleet(scenario, config=_fast_config(), mitigate=False)
     fleet.bootstrap()
     start = time.perf_counter()
     epochs = 8

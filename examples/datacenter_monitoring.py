@@ -6,7 +6,7 @@ two simulated days while a co-located memory-stress VM injects EC2-like
 interference episodes, and reports the day-by-day detection and
 false-positive rates plus the accumulated profiling cost — the shape of
 the paper's Figure 8 and Figure 12.  A second part scales the same
-monitoring loop to a synthetic multi-shard fleet through the batch
+monitoring loop to a synthetic multi-shard fleet through the vectorized
 hardware substrate and parallel shard dispatch.
 
 Run with::
@@ -28,11 +28,10 @@ from repro.fleet import (
 def run_fleet_demo(num_vms: int = 2000, epochs: int = 12) -> None:
     """Drive a multi-shard fleet through the vectorized substrate.
 
-    ``substrate="batch"`` resolves each epoch's hardware contention for
-    all VMs on all hosts of a shard as array operations,
-    ``executor="process"`` with ``max_workers=4`` runs the independent
-    shards in four state-owning worker processes (results are identical
-    for any worker count), and
+    Each epoch's hardware contention is resolved for all VMs on all
+    hosts of a shard as array operations, ``executor="process"`` with
+    ``max_workers=4`` runs the independent shards in four state-owning
+    worker processes (results are identical for any worker count), and
     ``RunOptions(keep_reports=False)`` keeps memory constant however
     long the run.
     """
@@ -49,7 +48,6 @@ def run_fleet_demo(num_vms: int = 2000, epochs: int = 12) -> None:
     fleet = build_fleet(
         scenario,
         mitigate=False,
-        substrate="batch",
         executor="process",
         max_workers=4,
     )
@@ -93,7 +91,7 @@ def main() -> None:
         print(f"{curve.label:>15s} {curve.final_minutes:22.1f}")
 
     print("\nScaling the same monitoring loop to a 2000-VM fleet "
-          "(batch substrate, 4 shard workers) ...\n")
+          "(4 shard workers) ...\n")
     run_fleet_demo()
 
 

@@ -9,6 +9,12 @@ says so, and hands confirmed interference to the placement manager.
 The orchestrator never reads application-level performance: its only
 inputs are the Table 1 counters and the proxy-observed load streams,
 exactly as in the paper.
+
+An epoch's warnings are evaluated for every VM at once: one columnar
+window read, normalised once, then one batch evaluation per
+application.  It decides exactly as a per-VM loop over
+:meth:`WarningSystem.evaluate` would; the tests keep that loop as their
+reference (``tests/scalar_reference.py``).
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from repro.core.warning import (
 from repro.metrics.counters import COUNTER_NAMES, CounterSample
 from repro.metrics.cpi import CPIStackModel
 from repro.metrics.matrix import MetricMatrix
-from repro.metrics.normalization import aggregate_samples, normalize_counter_matrix
+from repro.metrics.normalization import normalize_counter_matrix
 from repro.metrics.sample import MetricVector
 from repro.regression.training import TrainedSynthesizer
 from repro.virt.cluster import Cluster, CounterWindowView
@@ -80,8 +86,7 @@ class EpochReport:
     the :class:`VMObservation` of every row whose warning was not
     NORMAL — the rows the action phase visited; every other row is a
     plain NORMAL verdict.  :attr:`observations` reads all rows as one
-    lazy, read-only ``vm name -> VMObservation`` mapping.  Both epoch
-    engines fill the same columns.
+    lazy, read-only ``vm name -> VMObservation`` mapping.
     """
 
     epoch: int
@@ -143,7 +148,7 @@ class ObservationView(collections.abc.Mapping):
 
 
 class _AppGroup:
-    """One application's rows in a batch epoch.
+    """One application's rows in an epoch.
 
     ``rows`` are the application's report rows; ``own`` and ``pool``
     are placement positions of its evaluated VMs and of its sibling
@@ -186,7 +191,7 @@ class _AppGroup:
 
 
 class _EpochLayout:
-    """The batch engine's placement-derived row tables.
+    """The epoch evaluation's placement-derived row tables.
 
     Built from the cluster's cached placement map and its application
     ids (both assembled from per-host pieces) and kept until that map
@@ -285,7 +290,6 @@ class DeepDive:
         config: Optional[DeepDiveConfig] = None,
         synthesizer: Optional[TrainedSynthesizer] = None,
         mitigate: bool = False,
-        engine: str = "batch",
     ) -> None:
         """
         Parameters
@@ -303,16 +307,7 @@ class DeepDive:
         mitigate:
             Whether confirmed interference triggers the placement manager
             (experiments that only measure detection leave this off).
-        engine:
-            ``"batch"`` evaluates every VM of an epoch through the
-            vectorized :class:`MetricMatrix` path; ``"scalar"`` keeps the
-            per-VM reference loop.  Both produce identical warning
-            decisions (pinned by the property test suite); scalar exists
-            as the executable specification and benchmark baseline.
         """
-        if engine not in ("batch", "scalar"):
-            raise ValueError(f"unknown epoch engine {engine!r}")
-        self.engine = engine
         self.cluster = cluster
         self.config = config or DeepDiveConfig()
         spec = next(iter(cluster.hosts.values())).machine.spec
@@ -357,7 +352,7 @@ class DeepDive:
         #: away, further migrations from that host in the same epoch
         #: would evict innocent VMs, so they are rate-limited.
         self._host_migration_epoch: Dict[str, int] = {}
-        #: The batch engine's row tables for the current placement.
+        #: The epoch's row tables for the current placement.
         self._layout: Optional[_EpochLayout] = None
 
     # ------------------------------------------------------------------
@@ -394,9 +389,8 @@ class DeepDive:
     ) -> EpochReport:
         """Process the newest counters of every VM in the cluster.
 
-        Thin wrapper over :meth:`run_epoch` using the engine selected at
-        construction time; kept for backwards compatibility with the
-        experiment drivers.
+        Thin wrapper over :meth:`run_epoch`; kept for backwards
+        compatibility with the experiment drivers.
         """
         return self.run_epoch(loads=loads, analyze=analyze)
 
@@ -404,7 +398,6 @@ class DeepDive:
         self,
         loads: Optional[Mapping[str, float]] = None,
         analyze: bool = True,
-        engine: Optional[str] = None,
         learn: bool = True,
     ) -> EpochReport:
         """Process the newest counters of every VM in the cluster.
@@ -412,9 +405,8 @@ class DeepDive:
         The epoch is split into two phases:
 
         1. **Evaluation** — every eligible VM's warning decision is
-           computed against a frozen repository snapshot (batched per
-           application in the ``"batch"`` engine, per-VM in the
-           ``"scalar"`` engine; both produce identical decisions).
+           computed against a frozen repository snapshot, batched per
+           application (:meth:`_evaluate_epoch`).
         2. **Actions** — workload-change learning, known-interference
            bookkeeping, analyzer invocations and mitigations run in
            deterministic placement order.  Before paying an analyzer
@@ -431,18 +423,12 @@ class DeepDive:
         analyze:
             When False, only the warning system runs (used by experiments
             that count would-be analyzer invocations without paying them).
-        engine:
-            Optional engine override for this epoch (defaults to the
-            instance's engine).
         learn:
             When False, corroborated workload changes are reported but
             not added to the repository — an observe-only pass with no
             side effects on the learned models (used by benchmarks that
             re-time the identical epoch).
         """
-        engine = engine or self.engine
-        if engine not in ("batch", "scalar"):
-            raise ValueError(f"unknown epoch engine {engine!r}")
         if loads:
             for vm_name, load in loads.items():
                 self.observe_load(vm_name, load)
@@ -456,10 +442,7 @@ class DeepDive:
         # An (almost) idle VM produces no meaningful metric vector; there
         # is nothing to suffer interference yet.
         # ------------------------------------------------------------------
-        if engine == "batch":
-            decisions, vectors = self._evaluate_epoch_batch(placement, app_of)
-        else:
-            decisions, vectors = self._evaluate_epoch_scalar(placement)
+        decisions, vectors = self._evaluate_epoch(placement, app_of)
 
         # ------------------------------------------------------------------
         # Phase 2: act on the non-NORMAL decisions in placement order.
@@ -517,58 +500,14 @@ class DeepDive:
         return report
 
     # ------------------------------------------------------------------
-    # Epoch engines
+    # Epoch evaluation
     # ------------------------------------------------------------------
-    def _evaluate_epoch_scalar(
-        self, placement: Mapping[str, Tuple[str, VirtualMachine]]
-    ) -> Tuple[DecisionColumns, Dict[str, MetricVector]]:
-        """The per-VM reference loop: one dict-driven evaluation per VM."""
-        windows = self.cluster.counter_windows(self.config.smoothing_epochs)
-        latest_samples: Dict[str, CounterSample] = {
-            vm_name: window[-1] for vm_name, window in windows.items()
-        }
-        eligible = [
-            vm_name
-            for vm_name in placement
-            if vm_name in latest_samples
-            and latest_samples[vm_name].inst_retired >= 1e3
-        ]
-        latest_vectors: Dict[str, MetricVector] = {
-            vm_name: MetricVector.from_sample(
-                latest_samples[vm_name], label=placement[vm_name][1].app_id
-            )
-            for vm_name in placement
-            if vm_name in latest_samples
-        }
-        decisions: List[WarningDecision] = []
-        vectors: Dict[str, MetricVector] = {}
-        for vm_name in eligible:
-            host_name, vm = placement[vm_name]
-            vector = self._smoothed_vector(host_name, vm_name, vm.app_id)
-            siblings = {
-                other: latest_vectors[other]
-                for other, (_, other_vm) in placement.items()
-                if other != vm_name
-                and other_vm.app_id == vm.app_id
-                and other in latest_vectors
-            }
-            decisions.append(
-                self.warning_system.evaluate(
-                    vm_name=vm_name,
-                    app_id=vm.app_id,
-                    vector=vector,
-                    sibling_vectors=siblings,
-                )
-            )
-            vectors[vm_name] = vector
-        return DecisionColumns.from_decisions(decisions), vectors
-
-    def _evaluate_epoch_batch(
+    def _evaluate_epoch(
         self,
         placement: Mapping[str, Tuple[str, VirtualMachine]],
         app_of: Tuple[str, ...],
     ) -> Tuple[DecisionColumns, Dict[str, MetricVector]]:
-        """The vectorized engine: a handful of array ops per application.
+        """Every eligible VM's verdict: a handful of array ops per application.
 
         One columnar read serves the whole epoch: the cluster hands back
         every VM's newest counters and smoothing-window sum as two raw
@@ -608,23 +547,6 @@ class DeepDive:
         return decisions, vectors
 
     # ------------------------------------------------------------------
-    def _smoothed_vector(
-        self, host_name: str, vm_name: str, app_id: str
-    ) -> MetricVector:
-        """One VM's smoothed metric vector (the scalar engine's path).
-
-        ``counter_history`` is a lazy view over the host's columnar
-        counter store, so slicing the window materialises exactly the
-        ``smoothing_epochs`` samples it aggregates — no per-epoch
-        eager materialisation happens anywhere upstream.
-        """
-        history = self.cluster.hosts[host_name].counter_history.get(vm_name, [])
-        window = history[-self.config.smoothing_epochs:]
-        aggregate = aggregate_samples(
-            window, context=f"VM {vm_name!r} smoothing window on host {host_name!r}"
-        )
-        return MetricVector.from_sample(aggregate, label=app_id)
-
     def _recent_window(
         self, host_name: str, vm_name: str
     ) -> List[CounterSample]:

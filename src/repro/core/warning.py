@@ -151,22 +151,6 @@ class DecisionColumns(collections.abc.Mapping):
             siblings_agreeing=np.zeros(n, dtype=np.int32),
         )
 
-    @classmethod
-    def from_decisions(cls, decisions: Sequence[WarningDecision]) -> "DecisionColumns":
-        """Columns holding already materialised decisions, in order."""
-        out = cls.allocate(
-            tuple(d.vm_name for d in decisions), tuple(d.app_id for d in decisions)
-        )
-        for i, d in enumerate(decisions):
-            out.action_codes[i] = ACTIONS.index(d.action)
-            out.distances[i] = d.distance
-            out.conservative[i] = d.conservative
-            out.siblings_consulted[i] = d.siblings_consulted
-            out.siblings_agreeing[i] = d.siblings_agreeing
-            if d.violated_dimensions:
-                out.violated[i] = d.violated_dimensions
-        return out
-
     def put(self, rows: np.ndarray, part: "DecisionColumns") -> None:
         """Scatter ``part``'s rows into rows ``rows`` of these columns."""
         self.action_codes[rows] = part.action_codes

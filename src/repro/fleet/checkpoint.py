@@ -46,7 +46,13 @@ CHECKPOINT_MAGIC = b"REPRO-FLEET-CKPT"
 #: files (whose clone counters pickle an ``itertools.count``, which
 #: Python 3.14 cannot unpickle), version 2 files (whose summaries pickle
 #: the removed per-VM fleet report) and version 1 files (hosts and
-#: clusters before the counter ring) are refused.
+#: clusters before the counter ring) are refused.  Deleting the epoch
+#: engine and hardware substrate options kept version 4: a fleet
+#: pickles the same state minus the ``engine`` (DeepDive) and
+#: ``substrate`` (clusters, hosts) attributes.  A version 4 file written
+#: with them restores them as unread attributes and resumes as before; a
+#: fleet saved on the per-VM substrate resumes on the one vectorized
+#: epoch path, equal within the substrate contract (1e-9 relative).
 CHECKPOINT_VERSION = 4
 
 #: Checkpoint kinds :meth:`~repro.fleet.fleet.Fleet.resume` reads.

@@ -5,9 +5,8 @@ watched by its own DeepDive deployment (its own behaviour repository,
 sandbox and placement manager).  The :class:`Fleet` drives all shards
 epoch by epoch — stepping the hardware simulation, applying the
 scenario's interference schedule, and running every shard's monitoring
-epoch through the batch engine — and aggregates the fleet-wide view
-(detections, migrations, profiling cost) the operator dashboards would
-show.
+epoch — and aggregates the fleet-wide view (detections, migrations,
+profiling cost) the operator dashboards would show.
 
 Shards share nothing (separate clusters, sandboxes, repositories and
 random generators), so the fleet can dispatch their epochs to either
@@ -212,7 +211,6 @@ class FleetShard:
         shard_id: str,
         cluster: Cluster,
         config: Optional[DeepDiveConfig] = None,
-        engine: str = "batch",
         mitigate: bool = False,
         sandbox: Optional[SandboxEnvironment] = None,
         baseline_loads: Optional[Mapping[str, float]] = None,
@@ -225,7 +223,6 @@ class FleetShard:
             sandbox=sandbox,
             config=self.config,
             mitigate=mitigate,
-            engine=engine,
         )
         #: Steady-state offered load per VM (fraction of nominal); VMs
         #: absent from the mapping (e.g. scenario stress VMs) keep the

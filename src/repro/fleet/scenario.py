@@ -8,7 +8,7 @@ that switches on for a window of epochs).  :func:`build_fleet` turns the
 description into a ready-to-run :class:`~repro.fleet.fleet.Fleet`; the
 whole construction is deterministic in the scenario seed, so two fleets
 built from the same scenario behave identically epoch for epoch — the
-property the engine-equivalence tests and benchmarks rely on.
+property the equivalence tests and benchmarks rely on.
 """
 
 from __future__ import annotations
@@ -197,9 +197,7 @@ def synthesize_datacenter(
 def build_fleet(
     scenario: DatacenterScenario,
     config: Optional[DeepDiveConfig] = None,
-    engine: str = "batch",
     mitigate: bool = False,
-    substrate: str = "batch",
     max_workers: Optional[int] = None,
     executor: Optional[str] = None,
     track_performance: bool = False,
@@ -213,16 +211,11 @@ def build_fleet(
 
     Construction is fully deterministic in ``scenario.seed``: clusters,
     sandboxes, workload parameters and load draws are all seeded from
-    it, so fleets built twice from the same scenario (e.g. one per epoch
-    engine or hardware substrate) evolve identically.
+    it, so fleets built twice from the same scenario (e.g. one per
+    executor) evolve identically.
 
     Parameters
     ----------
-    engine:
-        Monitoring epoch engine (``"batch"``/``"scalar"``).
-    substrate:
-        Hardware contention substrate (``"batch"``/``"scalar"``); both
-        produce equivalent counters, scalar is the reference/baseline.
     max_workers:
         Shard worker count for :meth:`Fleet.run_epoch` (``None`` =
         serial); any value yields identical results.  With
@@ -260,7 +253,7 @@ def build_fleet(
     A scenario with a ``timeline`` gets a
     :class:`~repro.fleet.lifecycle.LifecycleEngine` attached to the
     fleet: identical timelines produce bit-identical fleet evolutions
-    for every substrate/executor combination
+    for every executor and worker count
     (``tests/property/test_lifecycle_equivalence.py``).
     """
     config = config or DeepDiveConfig()
@@ -280,7 +273,6 @@ def build_fleet(
             seed=scenario.seed + 100_000 + 1_000 * s,
             noise=scenario.noise,
             host_prefix=f"s{s}pm",
-            substrate=substrate,
             track_performance=track_performance,
             cache_demands=True,
             history_limit=history_limit,
@@ -349,7 +341,6 @@ def build_fleet(
                 shard_id=shard_id,
                 cluster=cluster,
                 config=config,
-                engine=engine,
                 mitigate=mitigate,
                 sandbox=sandbox,
                 baseline_loads=baseline_loads,

@@ -158,7 +158,7 @@ class DemandMatrix:
 class HostBatchPlan:
     """The placement-dependent layout of one host's VM rows.
 
-    Produced by :meth:`~repro.hardware.machine.PhysicalMachine.batch_plan`
+    Produced by :meth:`~repro.hardware.machine.PhysicalMachine.batch_plan_for_vcpus`
     and cached by the hypervisor between placement changes: it only
     depends on the VM name order, their vCPU counts and any explicit
     core pinning — not on the per-epoch demand values.

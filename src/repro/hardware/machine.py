@@ -16,6 +16,14 @@ paper's pipeline consumes counter *vectors*, and what matters for the
 reproduction is that contention perturbs the same counters in the same
 direction and with a plausible magnitude, not that any individual value
 matches a specific silicon part.
+
+:meth:`PhysicalMachine.run_epoch` is the per-VM model a standalone host
+(an experiment's host, the analyzer's sandbox) steps through.  A
+cluster resolves all its machines at once through
+:mod:`repro.hardware.batch` instead, from each machine's
+:meth:`~PhysicalMachine.batch_plan_for_vcpus` layout and noise
+generator; the two agree within 1e-9 relative and consume the noise
+generators identically (``tests/property/test_substrate_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -25,13 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.hardware.batch import (
-    BatchEpochResult,
-    ClusterLayout,
-    DemandMatrix,
-    HostBatchPlan,
-    simulate_epoch_batch,
-)
+from repro.hardware.batch import BatchEpochResult, HostBatchPlan
 from repro.hardware.cache import CacheOutcome, SharedCacheModel
 from repro.hardware.demand import ResourceDemand
 from repro.hardware.disk import DiskModel, DiskOutcome
@@ -187,29 +189,17 @@ class PhysicalMachine:
     # ------------------------------------------------------------------
     # Batch substrate
     # ------------------------------------------------------------------
-    def batch_plan(
-        self,
-        demands: Mapping[str, ResourceDemand],
-        core_assignment: Optional[Mapping[str, Sequence[int]]] = None,
-    ) -> HostBatchPlan:
-        """The batch substrate's layout for this machine's VM set.
-
-        Depends only on the VM name order, vCPU counts and pinning — not
-        on per-epoch demand values — so hypervisors cache it between
-        placement changes.  Rows follow the iteration order of
-        ``demands`` (the order the scalar substrate resolves VMs in).
-        """
-        return self.batch_plan_for_vcpus(
-            {name: demand.vcpus for name, demand in demands.items()},
-            core_assignment=core_assignment,
-        )
-
     def batch_plan_for_vcpus(
         self,
         vcpus: Mapping[str, int],
         core_assignment: Optional[Mapping[str, Sequence[int]]] = None,
     ) -> HostBatchPlan:
-        """:meth:`batch_plan` from per-VM vCPU counts alone."""
+        """The batch substrate's layout for this machine's VM set.
+
+        Depends only on the VM name order (rows follow ``vcpus``), vCPU
+        counts and pinning — not on per-epoch demand values — so
+        hypervisors cache it between placement changes.
+        """
         assignment = (
             {n: list(c) for n, c in core_assignment.items()}
             if core_assignment is not None
@@ -238,51 +228,6 @@ class PhysicalMachine:
             pair_vm=np.asarray(pair_vm, dtype=np.intp),
             pair_domain=np.asarray(pair_domain, dtype=np.intp),
             pair_weight=np.asarray(pair_weight, dtype=float),
-        )
-
-    def run_epoch_batch(
-        self,
-        demands: Mapping[str, ResourceDemand],
-        epoch_seconds: float = 1.0,
-        core_assignment: Optional[Mapping[str, Sequence[int]]] = None,
-        cpu_caps: Optional[Mapping[str, float]] = None,
-    ) -> EpochResult:
-        """:meth:`run_epoch` through the vectorized batch substrate.
-
-        Produces the same :class:`EpochResult` (including the machine's
-        noise-generator consumption) with array operations instead of the
-        per-VM dance; the per-resource sub-model outcomes on each
-        :class:`VMEpochOutcome` are not materialised (``None``).
-        """
-        if epoch_seconds <= 0:
-            raise ValueError("epoch_seconds must be positive")
-        for demand in demands.values():
-            demand.validate()
-        if not demands:
-            return EpochResult(per_vm={}, epoch_seconds=epoch_seconds)
-        names = list(demands)
-        plan = self.batch_plan(demands, core_assignment=core_assignment)
-        layout = ClusterLayout.assemble(
-            [plan], self.spec.architecture.cache_domains
-        )
-        caps = np.asarray(
-            [(cpu_caps or {}).get(name, 1.0) for name in names], dtype=float
-        )
-        batch = simulate_epoch_batch(
-            self.spec,
-            DemandMatrix.from_demands([demands[name] for name in names]),
-            layout,
-            epoch_seconds,
-            caps,
-            noise_rngs=[(self.noise, self._rng)],
-        )
-        per_vm = {
-            name: outcome_from_batch(batch, i) for i, name in enumerate(names)
-        }
-        return EpochResult(
-            per_vm=per_vm,
-            epoch_seconds=epoch_seconds,
-            bus_utilization=float(batch.host_bus_utilization[0]),
         )
 
     # ------------------------------------------------------------------

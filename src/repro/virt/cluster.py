@@ -5,25 +5,21 @@ each epoch, exposes the global view the warning system's "global
 information" path needs (which VMs run the same application code on
 which hosts), and executes migrations decided by the placement manager.
 
-Two hardware substrates drive the per-epoch simulation:
-
-* ``substrate="scalar"`` steps each host through the per-VM reference
-  model (:meth:`~repro.virt.vmm.Host.step`);
-* ``substrate="batch"`` (the default) resolves one epoch for **all VMs
-  on all hosts at once** through the vectorized contention substrate
-  (:mod:`repro.hardware.batch`), emitting the same counters as a
-  columnar block per machine-spec group, with no per-VM dictionary
-  materialisation.
-
-Both substrates are equivalent (same formulas, same noise draws; pinned
-by ``tests/property/test_substrate_equivalence.py``).
+:meth:`Cluster.step` resolves one epoch for **all VMs on all hosts at
+once** through the vectorized contention substrate
+(:mod:`repro.hardware.batch`), emitting the counters as a columnar block
+per machine-spec group, with no per-VM dictionary materialisation.  It
+is equivalent to stepping each host through the per-VM model (same
+formulas, same noise draws; the tests keep the host-by-host step as
+their reference, ``tests/scalar_reference.py``, and
+``tests/property/test_substrate_equivalence.py`` pins the equivalence).
 
 Counter telemetry lives in one :class:`~repro.metrics.store.CounterRing`
 per cluster.  Each resident VM owns a ring slot (taken when placed,
 freed when it leaves, so a departure or migration keeps the VM's
 history on the host that recorded it).  The cluster writes every
-epoch's rows at once through the rows' slots: one write per spec group
-on the batch substrate, one on the scalar substrate.  The monitoring
+epoch's rows at once through the rows' slots, one write per spec group.
+The monitoring
 window (:meth:`Cluster.counter_window_view`) and the epoch's counter
 totals (:meth:`Cluster.latest_counter_totals`) gather ring rows in
 placement order through a slot table cached per placement; a window
@@ -67,7 +63,7 @@ from repro.hardware.batch import (
 from repro.hardware.machine import outcome_from_batch
 from repro.hardware.specs import MachineSpec, XEON_X5472
 from repro.metrics.counters import CounterSample
-from repro.metrics.store import CounterRing, sample_row
+from repro.metrics.store import CounterRing
 from repro.virt.migration import MigrationEngine, MigrationRecord
 from repro.virt.vm import VirtualMachine
 from repro.virt.vmm import Host, HostChanges, VMPerformance
@@ -80,7 +76,7 @@ class CounterWindowView:
     ``latest`` and ``window_sum`` are raw ``(n, len(COUNTER_NAMES))``
     counter matrices (Table-1 column order): row ``i`` belongs to
     ``vm_names[i]``, ``window_sum[i]`` is the left-fold sum of the VM's
-    last ``window`` epoch samples — exactly what the scalar path's
+    last ``window`` epoch samples — exactly what
     ``aggregate_samples(history[-window:])`` computes.
     """
 
@@ -131,7 +127,7 @@ class _RingTables:
 
 
 class _Grouping(NamedTuple):
-    """The cluster's hosts split into batch-substrate spec groups."""
+    """The cluster's hosts split into spec groups."""
 
     #: Host identities and epoch lengths the grouping was made for.
     host_key: tuple
@@ -167,7 +163,7 @@ class _Grouping(NamedTuple):
         )
 
 
-#: One batch-substrate execution group: hosts sharing a machine spec and
+#: One execution group: hosts sharing a machine spec and
 #: epoch length, with their assembled cluster layout and the VMs' CPU
 #: caps in row order.
 BatchGroup = Tuple[
@@ -273,17 +269,13 @@ class Cluster:
         seed: Optional[int] = None,
         migration_engine: Optional[MigrationEngine] = None,
         host_prefix: str = "pm",
-        substrate: str = "batch",
         track_performance: bool = True,
         cache_demands: bool = False,
         history_limit: Optional[int] = None,
     ) -> None:
         if num_hosts < 1:
             raise ValueError("a cluster needs at least one host")
-        if substrate not in ("scalar", "batch"):
-            raise ValueError(f"unknown hardware substrate {substrate!r}")
         self.epoch_seconds = epoch_seconds
-        self.substrate = substrate
         #: Every resident VM's counter rows (see :mod:`repro.metrics.store`).
         self._ring = CounterRing(history_limit)
         self.hosts: Dict[str, Host] = {}
@@ -295,7 +287,6 @@ class Cluster:
                 noise=noise,
                 seed=None if seed is None else seed + i,
                 epoch_seconds=epoch_seconds,
-                substrate=substrate,
                 track_performance=track_performance,
                 cache_demands=cache_demands,
                 history_limit=history_limit,
@@ -310,7 +301,7 @@ class Cluster:
         #: hosts (they may hold stranded VMs until capacity appears).
         self.drained_hosts: set = set()
         self.current_epoch = 0
-        #: Reusable batch-substrate output buffers per group (steady
+        #: Reusable substrate output buffers per spec group (steady
         #: placements stop reallocating the epoch's counter matrix).
         self._batch_buffers: Dict[int, BatchBuffers] = {}
         #: Hosts already warned about a history_limit shorter than a
@@ -491,35 +482,9 @@ class Cluster:
                 host_name = placement[vm_name][0]
                 per_host_loads.setdefault(host_name, {})[vm_name] = load
 
-        if self.substrate == "batch":
-            results = self._step_batch(per_host_loads)
-        else:
-            results = self._step_scalar(per_host_loads)
+        results = self._step_batch(per_host_loads)
         self._ring.advance()
         self.current_epoch += 1
-        return results
-
-    def _step_scalar(
-        self, per_host_loads: Mapping[str, Mapping[str, float]]
-    ) -> Dict[str, Dict[str, VMPerformance]]:
-        """One epoch through each host's per-VM reference model; every
-        host's counter rows go into the ring in one write."""
-        tables = self._ring_tables()
-        results: Dict[str, Dict[str, VMPerformance]] = {}
-        rows: List[np.ndarray] = []
-        epoch_seconds: List[float] = []
-        for host_name, host in self.hosts.items():
-            outcomes, offered = host.simulate(per_host_loads.get(host_name))
-            rows.extend(sample_row(outcomes[name].counters) for name in host._vms)
-            epoch_seconds.append(host.epoch_seconds)
-            results[host_name] = host.record_performance(outcomes, offered)
-            host.current_epoch += 1
-        self._ring.write(
-            tables.slots,
-            np.reshape(rows, (-1, N_COUNTERS)),
-            np.repeat(epoch_seconds, tables.counts),
-        )
-        self._written = tables
         return results
 
     def _batch_group_plan(self) -> List[BatchGroup]:
@@ -753,28 +718,8 @@ class Cluster:
     # ------------------------------------------------------------------
     # Global introspection used by DeepDive's warning system
     # ------------------------------------------------------------------
-    def counter_windows(
-        self, window: int
-    ) -> Dict[str, List[CounterSample]]:
-        """The last ``window`` samples of every VM, in one pass.
-
-        The scalar monitoring path's entry point: one bulk read per epoch
-        instead of one host lookup per VM — the last entry of each
-        window is the VM's newest sample.  VMs that have not completed
-        an epoch yet are absent from the result.
-        """
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        out: Dict[str, List[CounterSample]] = {}
-        for host in self.hosts.values():
-            store = host.counter_store
-            for vm_name in host._vms:
-                if vm_name in store and store.length(vm_name):
-                    out[vm_name] = store.histories[vm_name][-window:]
-        return out
-
     def counter_window_view(self, window: int) -> CounterWindowView:
-        """Columnar equivalent of :meth:`counter_windows`.
+        """Every VM's newest counters and smoothing-window sum, columnar.
 
         The ring rows of the last ``window`` epochs are gathered in
         placement order and left-folded in epoch order.  A VM with fewer
@@ -783,8 +728,8 @@ class Cluster:
         returned to a host it left less than ``window`` epochs ago, or
         its host's ``history_limit`` is shorter than the window) is
         folded from its retained samples.  VMs without an epoch on their
-        host are absent.  The view equals the scalar window assembly
-        exactly.
+        host are absent.  The view equals the host-by-host assembly of
+        each VM's last ``window`` samples exactly.
 
         A ``history_limit`` shorter than the window trims the smoothing
         windows to the retained epochs; the first time that happens on a

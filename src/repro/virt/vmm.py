@@ -126,23 +126,15 @@ class Host:
         noise: float = 0.01,
         seed: Optional[int] = None,
         epoch_seconds: float = 1.0,
-        substrate: str = "scalar",
         track_performance: bool = True,
         cache_demands: bool = False,
         history_limit: Optional[int] = None,
     ) -> None:
-        if substrate not in ("scalar", "batch"):
-            raise ValueError(f"unknown hardware substrate {substrate!r}")
         if history_limit is not None and history_limit < 1:
             raise ValueError("history_limit must be positive")
         self.name = name
         self.machine = PhysicalMachine(spec=spec, name=name, noise=noise, seed=seed)
         self.epoch_seconds = epoch_seconds
-        #: Which hardware substrate :meth:`step` resolves contention
-        #: through: the per-VM ``"scalar"`` reference or the vectorized
-        #: ``"batch"`` path.  Both produce equivalent results (pinned by
-        #: the substrate-equivalence property tests).
-        self.substrate = substrate
         #: Whether to materialise per-VM ground-truth performance reports
         #: each epoch.  Fleet monitoring only consumes counters, so large
         #: simulations turn this off to keep the epoch loop lean.
@@ -489,8 +481,7 @@ class Host:
     def batch_plan_current(self) -> HostBatchPlan:
         """The (cached) batch layout of the current placement.
 
-        Demand-object-free equivalent of :meth:`batch_plan`: the layout
-        depends only on the VM set, vCPU allocations and pinning, all of
+        The layout depends only on the VM set, vCPU allocations and pinning, all of
         which the host knows without generating demands (the hypervisor
         schedules ``vm.vcpus`` regardless of what the workload asks for).
         """
@@ -580,15 +571,15 @@ class Host:
     def simulate(
         self, loads: Optional[Mapping[str, float]] = None
     ) -> Tuple[Mapping[str, VMEpochOutcome], Dict[str, float]]:
-        """Resolve one epoch without recording it: per-VM outcomes and
-        absolute offered loads."""
+        """Resolve one epoch through the per-VM contention model without
+        recording it: per-VM outcomes and absolute offered loads.
+
+        A cluster resolves all its hosts at once instead
+        (:meth:`~repro.virt.cluster.Cluster.step`); the two agree within
+        the substrate contract's 1e-9 relative tolerance.
+        """
         demands, offered = self.collect_demands(loads)
-        run = (
-            self.machine.run_epoch_batch
-            if self.substrate == "batch"
-            else self.machine.run_epoch
-        )
-        result = run(
+        result = self.machine.run_epoch(
             demands,
             epoch_seconds=self.epoch_seconds,
             core_assignment=self.core_assignment_for(demands),

@@ -63,13 +63,19 @@ def fold(samples: Sequence[CounterSample]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def reference_windows(cluster, window: int) -> Dict[str, List[CounterSample]]:
-    """Every resident VM's last ``window`` samples on its host."""
+    """Every resident VM's last ``window`` samples on its host (of the
+    histories :func:`reference_histories` reads, sliced VM by VM so only
+    the windows materialise)."""
     out = {}
     for host in cluster.hosts.values():
-        histories = reference_histories(host)
         for name in host.vms:
-            if histories.get(name):
-                out[name] = list(histories[name][-window:])
+            if host.track_performance:
+                window_of = host.performance_history.get(name, [])[-window:]
+                samples = [perf.counters for perf in window_of]
+            else:
+                samples = list(host.counter_history.get(name, [])[-window:])
+            if samples:
+                out[name] = samples
     return out
 
 
@@ -102,14 +108,20 @@ def reference_totals(cluster) -> np.ndarray:
 
 def assert_view_matches(cluster, window: int) -> None:
     """The cluster's columnar window equals the host-by-host reference
-    bit for bit, and its scalar windows equal the reference samples."""
+    bit for bit, and the windows sliced off its lazy histories equal
+    the reference samples."""
     view = cluster.counter_window_view(window)
     names, latest, window_sum = reference_window_view(cluster, window)
     assert view.vm_names == names
     assert np.array_equal(view.latest, latest)
     assert np.array_equal(view.window_sum, window_sum)
-    windows = cluster.counter_windows(window)
-    assert windows == reference_windows(cluster, window)
+    lazy = {
+        name: list(host.counter_history[name][-window:])
+        for host in cluster.hosts.values()
+        for name in host.vms
+        if len(host.counter_history.get(name, ()))
+    }
+    assert lazy == reference_windows(cluster, window)
 
 
 def assert_histories_match(cluster) -> None:

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 from fleet_reference import WorkerPids
+from scalar_reference import use_scalar_substrate
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import RunOptions, build_fleet, synthesize_datacenter
@@ -53,7 +54,6 @@ def _tiny_process_fleet(max_workers=2, num_vms=16, num_shards=2, **fault_kwargs)
     return build_fleet(
         scenario,
         config=_config(),
-        engine="batch",
         mitigate=False,
         executor="process",
         max_workers=max_workers,
@@ -297,8 +297,12 @@ class TestOrderedMergeValidation:
 
 
 def _serial_fleet(substrate="batch"):
+    """``substrate="scalar"`` steps the fleet through the per-VM
+    reference (``scalar_reference.use_scalar_substrate``)."""
     scenario = synthesize_datacenter(16, num_shards=2, seed=21)
-    fleet = build_fleet(scenario, config=_config(), substrate=substrate)
+    fleet = build_fleet(scenario, config=_config())
+    if substrate == "scalar":
+        use_scalar_substrate(fleet)
     fleet.bootstrap()
     return fleet
 

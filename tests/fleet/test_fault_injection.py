@@ -51,7 +51,6 @@ def _process_fleet(fault_policy=None, fault_plan=None, max_workers=2, telemetry=
     return build_fleet(
         scenario,
         config=_config(),
-        engine="batch",
         mitigate=False,
         executor="process",
         max_workers=max_workers,

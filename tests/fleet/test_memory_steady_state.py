@@ -29,13 +29,7 @@ def _build():
         min_normal_behaviors=8,
         placement_eval_epochs=3,
     )
-    return build_fleet(
-        scenario,
-        config=config,
-        engine="batch",
-        substrate="batch",
-        history_limit=8,
-    )
+    return build_fleet(scenario, config=config, history_limit=8)
 
 
 def test_steady_state_memory_does_not_grow_with_epochs():

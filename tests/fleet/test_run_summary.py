@@ -36,9 +36,7 @@ def _build(history_limit=64, episodes=(), num_vms=16, bootstrap=True):
     fleet = build_fleet(
         scenario,
         config=_config(),
-        engine="batch",
         mitigate=False,
-        substrate="batch",
         history_limit=history_limit,
     )
     if bootstrap:

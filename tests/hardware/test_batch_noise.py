@@ -66,7 +66,9 @@ class _Epoch:
                 f"vm{j}": _demand(rng, active=rng.random() >= inactive)
                 for j in range(k)
             }
-            plans.append(machine.batch_plan(host))
+            plans.append(
+                machine.batch_plan_for_vcpus({n: d.vcpus for n, d in host.items()})
+            )
             demands.extend(host.values())
         self.layout = ClusterLayout.assemble(
             plans, XEON_X5472.architecture.cache_domains

@@ -2,12 +2,13 @@
 
 Exercises the whole stack — scenario generation, sharded clusters, the
 batch epoch engine, detection, and mitigation — on a synthetic 100-VM
-datacenter with injected interference episodes, and pins the DeepDive-
-level equivalence of the scalar and batch engines over a full epoch
-sequence.
+datacenter with injected interference episodes, and checks the batch
+engine in lock step against the per-VM reference loop
+(``scalar_reference.reference_decisions``) over a full epoch sequence.
 """
 
 import pytest
+from scalar_reference import assert_same_decisions, reference_decisions
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
@@ -16,7 +17,7 @@ from repro.fleet import (
     churn_timeline,
     synthesize_datacenter,
 )
-from repro.fleet.executor import columnar_from_report, step_shards
+from repro.fleet.executor import step_shards
 
 
 @pytest.fixture
@@ -46,9 +47,7 @@ class TestFleetEpochLoop:
         scenario = synthesize_datacenter(
             100, num_shards=2, seed=11, episodes=EPISODES
         )
-        fleet = build_fleet(
-            scenario, config=fast_config, engine="batch", mitigate=True
-        )
+        fleet = build_fleet(scenario, config=fast_config, mitigate=True)
         assert fleet.total_vms() == 100 + len(EPISODES)
         fleet.bootstrap()
 
@@ -102,20 +101,23 @@ class TestFleetEpochLoop:
             assert post == [], f"{shard_id} did not recover: {post}"
 
     def test_engines_agree_over_full_epoch_sequence(self, fast_config):
-        """Scalar and batch DeepDive runs evolve identically epoch for epoch.
+        """The batch engine decides as the per-VM reference loop does at
+        every shard epoch.
 
-        Two fleets built from the same scenario are deterministic; the
-        only difference is the epoch engine, so any divergence in any
-        epoch's decisions — the whole warning record, the analysis and
-        known-interference outcome, or the flattened report columns — is
-        an engine bug.  Both read the shards' own epoch reports, which
-        carry the per-VM observations a fleet report leaves out.
+        Before each shard's monitoring pass, the reference evaluates the
+        epoch the cluster just stepped against the same frozen
+        repository; any difference in any row's warning record — action,
+        exact distance, conservative flag, violated dimensions, sibling
+        counts — or in the rows evaluated is an engine bug.  The fleet
+        learns, analyses and migrates as it goes, so the check follows
+        every state the action phase leads to.
         """
-        _assert_engines_agree(fast_config, timeline=None)
+        checked = _assert_engines_agree(fast_config, timeline=None)
+        assert checked["migrations"] >= 1
 
     def test_engines_agree_under_lifecycle_churn(self, fast_config):
         """The same agreement while tenants arrive and depart, so the
-        placement changes under both engines."""
+        placement changes under the engine."""
         timeline = churn_timeline(
             ["shard0", "shard1"],
             epochs=10,
@@ -123,7 +125,8 @@ class TestFleetEpochLoop:
             arrivals_per_epoch=1.0,
             mean_lifetime_epochs=4.0,
         )
-        _assert_engines_agree(fast_config, timeline=timeline)
+        checked = _assert_engines_agree(fast_config, timeline=timeline)
+        assert checked["placement_changes"] > checked["migrations"]
 
 
 def _shard_epochs(fleet):
@@ -137,64 +140,49 @@ def _shard_epochs(fleet):
 
 
 def _assert_engines_agree(config, timeline):
-    def drive(engine):
-        scenario = synthesize_datacenter(
-            60, num_shards=2, seed=23, episodes=[EPISODES[0]], timeline=timeline
-        )
-        fleet = build_fleet(scenario, config=config, engine=engine, mitigate=True)
-        fleet.bootstrap()
-        trace = []
-        columns = []
-        for epoch in range(10):
-            reports = _shard_epochs(fleet)
-            trace.append(
-                {
-                    (shard_id, vm): (
-                        obs.warning,
-                        obs.analysis is not None,
-                        obs.known_interference,
-                        obs.interference_confirmed,
-                    )
-                    for shard_id, rep in reports.items()
-                    for vm, obs in rep.observations.items()
-                }
-            )
-            columns.append(
-                {
-                    shard_id: _columns(
-                        columnar_from_report(
-                            shard_id, epoch, rep, fleet.shards[shard_id]
-                        )
-                    )
-                    for shard_id, rep in reports.items()
-                }
-            )
-        return trace, columns, [
-            (s, m.vm_name, m.source, m.destination, m.epoch)
-            for s, m in fleet.migrations()
-        ]
+    """Drive a detecting, mitigating fleet for 10 epochs with every
+    shard's monitoring pass checked against the reference first.
 
-    scalar_trace, scalar_columns, scalar_migrations = drive("scalar")
-    batch_trace, batch_columns, batch_migrations = drive("batch")
-    for epoch, (a, b) in enumerate(zip(scalar_trace, batch_trace)):
-        assert a == b, f"engines diverged at epoch {epoch}"
-    for epoch, (a, b) in enumerate(zip(scalar_columns, batch_columns)):
-        assert a == b, f"report columns diverged at epoch {epoch}"
-    assert scalar_migrations == batch_migrations
-
-
-def _columns(report):
-    """A columnar shard report as comparable plain values."""
-    return (
-        report.vm_names,
-        report.action_codes.tolist(),
-        report.distances.tolist(),
-        report.siblings_consulted.tolist(),
-        report.siblings_agreeing.tolist(),
-        report.analyzed.tolist(),
-        report.confirmed.tolist(),
-        None if report.counter_totals is None else report.counter_totals.tolist(),
+    Returns the migrations the run made and the placement changes the
+    checked epochs saw.
+    """
+    scenario = synthesize_datacenter(
+        60, num_shards=2, seed=23, episodes=[EPISODES[0]], timeline=timeline
     )
+    fleet = build_fleet(scenario, config=config, mitigate=True)
+    fleet.bootstrap()
+    checked = {"epochs": 0, "actions": set(), "placements": set()}
+
+    def checked_run_epoch(deepdive, run_epoch):
+        def run(*args, **kwargs):
+            want = reference_decisions(deepdive)
+            report = run_epoch(*args, **kwargs)
+            assert_same_decisions(report.decisions, want)
+            checked["epochs"] += 1
+            checked["actions"].update(want[name].action.value for name in want)
+            checked["placements"].add(
+                (id(deepdive), deepdive.cluster._placement_signature())
+            )
+            return report
+
+        return run
+
+    for shard in fleet.shards.values():
+        shard.deepdive.run_epoch = checked_run_epoch(
+            shard.deepdive, shard.deepdive.run_epoch
+        )
+    analyzed = 0
+    for _ in range(10):
+        reports = _shard_epochs(fleet)
+        analyzed += sum(rep.analyzer_invocations() for rep in reports.values())
+    assert checked["epochs"] == 10 * len(fleet.shards)
+    # The run reached verdicts the action phase acts on.
+    assert {"normal", "workload_change", "analyze"} <= checked["actions"]
+    assert analyzed > 0
+    return {
+        "migrations": len(fleet.migrations()),
+        "placement_changes": len(checked["placements"]) - len(fleet.shards),
+    }
 
 
 class TestBatchEpochReport:

@@ -49,9 +49,7 @@ def _build(max_workers, mitigate=True, executor=None):
     fleet = build_fleet(
         scenario,
         config=_config(),
-        engine="batch",
         mitigate=mitigate,
-        substrate="batch",
         max_workers=max_workers,
         executor=executor,
     )

@@ -21,6 +21,7 @@ from counter_reference import (
     assert_view_matches,
     reference_totals,
 )
+from scalar_reference import use_scalar_substrate
 
 from repro.hardware.specs import CORE_I7_E5640
 from repro.virt.cluster import Cluster
@@ -40,10 +41,11 @@ def _vm(name, seed):
 
 
 def _cluster(substrate, history_limit):
+    """``substrate="scalar"`` steps the cluster through the per-VM
+    reference (``scalar_reference.scalar_step``)."""
     cluster = Cluster(
         num_hosts=3,
         seed=17,
-        substrate=substrate,
         track_performance=True,
         history_limit=history_limit,
     )
@@ -59,6 +61,8 @@ def _cluster(substrate, history_limit):
         )
     for i in range(8):
         cluster.place_vm(_vm(f"vm{i}", i), list(cluster.hosts)[i % 5], load=0.4)
+    if substrate == "scalar":
+        use_scalar_substrate(cluster)
     return cluster
 
 

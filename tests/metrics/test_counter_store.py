@@ -392,7 +392,7 @@ class TestCounterSampleFieldOrder:
             )
         }
         names = list(demands)
-        plan = machine.batch_plan(demands)
+        plan = machine.batch_plan_for_vcpus({n: d.vcpus for n, d in demands.items()})
         from repro.hardware.batch import (
             ClusterLayout,
             DemandMatrix,

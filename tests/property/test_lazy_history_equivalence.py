@@ -20,8 +20,9 @@ already pins process == serial bit-identity at the state level.
 """
 
 import numpy as np
-from counter_reference import assert_fleet_matches_reference
+from counter_reference import assert_fleet_matches_reference, reference_windows
 from fleet_reference import decision_key, summary_key
+from scalar_reference import use_scalar_substrate
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
@@ -60,13 +61,13 @@ def _build(track_performance, substrate="batch", executor=None, max_workers=None
     fleet = build_fleet(
         scenario,
         config=_config(),
-        engine="batch",
         mitigate=True,
-        substrate=substrate,
         executor=executor,
         max_workers=max_workers,
         track_performance=track_performance,
     )
+    if substrate == "scalar":
+        use_scalar_substrate(fleet)
     fleet.bootstrap()
     return fleet
 
@@ -112,8 +113,8 @@ def _assert_windows_bit_identical(fleet_a, fleet_b, windows=(1, 2, 3, 5)):
         cluster_a = shard_a.cluster
         cluster_b = fleet_b.shards[shard_id].cluster
         for window in windows:
-            wins_a = cluster_a.counter_windows(window)
-            wins_b = cluster_b.counter_windows(window)
+            wins_a = reference_windows(cluster_a, window)
+            wins_b = reference_windows(cluster_b, window)
             assert set(wins_a) == set(wins_b)
             for vm_name, samples_a in wins_a.items():
                 assert samples_a == wins_b[vm_name], (

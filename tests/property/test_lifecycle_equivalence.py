@@ -5,7 +5,8 @@ the :class:`~repro.fleet.lifecycle.LifecycleEngine` a deterministic
 interpreter, so an identical timeline must produce **bit-identical**
 fleet evolutions — decisions, run summaries, churned topology — across
 
-* hardware substrates (``scalar`` / ``batch``),
+* hardware substrates (the batch substrate / the per-VM reference,
+  ``scalar_reference.use_scalar_substrate``),
 * the cluster counter ring against the eager sample-list reference
   (hosts tracking ground truth keep every sample; ``counter_reference``),
 * shard executors (``serial`` / ``process``) at any worker count.
@@ -26,8 +27,9 @@ the full decision record, exact distances included.
 
 import numpy as np
 import pytest
-from counter_reference import assert_fleet_matches_reference
+from counter_reference import assert_fleet_matches_reference, reference_windows
 from fleet_reference import decision_key, summary_key
+from scalar_reference import use_scalar_substrate
 
 from repro.core.config import DeepDiveConfig
 from repro.metrics.counters import COUNTER_NAMES
@@ -77,6 +79,8 @@ def _config() -> DeepDiveConfig:
 def _build(
     substrate="batch", track_performance=False, executor=None, max_workers=None
 ):
+    """``substrate="scalar"`` steps the (serial) fleet through the
+    per-VM reference substrate."""
     scenario = synthesize_datacenter(
         16,
         num_shards=2,
@@ -91,13 +95,13 @@ def _build(
     fleet = build_fleet(
         scenario,
         config=_config(),
-        engine="batch",
         mitigate=True,
-        substrate=substrate,
         track_performance=track_performance,
         executor=executor,
         max_workers=max_workers,
     )
+    if substrate == "scalar":
+        use_scalar_substrate(fleet)
     fleet.bootstrap()
     return fleet
 
@@ -237,7 +241,7 @@ class TestLifecycleEquivalence:
                 cluster = shard.cluster
                 for window in (1, 2, 3):
                     view = cluster.counter_window_view(window)
-                    windows = cluster.counter_windows(window)
+                    windows = reference_windows(cluster, window)
                     assert set(view.vm_names) == set(windows)
                     for vm_name, samples in windows.items():
                         i = view.index[vm_name]

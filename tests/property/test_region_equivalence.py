@@ -6,7 +6,8 @@ regions from the same scenario must evolve **bit-identically** to the
 flat one — decisions, run summaries, lifecycle counters — at any
 region split, across
 
-* hardware substrates (``scalar`` / ``batch``),
+* hardware substrates (the batch substrate / the per-VM reference,
+  ``scalar_reference.use_scalar_substrate``),
 * the cluster counter ring against the eager sample-list reference
   (hosts tracking ground truth keep every sample; ``counter_reference``),
 * region executors (``serial`` / ``process``) at any per-region worker
@@ -24,6 +25,7 @@ detecting.
 import pytest
 from counter_reference import assert_fleet_matches_reference
 from fleet_reference import decision_key, summary_key
+from scalar_reference import use_scalar_substrate
 
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
@@ -86,12 +88,9 @@ def _scenario():
 
 
 def _build_flat(substrate="batch"):
-    fleet = build_fleet(
-        _scenario(),
-        config=_config(),
-        mitigate=True,
-        substrate=substrate,
-    )
+    fleet = build_fleet(_scenario(), config=_config(), mitigate=True)
+    if substrate == "scalar":
+        use_scalar_substrate(fleet)
     fleet.bootstrap()
     return fleet
 
@@ -108,11 +107,12 @@ def _build_regional(
         num_regions=num_regions,
         config=_config(),
         mitigate=True,
-        substrate=substrate,
         track_performance=track_performance,
         executor=executor,
         max_workers=region_workers,
     )
+    if substrate == "scalar":
+        use_scalar_substrate(fleet)
     fleet.bootstrap()
     return fleet
 

@@ -3,7 +3,9 @@
 The vectorized contention substrate (:mod:`repro.hardware.batch`) must be
 a pure optimisation of the scalar per-VM reference model: same counter
 streams (including the per-host measurement-noise draws), same progress
-and ground truth, and therefore identical monitoring decisions.
+and ground truth, and therefore identical monitoring decisions.  The
+machine-level batch epoch and the host-by-host cluster step are the
+references in ``scalar_reference``.
 
 Counters are compared with a documented tolerance of ``1e-9`` relative:
 the batch path replays the scalar arithmetic operation for operation,
@@ -19,7 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from counter_reference import reference_windows
 from fleet_reference import decision_key, without_distances
+from scalar_reference import run_epoch_batch, use_scalar_substrate
+
 from repro.core.config import DeepDiveConfig
 from repro.fleet import (
     InterferenceEpisode,
@@ -116,8 +121,8 @@ class TestMachineSubstrateEquivalence:
         scalar = m_scalar.run_epoch(
             named, epoch_seconds=epoch_seconds, cpu_caps=caps
         )
-        batch = m_batch.run_epoch_batch(
-            named, epoch_seconds=epoch_seconds, cpu_caps=caps
+        batch = run_epoch_batch(
+            m_batch, named, epoch_seconds=epoch_seconds, cpu_caps=caps
         )
         assert_outcomes_equivalent(scalar, batch)
         assert scalar.bus_utilization == pytest.approx(
@@ -137,7 +142,7 @@ class TestMachineSubstrateEquivalence:
         }
         for epoch in range(10):
             scalar = m_scalar.run_epoch(demands)
-            batch = m_batch.run_epoch_batch(demands)
+            batch = run_epoch_batch(m_batch, demands)
             assert_outcomes_equivalent(scalar, batch, context=f"epoch {epoch}")
 
     def test_multi_domain_vm_equivalence(self):
@@ -151,7 +156,7 @@ class TestMachineSubstrateEquivalence:
             "narrow": ResourceDemand(instructions=1e9, vcpus=1, working_set_mb=4.0),
         }
         assert_outcomes_equivalent(
-            m_scalar.run_epoch(demands), m_batch.run_epoch_batch(demands)
+            m_scalar.run_epoch(demands), run_epoch_batch(m_batch, demands)
         )
 
     def test_explicit_pinning_equivalence(self):
@@ -165,20 +170,18 @@ class TestMachineSubstrateEquivalence:
         pinning = {"a": [0, 1], "b": [1, 2]}  # shared core, cross-domain
         assert_outcomes_equivalent(
             m_scalar.run_epoch(demands, core_assignment=pinning),
-            m_batch.run_epoch_batch(demands, core_assignment=pinning),
+            run_epoch_batch(m_batch, demands, core_assignment=pinning),
         )
 
     def test_empty_and_error_paths_match(self):
         machine = PhysicalMachine(noise=0.0, seed=1)
-        assert machine.run_epoch_batch({}).per_vm == {}
+        assert run_epoch_batch(machine, {}).per_vm == {}
         with pytest.raises(ValueError):
-            machine.run_epoch_batch(
-                {"x": ResourceDemand(instructions=1e9)}, epoch_seconds=0.0
+            run_epoch_batch(
+                machine, {"x": ResourceDemand(instructions=1e9)}, epoch_seconds=0.0
             )
         with pytest.raises(ValueError):
-            machine.run_epoch_batch(
-                {"x": ResourceDemand(instructions=-1.0)}
-            )
+            run_epoch_batch(machine, {"x": ResourceDemand(instructions=-1.0)})
 
 
 def _fleet_config() -> DeepDiveConfig:
@@ -209,13 +212,9 @@ class TestFleetSubstrateEquivalence:
             scenario = synthesize_datacenter(
                 48, num_shards=2, seed=21, episodes=episodes
             )
-            fleet = build_fleet(
-                scenario,
-                config=_fleet_config(),
-                engine="batch",
-                mitigate=True,
-                substrate=substrate,
-            )
+            fleet = build_fleet(scenario, config=_fleet_config(), mitigate=True)
+            if substrate == "scalar":
+                use_scalar_substrate(fleet)
             fleet.bootstrap()
             fleets[substrate] = fleet
 
@@ -269,16 +268,14 @@ class TestFleetSubstrateEquivalence:
     def test_columnar_window_view_matches_sample_assembly(self):
         """The columnar monitoring view equals the per-sample window path."""
         scenario = synthesize_datacenter(24, num_shards=1, seed=5)
-        fleet = build_fleet(
-            scenario, config=_fleet_config(), engine="batch", substrate="batch"
-        )
+        fleet = build_fleet(scenario, config=_fleet_config())
         fleet.bootstrap()
         for _ in range(5):
             fleet.run_epoch(RunOptions(analyze=False))
         cluster = next(iter(fleet.shards.values())).cluster
         for window in (1, 2, 3, 5, 8):
             view = cluster.counter_window_view(window)
-            windows = cluster.counter_windows(window)
+            windows = reference_windows(cluster, window)
             assert set(view.vm_names) == set(windows)
             for vm_name, samples in windows.items():
                 i = view.index[vm_name]
@@ -295,9 +292,7 @@ class TestFleetSubstrateEquivalence:
         """A mid-run migration breaks the columnar fast path for the
         affected hosts; the view must still match the scalar assembly."""
         scenario = synthesize_datacenter(16, num_shards=1, seed=11)
-        fleet = build_fleet(
-            scenario, config=_fleet_config(), engine="batch", substrate="batch"
-        )
+        fleet = build_fleet(scenario, config=_fleet_config())
         fleet.bootstrap()
         for _ in range(3):
             fleet.run_epoch(RunOptions(analyze=False))
@@ -314,7 +309,7 @@ class TestFleetSubstrateEquivalence:
         for _ in range(2):
             fleet.run_epoch(RunOptions(analyze=False))
         view = cluster.counter_window_view(3)
-        windows = cluster.counter_windows(3)
+        windows = reference_windows(cluster, 3)
         assert set(view.vm_names) == set(windows)
         for name, samples in windows.items():
             acc = np.array(list(samples[0].as_dict().values()))

@@ -3,9 +3,10 @@
 The batch epoch engine (``MetricMatrix`` + the batch paths through the
 repository and warning system) must be a pure optimisation: for any
 counter input, it has to produce results *element-wise identical* to the
-scalar per-VM reference path.  These properties are what lets DeepDive
-swap engines freely — and what the fleet benchmark's speedup claim rests
-on.
+scalar per-VM reference path.  These properties are what lets the batch
+engine be DeepDive's only epoch path (the per-VM loop lives on as
+``scalar_reference.reference_decisions``) — and what the fleet
+benchmark's speedup claim rests on.
 """
 
 import numpy as np

@@ -5,7 +5,8 @@ gather rows of the cluster's one counter ring.  Every read must equal
 the host-by-host assembly over the eager histories
 (``counter_reference``) bit for bit, in every case: steady and changed
 placements, short history limits, hosts of two machine specs, the
-scalar substrate and a direct ``Host.step`` between cluster epochs.
+reference substrate (``scalar_reference.scalar_step``) and a direct
+``Host.step`` between cluster epochs.
 """
 
 import warnings
@@ -16,6 +17,11 @@ from counter_reference import (
     assert_view_matches,
     reference_totals,
     reference_window_view,
+)
+from scalar_reference import (
+    assert_same_decisions,
+    reference_decisions,
+    use_scalar_substrate,
 )
 
 from repro.hardware.batch import ClusterLayout
@@ -36,13 +42,12 @@ def _vm(name, seed):
     return VirtualMachine(name, WORKLOADS[seed % len(WORKLOADS)](seed=seed), vcpus=1)
 
 
-def _cluster(substrate="batch", history_limit=None, track_performance=False):
+def _cluster(history_limit=None, track_performance=False):
     """Four hosts holding 5, 2, 0 and 3 VMs: one host past the
     eight-accumulator threshold, one empty host."""
     cluster = Cluster(
         num_hosts=4,
         seed=5,
-        substrate=substrate,
         track_performance=track_performance,
         history_limit=history_limit,
     )
@@ -242,7 +247,6 @@ class TestFallbacks:
                 name="i7",
                 spec=CORE_I7_E5640,
                 seed=9,
-                substrate="batch",
                 track_performance=False,
             )
         )
@@ -256,7 +260,7 @@ class TestFallbacks:
         """Scalar epochs write the same ring: windows and totals read
         back like the batch substrate's (totals are unavailable only
         before the first epoch)."""
-        cluster = _cluster(substrate="scalar")
+        cluster = use_scalar_substrate(_cluster())
         assert cluster.latest_counter_totals() is None
         for _ in range(3):
             cluster.step()
@@ -281,15 +285,18 @@ class TestFallbacks:
 
 def test_smoothing_window_of_three_through_deepdive():
     """DeepDive's batch engine reads three-epoch windows off the ring
-    and decides exactly as the scalar engine does."""
+    and decides exactly as the per-VM reference loop does, an idle VM
+    (below the instruction floor) left out by both."""
     from repro.core.config import DeepDiveConfig
     from repro.core.deepdive import DeepDive
 
     cluster = _cluster()
+    cluster.place_vm(_vm("idle", 30), "pm1", load=0.0)
     deepdive = DeepDive(cluster, config=DeepDiveConfig(smoothing_epochs=3))
     for _ in range(6):
         cluster.step()
-        batch = deepdive.run_epoch(analyze=False, learn=False, engine="batch")
-        scalar = deepdive.run_epoch(analyze=False, learn=False, engine="scalar")
-        assert batch.observations == scalar.observations
+        want = reference_decisions(deepdive)
+        report = deepdive.run_epoch(analyze=False, learn=False)
+        assert_same_decisions(report.decisions, want)
+        assert "idle" not in want and len(want) == 10
         assert_view_matches(cluster, 3)

@@ -121,7 +121,7 @@ class TestDemandRowsAfterPlacementChange:
 
     @staticmethod
     def _host(vms):
-        host = Host(name="pm", substrate="batch", cache_demands=True, seed=1)
+        host = Host(name="pm", cache_demands=True, seed=1)
         for vm, load in vms:
             host.add_vm(vm, load=load)
         host.collect_demand_rows()

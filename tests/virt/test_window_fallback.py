@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from counter_reference import reference_windows
 
 from repro.metrics.normalization import windows_to_counter_matrix
 from repro.virt.cluster import Cluster
@@ -22,7 +23,6 @@ def _cluster(history_limit=None, track_performance=True, num_hosts=2):
     cluster = Cluster(
         num_hosts=num_hosts,
         seed=11,
-        substrate="batch",
         track_performance=track_performance,
         history_limit=history_limit,
     )
@@ -43,7 +43,7 @@ def _cluster(history_limit=None, track_performance=True, num_hosts=2):
 
 def _assert_view_matches_samples(cluster, window):
     view = cluster.counter_window_view(window)
-    windows = cluster.counter_windows(window)
+    windows = reference_windows(cluster, window)
     assert set(view.vm_names) == set(windows)
     for vm_name, samples in windows.items():
         i = view.index[vm_name]
